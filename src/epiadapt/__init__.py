@@ -19,29 +19,21 @@ from .de_core import (
     Candidate,
     DEConfig,
     Population,
-    binomial_crossover,
     init_population,
-    mutate_current_to_best_1,
     nsde_generation,
     repair_bounds,
-    sample_scale_factor,
 )
 from .dynamics import (
     EpidemicParams,
-    Evaluation,
     IntegrationError,
     Trajectory,
     WeightSchedule,
     constraint_value,
     decision_dimension,
     decode_candidate,
-    encode_schedule,
-    evaluate_candidate,
-    infected_level,
     integrate,
     make_batch_evaluator,
     objective_value,
-    total_weights,
     trace_series,
     write_trace_csv,
     write_trajectory_csv,

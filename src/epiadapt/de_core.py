@@ -1,10 +1,11 @@
 """Differential-evolution population machinery with neighborhood-search F.
 
-The scale factor is drawn per individual per generation from a mixture of a
-Gaussian centered at 0.5 and a heavy-tailed standard Cauchy; trials are
-accepted under the epsilon comparator. Heavy-tailed draws are used as-is
-(bound repair clamps the genes), which is what gives the operator its
-escape behavior.
+A generation builds all NP trials at once as array operations from one
+random stream. The scale factor is drawn per individual per generation from
+a mixture of a Gaussian centered at 0.5 and a heavy-tailed standard Cauchy;
+trials are accepted under the epsilon comparator. Heavy-tailed draws are
+used as-is (bound repair clamps the genes), which is what gives the
+operator its escape behavior.
 """
 from __future__ import annotations
 
@@ -12,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .eps_constraint import better_than
+from .eps_constraint import better_mask
 
 
 @dataclass(frozen=True)
@@ -57,11 +58,16 @@ class Population:
         return self.genes.shape[0]
 
     def eps_best_index(self, eps: float) -> int:
-        best = 0
-        for i in range(1, self.size):
-            if better_than(self.f[i], self.violation[i], self.f[best], self.violation[best], eps):
-                best = i
-        return best
+        """Index a sequential :func:`better_than` scan from index 0 would keep.
+
+        That is the first lexicographic minimum of (max(violation, eps), f),
+        except that a NaN objective heading the best-violation ties is never
+        displaced, since no comparison against it succeeds.
+        """
+        key = np.maximum(self.violation, eps)
+        ties = np.flatnonzero(key == key.min())
+        f = self.f[ties]
+        return int(ties[0] if np.isnan(f[0]) else ties[np.nanargmin(f)])
 
     def candidate(self, i: int) -> Candidate:
         return Candidate(self.genes[i].copy(), float(self.f[i]), float(self.violation[i]))
@@ -75,80 +81,77 @@ def init_population(cfg: DEConfig, dim: int, rng: np.random.Generator) -> np.nda
     return lo + rng.random((cfg.np_size, dim)) * (hi - lo)
 
 
-def sample_scale_factor(fp: float, rng: np.random.Generator) -> float:
-    """Draw F from N(0.5, 0.5) with probability fp, else a standard Cauchy."""
-    if rng.random() < fp:
-        return float(rng.normal(0.5, 0.5))
-    return float(rng.standard_cauchy())
+def sample_scale_factors(fp: float, size: int, rng: np.random.Generator) -> np.ndarray:
+    """Draw ``size`` F values: N(0.5, 0.5) with probability fp, else a standard Cauchy."""
+    gaussian = rng.random(size) < fp
+    return np.where(gaussian, rng.normal(0.5, 0.5, size), rng.standard_cauchy(size))
 
 
-def mutate_current_to_best_1(
-    i: int,
-    genes: np.ndarray,
-    best: np.ndarray,
-    f: float,
-    rng: np.random.Generator,
-) -> np.ndarray:
-    """current-to-best/1 mutant: x_i + F*(best - x_i) + F*(x_r1 - x_r2).
+def donor_indices(np_size: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
+    """Per row i, uniform donors r1 != r2, both != i, drawn without rejection.
 
-    r1 and r2 are distinct random indices, both different from i.
+    r1 comes from the NP-1 other indices; r2 from the NP-2 left, shifted past
+    min(i, r1) and then past max(i, r1).
     """
-    np_size = genes.shape[0]
     if np_size < 4:
         raise ValueError("mutation needs a population of at least 4")
-    r1 = int(rng.integers(np_size))
-    while r1 == i:
-        r1 = int(rng.integers(np_size))
-    r2 = int(rng.integers(np_size))
-    while r2 == i or r2 == r1:
-        r2 = int(rng.integers(np_size))
-    return genes[i] + f * (best - genes[i]) + f * (genes[r1] - genes[r2])
+    i = np.arange(np_size)
+    r1 = rng.integers(np_size - 1, size=np_size)
+    r1 += r1 >= i
+    r2 = rng.integers(np_size - 2, size=np_size)
+    r2 += r2 >= np.minimum(i, r1)
+    r2 += r2 >= np.maximum(i, r1)
+    return r1, r2
 
 
-def binomial_crossover(
-    target: np.ndarray, mutant: np.ndarray, cr: float, rng: np.random.Generator
+def build_trials(
+    genes: np.ndarray, best: np.ndarray, cfg: DEConfig, rng: np.random.Generator
 ) -> np.ndarray:
-    """Mix mutant genes into the target where rand <= cr, forcing one index."""
-    if target.shape != mutant.shape:
-        raise ValueError("target and mutant must have the same length")
-    take = rng.random(target.shape[0]) <= cr
-    take[rng.integers(target.shape[0])] = True
-    return np.where(take, mutant, target)
+    """All NP current-to-best/1 trials with binomial crossover, clamped to bounds.
+
+    Row i mixes x_i + F_i*(best - x_i) + F_i*(x_r1 - x_r2) into x_i where
+    rand <= cr, with one forced gene per row.
+    """
+    np_size, dim = genes.shape
+    f = sample_scale_factors(cfg.fp, np_size, rng)
+    r1, r2 = donor_indices(np_size, rng)
+    # The crossover draws pass through the trial buffer before the mutant fills it.
+    trials = rng.random((np_size, dim))
+    keep = trials > cfg.cr
+    keep[np.arange(np_size), rng.integers(dim, size=np_size)] = False
+    np.subtract(best, genes, out=trials)
+    trials += genes[r1]
+    trials -= genes[r2]
+    trials *= f[:, None]
+    trials += genes
+    np.putmask(trials, keep, genes)
+    return repair_bounds(trials, cfg.bounds, out=trials)
 
 
-def repair_bounds(v: np.ndarray, bounds: tuple[float, float]) -> np.ndarray:
+def repair_bounds(
+    v: np.ndarray, bounds: tuple[float, float], out: np.ndarray | None = None
+) -> np.ndarray:
     """Clamp every gene into [min, max]."""
-    return np.clip(v, bounds[0], bounds[1])
+    return np.clip(v, bounds[0], bounds[1], out=out)
 
 
 def nsde_generation(
-    pop: Population,
-    evaluate,
-    eps: float,
-    cfg: DEConfig,
-    rng: np.random.Generator,
+    pop: Population, evaluate, eps: float, cfg: DEConfig, rng: np.random.Generator
 ) -> int:
     """Run one synchronous generation in place; returns evaluations consumed.
 
-    Every individual gets an independent child stream spawned from ``rng``,
-    so trial construction is order-independent and reproducible regardless
-    of how evaluations are scheduled. All trials are built from the
-    generation-start population, batch-evaluated, then selection is applied
-    in index order under the epsilon comparator.
+    One stream, ``rng``, drives every operator draw of the generation, so
+    trials are reproducible regardless of how evaluations are scheduled.
+    All trials are built from the generation-start population as array
+    operations, batch-evaluated, and each replaces its parent when it wins
+    under the epsilon comparator.
     """
     if pop.size != cfg.np_size:
         raise ValueError(f"population size {pop.size} != configured {cfg.np_size}")
-    best = pop.genes[pop.eps_best_index(eps)].copy()
-    trials = np.empty_like(pop.genes)
-    for i, stream in enumerate(rng.spawn(pop.size)):
-        f_i = sample_scale_factor(cfg.fp, stream)
-        mutant = mutate_current_to_best_1(i, pop.genes, best, f_i, stream)
-        trial = binomial_crossover(pop.genes[i], mutant, cfg.cr, stream)
-        trials[i] = repair_bounds(trial, cfg.bounds)
-    trial_f, trial_viol = evaluate(trials)
-    for i in range(pop.size):
-        if better_than(trial_f[i], trial_viol[i], pop.f[i], pop.violation[i], eps):
-            pop.genes[i] = trials[i]
-            pop.f[i] = trial_f[i]
-            pop.violation[i] = trial_viol[i]
+    trials = build_trials(pop.genes, pop.genes[pop.eps_best_index(eps)], cfg, rng)
+    trial_f, trial_viol = (np.asarray(a, dtype=float) for a in evaluate(trials))
+    win = better_mask(trial_f, trial_viol, pop.f, pop.violation, eps)
+    pop.genes[win] = trials[win]
+    pop.f[win] = trial_f[win]
+    pop.violation[win] = trial_viol[win]
     return pop.size

@@ -77,7 +77,7 @@ class WeightSchedule:
         blocks = np.asarray(self.blocks, dtype=float)
         if blocks.ndim != 3 or blocks.shape[1] != blocks.shape[2]:
             raise ValueError(f"blocks must be (T-1, N, N), got {blocks.shape}")
-        if np.any(blocks < 0.0) or np.any(blocks > 1.0):
+        if not np.all((blocks >= 0.0) & (blocks <= 1.0)):
             raise ValueError("schedule weights must lie in [0, 1]")
         if np.any(blocks[:, range(blocks.shape[1]), range(blocks.shape[1])] != 0.0):
             raise ValueError("schedule diagonals must be zero")
@@ -91,14 +91,6 @@ class WeightSchedule:
     @property
     def horizon(self) -> int:
         return self.blocks.shape[0] + 1
-
-    def matrix_at(self, t: float, w0: np.ndarray) -> np.ndarray:
-        """Weight matrix active at time t; w0 on [0, 1), blocks afterwards."""
-        if not 0.0 <= t < self.horizon:
-            raise ValueError(f"t={t} outside [0, {self.horizon})")
-        if t < 1.0:
-            return w0
-        return self.blocks[int(t) - 1]
 
 
 @dataclass(frozen=True)
@@ -121,15 +113,6 @@ class Trajectory:
         p.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "p", p)
-
-
-@dataclass(frozen=True)
-class Evaluation:
-    """Objective f, signed constraint g, and violation max(0, g)."""
-
-    f: float
-    g: float
-    violation: float
 
 
 @lru_cache(maxsize=None)
@@ -163,12 +146,6 @@ def decode_candidate(x: np.ndarray, n: int, horizon: int) -> WeightSchedule:
     blocks = np.zeros((horizon - 1, n, n))
     blocks[:, rows, cols] = x.reshape(horizon - 1, n * (n - 1))
     return WeightSchedule(blocks=blocks)
-
-
-def encode_schedule(sched: WeightSchedule) -> np.ndarray:
-    """Flatten a schedule back into a decision vector (decode's inverse)."""
-    rows, cols = _offdiag_indices(sched.n)
-    return sched.blocks[:, rows, cols].reshape(-1).copy()
 
 
 def _rhs(p: np.ndarray, wb: np.ndarray, gamma: np.ndarray) -> np.ndarray:
@@ -252,16 +229,6 @@ def constraint_value(sched: WeightSchedule, net: Network, budget: float) -> floa
     return float(np.sum(dev * dev) - budget)
 
 
-def evaluate_candidate(
-    x: np.ndarray, net: Network, params: EpidemicParams, budget: float
-) -> Evaluation:
-    """Decode, integrate, and score one decision vector."""
-    sched = decode_candidate(x, net.n, params.horizon)
-    f = objective_value(integrate(net, params, sched))
-    g = constraint_value(sched, net, budget)
-    return Evaluation(f=f, g=g, violation=max(0.0, g))
-
-
 def make_batch_evaluator(
     net: Network, params: EpidemicParams, budget: float
 ) -> BatchEvaluator:
@@ -269,13 +236,15 @@ def make_batch_evaluator(
 
     The shared [0, 1) interval (identical for every candidate) is integrated
     once up front. This is the hot path for population-based optimizers;
-    :func:`evaluate_candidate` is the single-vector reference.
+    :func:`integrate` with :func:`objective_value` is the single-schedule
+    reference.
     """
     n, horizon, k = net.n, params.horizon, params.substeps
     beta, gamma, p0 = params.node_vectors(n)
     rows, cols = _offdiag_indices(n)
     dim = decision_dimension(n, horizon)
     x0 = np.tile(net.w0[rows, cols], horizon - 1)
+    beta_off = beta[cols].reshape(n - 1, n)
     p_unit, obj_unit = _advance_unit(p0[None, :].copy(), (net.w0 * beta)[None], gamma, k)
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -287,29 +256,21 @@ def make_batch_evaluator(
         b = x.shape[0]
         diff = x - x0
         g = np.einsum("ij,ij->i", diff, diff) - budget
-        blocks = np.zeros((b, horizon - 1, n, n))
-        blocks[:, :, rows, cols] = x.reshape(b, horizon - 1, n * (n - 1))
+        blocks = x.reshape(b, horizon - 1, n - 1, n)
+        # One (B, n*n) buffer serves every interval. Past its leading
+        # diagonal slot, each run of n+1 flat entries is n off-diagonals
+        # (row-major) then a diagonal, so this view never touches the zeros.
+        wb = np.zeros((b, n * n))
+        offdiag = wb[:, 1:].reshape(b, n - 1, n + 1)[:, :, :n]
         p = np.repeat(p_unit, b, axis=0)
         obj = np.full(b, obj_unit[0])
-        for t in range(1, horizon):
-            p, contrib = _advance_unit(p, blocks[:, t - 1] * beta, gamma, k)
+        for t in range(horizon - 1):
+            np.multiply(blocks[:, t], beta_off, out=offdiag)
+            p, contrib = _advance_unit(p, wb.reshape(b, n, n), gamma, k)
             obj += contrib
         return obj, np.maximum(0.0, g)
 
     return evaluate
-
-
-def infected_level(traj: Trajectory, t: float) -> float:
-    """Mean infection probability at a sampled instant."""
-    idx = np.nonzero(np.isclose(traj.times, t, rtol=0.0, atol=1e-9))[0]
-    if idx.size == 0:
-        raise ValueError(f"t={t} is not on the sample grid")
-    return float(traj.p[idx[0]].mean())
-
-
-def total_weights(sched: WeightSchedule, net: Network, t: float) -> float:
-    """Sum of all off-diagonal weights in force at time t in [0, horizon)."""
-    return float(sched.matrix_at(t, net.w0).sum())
 
 
 def trace_series(
@@ -320,11 +281,9 @@ def trace_series(
     W at the final instant carries the last block's value (left limit), so
     both series share the grid.
     """
-    i_level = traj.p.mean(axis=1)
-    w_level = np.array(
-        [total_weights(sched, net, min(t, sched.horizon - 1e-9)) for t in traj.times]
-    )
-    return traj.times, i_level, w_level
+    totals = np.array([net.w0.sum()] + [block.sum() for block in sched.blocks])
+    w_level = totals[np.minimum(traj.times.astype(int), sched.horizon - 1)]
+    return traj.times, traj.p.mean(axis=1), w_level
 
 
 def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
+import numpy as np
+
 
 @dataclass(frozen=True)
 class EpsilonSchedule:
@@ -63,3 +65,13 @@ def better_than(f_a: float, viol_a: float, f_b: float, viol_b: float, eps: float
     if (viol_a <= eps and viol_b <= eps) or viol_a == viol_b:
         return f_a < f_b
     return viol_a < viol_b
+
+
+def better_mask(f_a, viol_a, f_b, viol_b, eps: float) -> np.ndarray:
+    """Element-wise :func:`better_than` over arrays.
+
+    The comparator is lexicographic on (max(violation, eps), f): violations
+    within eps tie, and ties (or equal violations) fall through to f.
+    """
+    key_a, key_b = np.maximum(viol_a, eps), np.maximum(viol_b, eps)
+    return (key_a < key_b) | ((key_a == key_b) & (f_a < f_b))

@@ -10,6 +10,8 @@ timing.txt precisely to keep the CSVs deterministic.
 from __future__ import annotations
 
 import csv
+import math
+import numbers
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -61,6 +63,23 @@ def normalize_algorithm(name: str) -> str:
     return token
 
 
+_FIELD_KINDS = {"int": "an integer", "int | None": "an integer or null",
+                "float": "a finite number", "bool": "true or false", "str": "a string"}
+
+
+def _has_field_type(value, annotation: str) -> bool:
+    """Whether a config value fits its field: bools are not numbers, floats are finite."""
+    if value is None:
+        return annotation.endswith("| None")
+    if annotation in ("bool", "str"):
+        return isinstance(value, bool if annotation == "bool" else str)
+    if isinstance(value, bool):
+        return False
+    if annotation == "float":
+        return isinstance(value, numbers.Real) and math.isfinite(value)
+    return isinstance(value, numbers.Integral)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Campaign parameters: network, epidemic, budget, optimizer, and runs.
@@ -97,6 +116,13 @@ class ExperimentConfig:
     _JSON_KEYS = {"np": "np_size"}
 
     def __post_init__(self) -> None:
+        json_names = {v: k for k, v in self._JSON_KEYS.items()}
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if not _has_field_type(value, f.type):
+                name = json_names.get(f.name, f.name)
+                got = "null" if value is None else repr(value)
+                raise ConfigError(f"{name} must be {_FIELD_KINDS[f.type]}, got {got}")
         object.__setattr__(self, "algorithm", normalize_algorithm(self.algorithm))
         checks = [
             (self.n >= 2, "n must be at least 2"),
@@ -137,10 +163,6 @@ class ExperimentConfig:
                 f"unknown config keys {unknown}; allowed keys are {sorted(allowed)}"
             )
         kwargs = {cls._JSON_KEYS.get(key, key): value for key, value in data.items()}
-        nullable = {"ds", "sub_fes"}
-        for key, value in kwargs.items():
-            if value is None and key not in nullable:
-                raise ConfigError(f"config key {key!r} must not be null")
         try:
             return cls(**kwargs)
         except ConfigError:
@@ -325,8 +347,12 @@ def write_schedule_csv(sched: WeightSchedule, path: Path) -> None:
 
 
 def read_schedule_csv(path: str | Path, n: int, horizon: int) -> WeightSchedule:
-    """Read a schedule written by :func:`write_schedule_csv`."""
+    """Read a schedule written by :func:`write_schedule_csv`.
+
+    Every off-diagonal entry of every block must appear exactly once.
+    """
     blocks = np.zeros((horizon - 1, n, n))
+    seen: set[tuple[int, int, int]] = set()
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -335,14 +361,25 @@ def read_schedule_csv(path: str | Path, n: int, horizon: int) -> WeightSchedule:
         for lineno, row in enumerate(reader, start=2):
             if not row:
                 continue
-            t, i, j = int(row[0]), int(row[1]), int(row[2])
+            if len(row) != 4:
+                raise ConfigError(f"{path}:{lineno}: expected 4 fields t,i,j,w, got {len(row)}")
+            try:
+                t, i, j, w = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+            except ValueError:
+                raise ConfigError(f"{path}:{lineno}: t,i,j must be integers, w a number") from None
             if not 1 <= t < horizon:
                 raise ConfigError(f"{path}:{lineno}: block index {t} outside [1, {horizon})")
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigError(f"{path}:{lineno}: node ids must lie in [0, {n})")
             if i == j:
                 raise ConfigError(f"{path}:{lineno}: diagonal weights must stay zero")
-            blocks[t - 1, i, j] = float(row[3])
+            if (t, i, j) in seen:
+                raise ConfigError(f"{path}:{lineno}: duplicate entry t={t}, i={i}, j={j}")
+            seen.add((t, i, j))
+            blocks[t - 1, i, j] = w
+    expected = (horizon - 1) * n * (n - 1)
+    if len(seen) != expected:
+        raise ConfigError(f"{path}: {expected - len(seen)} of {expected} entries missing")
     return WeightSchedule(blocks=blocks)
 
 
@@ -365,16 +402,11 @@ def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path)
         write_history_csv(rec.history, rdir / "history.csv")
         write_schedule_csv(rec.schedule, rdir / "best_schedule.csv")
         times, i_level, w_level = trace_series(rec.trajectory, rec.schedule, net)
-        with (rdir / "trace_I.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "I"])
-            for t, value in zip(times, i_level):
-                writer.writerow([_fmt(t), _fmt(value)])
-        with (rdir / "trace_W.csv").open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["t", "W"])
-            for t, value in zip(times, w_level):
-                writer.writerow([_fmt(t), _fmt(value)])
+        for name, series in (("I", i_level), ("W", w_level)):
+            with (rdir / f"trace_{name}.csv").open("w", newline="") as fh:
+                writer = csv.writer(fh)
+                writer.writerow(["t", name])
+                writer.writerows([_fmt(t), _fmt(value)] for t, value in zip(times, series))
     with (outdir / "timing.txt").open("w") as fh:
         for rec in records:
             fh.write(f"run {rec.run}: {rec.wall_time:.3f} s\n")

@@ -11,9 +11,9 @@ from epiadapt.dynamics import (
     constraint_value,
     integrate,
     objective_value,
-    total_weights,
 )
 from epiadapt.graph import generate_ba, network_from_weights
+from reference import total_weights
 
 PARAMS = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=10, substeps=10)
 

@@ -91,6 +91,23 @@ def test_unknown_config_key_exits_2(workspace, tmp_path):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+def test_incomplete_schedule_exits_2(workspace, tmp_path):
+    _, net, config = workspace
+    schedule = tmp_path / "one_row.csv"
+    schedule.write_text("t,i,j,w\n1,0,1,0.5\n")
+    assert main(["simulate", "--net", str(net), "--config", str(config),
+                 "--schedule", str(schedule), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("override", [{"np": 10.5}, {"horizon": 10.0}, {"runs": True}])
+def test_mistyped_config_field_exits_2(workspace, tmp_path, override):
+    _, net, _ = workspace
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({**TINY_CONFIG, **override}))
+    assert main(["simulate", "--net", str(net), "--config", str(bad),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+
+
 def test_invalid_parameter_exits_2(tmp_path):
     assert main(["gen-net", "--n", "3", "--m0", "5", "--m", "5",
                  "--seed", "0", "--out", str(tmp_path / "net.csv")]) == 2

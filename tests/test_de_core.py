@@ -9,14 +9,14 @@ from epiadapt.de_core import (
     Candidate,
     DEConfig,
     Population,
-    binomial_crossover,
+    build_trials,
+    donor_indices,
     init_population,
-    mutate_current_to_best_1,
     nsde_generation,
     repair_bounds,
-    sample_scale_factor,
+    sample_scale_factors,
 )
-from epiadapt.eps_constraint import better_than
+from epiadapt.eps_constraint import better_mask, better_than
 
 
 def sphere(x):
@@ -30,13 +30,28 @@ def make_population(genes, evaluate):
     return Population(genes, np.asarray(f, float), np.asarray(viol, float))
 
 
+def fixed_f(value):
+    """Stand-in for the F sampler: every row gets ``value``, no draws consumed."""
+    return lambda fp, size, rng: np.full(size, value)
+
+
+def expected_mutants(genes, best, f, seed):
+    """current-to-best/1 mutants replayed from the donor draws of ``seed``.
+
+    Valid when the F sampler is patched to draw nothing, so the donors are
+    the first draws of the generation stream.
+    """
+    r1, r2 = donor_indices(genes.shape[0], np.random.default_rng(seed))
+    return genes + f * (best - genes) + f * (genes[r1] - genes[r2])
+
+
 class FakeRng:
-    """Deterministic stand-in feeding preset integer draws."""
+    """Deterministic stand-in feeding preset integer arrays."""
 
     def __init__(self, integer_draws):
-        self._draws = list(integer_draws)
+        self._draws = [np.asarray(d) for d in integer_draws]
 
-    def integers(self, _n):
+    def integers(self, _n, size=None):
         return self._draws.pop(0)
 
 
@@ -73,102 +88,109 @@ class TestInitPopulation:
 
 class TestScaleFactor:
     def test_pure_gaussian_branch(self):
-        rng = np.random.default_rng(0)
-        draws = np.array([sample_scale_factor(1.0, rng) for _ in range(100_000)])
+        draws = sample_scale_factors(1.0, 100_000, np.random.default_rng(0))
         assert abs(draws.mean() - 0.5) < 0.01
         assert abs(draws.std() - 0.5) < 0.01
 
     def test_pure_cauchy_branch(self):
-        rng = np.random.default_rng(1)
-        draws = np.array([sample_scale_factor(0.0, rng) for _ in range(100_000)])
+        draws = sample_scale_factors(0.0, 100_000, np.random.default_rng(1))
         assert abs(np.median(draws)) < 0.02
 
     def test_branch_fraction_at_half(self):
-        # Replay the branch decision by cloning the generator state before
-        # each call: the first uniform draw picks the branch.
-        rng = np.random.default_rng(2)
-        gaussian = 0
+        # The first uniform draw of each row picks its branch; replay it on
+        # a clone of the generator state.
         n = 100_000
-        for _ in range(n):
-            probe = np.random.default_rng()
-            probe.bit_generator.state = rng.bit_generator.state
-            took_gaussian = probe.random() < 0.5
-            sample_scale_factor(0.5, rng)
-            gaussian += took_gaussian
-        assert abs(gaussian / n - 0.5) < 0.01
+        rng = np.random.default_rng(2)
+        probe = np.random.default_rng()
+        probe.bit_generator.state = rng.bit_generator.state
+        gaussian = probe.random(n) < 0.5
+        draws = sample_scale_factors(0.5, n, rng)
+        assert abs(gaussian.mean() - 0.5) < 0.01
+        np.testing.assert_array_equal(draws[gaussian], probe.normal(0.5, 0.5, n)[gaussian])
 
 
 class TestMutation:
-    def test_arithmetic(self):
+    def test_arithmetic(self, monkeypatch):
+        monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.5))
         genes = np.array([[0.2], [0.4], [0.2], [0.9]])
         best = np.array([0.6])
-        # FakeRng draws r1=1 then r2=2.
-        v = mutate_current_to_best_1(0, genes, best, 0.5, FakeRng([1, 2]))
-        assert v[0] == pytest.approx(0.5)
+        trials = build_trials(genes, best, DEConfig(np_size=4, cr=1.0),
+                              np.random.default_rng(5))
+        expected = np.clip(expected_mutants(genes, best, 0.5, 5), 0.0, 1.0)
+        np.testing.assert_allclose(trials, expected, rtol=0.0, atol=1e-15)
 
-    def test_zero_f_returns_target(self):
-        rng = np.random.default_rng(0)
+    def test_zero_f_returns_target(self, monkeypatch):
+        monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.0))
         genes = np.random.default_rng(1).random((6, 4))
-        v = mutate_current_to_best_1(2, genes, genes[0], 0.0, rng)
-        np.testing.assert_array_equal(v, genes[2])
+        trials = build_trials(genes, genes[0], DEConfig(np_size=6, cr=1.0),
+                              np.random.default_rng(0))
+        np.testing.assert_array_equal(trials, genes)
 
     def test_identical_population_is_fixed_point(self):
         genes = np.tile([0.3, 0.7], (5, 1))
-        rng = np.random.default_rng(0)
-        v = mutate_current_to_best_1(1, genes, genes[0], 1.7, rng)
-        np.testing.assert_allclose(v, genes[1])
+        trials = build_trials(genes, genes[0], DEConfig(np_size=5),
+                              np.random.default_rng(0))
+        np.testing.assert_allclose(trials, genes)
 
-    def test_collision_redraws(self):
-        genes = np.array([[0.0], [1.0], [2.0], [3.0]])
-        # i=0; r1 draws 0 (collision) then 1; r2 draws 0, 1 (collisions) then 2.
-        v = mutate_current_to_best_1(0, genes, genes[0], 1.0, FakeRng([0, 1, 0, 1, 2]))
-        assert v[0] == pytest.approx(0.0 + 0.0 + (1.0 - 2.0))
+    def test_collisions_shift_past_i_and_r1(self):
+        # Row 0 draws 0 for both donors: r1 shifts past i=0 to 1, r2 shifts
+        # past 0 and then past 1 to 2. Row 3 draws the top values, which
+        # need no shift.
+        r1, r2 = donor_indices(4, FakeRng([[0, 0, 0, 2], [0, 0, 0, 1]]))
+        assert (r1[0], r2[0]) == (1, 2)
+        assert (r1[3], r2[3]) == (2, 1)
 
-    def test_r1_r2_distinct_from_i(self):
-        # Marker encoding: gene value identifies the row, so v reveals draws.
-        genes = np.arange(8, dtype=float).reshape(8, 1)
-        best = np.zeros(1)
-        rng = np.random.default_rng(9)
-        for i in range(8):
-            for _ in range(200):
-                v = mutate_current_to_best_1(i, genes, best, 1.0, rng)
-                diff = v[0] - (genes[i, 0] + (0.0 - genes[i, 0]))
-                # diff = r1 - r2 over distinct integers: never 0.
-                assert diff != 0.0
+    @given(st.integers(4, 60), st.integers(0, 2**32 - 1))
+    @settings(max_examples=100, deadline=None)
+    def test_r1_r2_distinct_from_i(self, np_size, seed):
+        r1, r2 = donor_indices(np_size, np.random.default_rng(seed))
+        i = np.arange(np_size)
+        assert np.all((r1 != i) & (r2 != i) & (r1 != r2))
+        assert r1.min() >= 0 and r2.min() >= 0
+        assert r1.max() < np_size and r2.max() < np_size
+
+    def test_donors_cover_every_other_index(self):
+        draws = [donor_indices(5, np.random.default_rng(s)) for s in range(400)]
+        pairs = {(int(a[0]), int(b[0])) for a, b in draws}
+        assert pairs == {(a, b) for a in range(1, 5) for b in range(1, 5) if a != b}
 
     def test_too_small_population(self):
         with pytest.raises(ValueError):
-            mutate_current_to_best_1(
-                0, np.zeros((3, 2)), np.zeros(2), 0.5, np.random.default_rng(0)
-            )
+            donor_indices(3, np.random.default_rng(0))
+        with pytest.raises(ValueError):
+            build_trials(np.zeros((3, 2)), np.zeros(2), DEConfig(np_size=4),
+                         np.random.default_rng(0))
 
 
 class TestCrossover:
-    def test_cr_one_copies_mutant(self):
-        rng = np.random.default_rng(0)
-        target, mutant = np.zeros(50), np.ones(50)
-        np.testing.assert_array_equal(
-            binomial_crossover(target, mutant, 1.0, rng), mutant
-        )
+    def test_cr_one_copies_mutant(self, monkeypatch):
+        monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.3))
+        genes = np.random.default_rng(1).random((20, 50))
+        trials = build_trials(genes, genes[3], DEConfig(np_size=20, cr=1.0),
+                              np.random.default_rng(0))
+        expected = np.clip(expected_mutants(genes, genes[3], 0.3, 0), 0.0, 1.0)
+        np.testing.assert_allclose(trials, expected, rtol=0.0, atol=1e-15)
 
-    def test_cr_zero_forces_single_gene(self):
-        rng = np.random.default_rng(1)
-        target, mutant = np.zeros(50), np.ones(50)
-        for _ in range(20):
-            trial = binomial_crossover(target, mutant, 0.0, rng)
-            assert int((trial != target).sum()) == 1
+    def test_cr_zero_forces_single_gene(self, monkeypatch):
+        monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(1.0))
+        genes = np.zeros((20, 50))
+        trials = build_trials(genes, np.ones(50), DEConfig(np_size=20, cr=0.0),
+                              np.random.default_rng(1))
+        np.testing.assert_array_equal((trials != genes).sum(axis=1), 1)
 
-    def test_inherited_fraction(self):
-        rng = np.random.default_rng(2)
-        target, mutant = np.zeros(1000), np.ones(1000)
-        taken = sum(
-            binomial_crossover(target, mutant, 0.9, rng).sum() for _ in range(100)
-        )
-        assert abs(taken / 100_000 - 0.9) < 0.01
+    def test_inherited_fraction(self, monkeypatch):
+        # Targets 0 and best 1 make every mutant gene 1, so the trial's mean
+        # is the share of genes taken from the mutant: cr plus the forced gene.
+        monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(1.0))
+        genes = np.zeros((100, 1000))
+        trials = build_trials(genes, np.ones(1000), DEConfig(np_size=100, cr=0.9),
+                              np.random.default_rng(2))
+        assert abs(trials.mean() - 0.9) < 0.01
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
-            binomial_crossover(np.zeros(3), np.zeros(4), 0.5, np.random.default_rng(0))
+            build_trials(np.zeros((4, 3)), np.zeros(4), DEConfig(np_size=4),
+                         np.random.default_rng(0))
 
 
 class TestRepair:
@@ -250,7 +272,7 @@ class TestNsdeGeneration:
     def test_zero_f_and_zero_cr_changes_nothing(self, monkeypatch):
         # F = 0 makes every mutant equal its target, so trials are identical
         # and strict improvement never triggers a replacement.
-        monkeypatch.setattr(de_core, "sample_scale_factor", lambda fp, rng: 0.0)
+        monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.0))
         cfg = DEConfig(np_size=8, cr=0.0)
         rng = np.random.default_rng(2)
         pop = make_population(init_population(cfg, 4, rng), sphere)
@@ -261,7 +283,7 @@ class TestNsdeGeneration:
     def test_constant_f_and_zero_cr_single_gene_moves(self, monkeypatch):
         # With cr = 0 a trial differs from its target in at most the forced
         # gene, so survivors differ from their predecessors in <= 1 position.
-        monkeypatch.setattr(de_core, "sample_scale_factor", lambda fp, rng: 0.5)
+        monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.5))
         cfg = DEConfig(np_size=8, cr=0.0)
         rng = np.random.default_rng(3)
         pop = make_population(init_population(cfg, 6, rng), sphere)
@@ -294,3 +316,52 @@ class TestPopulation:
         pop.genes[0, 0] = 0.9
         assert isinstance(cand, Candidate)
         assert cand.genes[0] == pytest.approx(0.1)
+
+
+def scan_best_index(f, viol, eps):
+    """Reference: the sequential better_than scan the population used to run."""
+    best = 0
+    for i in range(1, len(f)):
+        if better_than(f[i], viol[i], f[best], viol[best], eps):
+            best = i
+    return best
+
+
+# Small value pools make ties, values exactly at eps, and NaN objectives common.
+EPS_VALUES = st.sampled_from([0.0, 0.5, 1.0])
+VIOLATIONS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=12)
+OBJECTIVES = st.sampled_from([-1.0, 0.0, 1.0, 3.0, np.inf, np.nan])
+
+
+class TestEpsComparatorArrays:
+    @given(st.data(), EPS_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_eps_best_index_matches_sequential_scan(self, data, eps):
+        viol = np.array(data.draw(VIOLATIONS))
+        f = np.array(data.draw(st.lists(OBJECTIVES, min_size=viol.size, max_size=viol.size)))
+        pop = Population(np.zeros((viol.size, 1)), f, viol)
+        assert pop.eps_best_index(eps) == scan_best_index(f, viol, eps)
+
+    @given(st.data(), EPS_VALUES)
+    @settings(max_examples=300, deadline=None)
+    def test_selection_mask_matches_better_than(self, data, eps):
+        viol_a = np.array(data.draw(VIOLATIONS))
+        size = viol_a.size
+        viol_b = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
+                                             min_size=size, max_size=size)))
+        f_a, f_b = (np.array(data.draw(st.lists(OBJECTIVES, min_size=size, max_size=size)))
+                    for _ in range(2))
+        expected = [better_than(f_a[i], viol_a[i], f_b[i], viol_b[i], eps) for i in range(size)]
+        np.testing.assert_array_equal(better_mask(f_a, viol_a, f_b, viol_b, eps), expected)
+
+    def test_first_index_wins_ties(self):
+        pop = Population(np.zeros((4, 1)), np.array([2.0, 1.0, 1.0, 1.0]),
+                         np.array([0.0, 0.3, 0.0, 0.0]))
+        assert pop.eps_best_index(0.5) == 1
+        assert pop.eps_best_index(0.0) == 2
+
+    def test_nan_objective_at_head_of_ties_is_kept(self):
+        pop = Population(np.zeros((3, 1)), np.array([np.nan, 1.0, 0.5]), np.zeros(3))
+        assert pop.eps_best_index(0.0) == 0
+        pop.f[0] = 2.0
+        assert pop.eps_best_index(0.0) == 2

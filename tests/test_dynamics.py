@@ -11,16 +11,13 @@ from epiadapt.dynamics import (
     constraint_value,
     decision_dimension,
     decode_candidate,
-    encode_schedule,
-    evaluate_candidate,
-    infected_level,
     integrate,
     make_batch_evaluator,
     objective_value,
-    total_weights,
     trace_series,
 )
 from epiadapt.graph import generate_ba, network_from_weights
+from reference import encode_schedule, evaluate_candidate, infected_level, total_weights
 
 REF_EPI = dict(beta=0.4, gamma=0.3, p0=0.153, horizon=10)
 

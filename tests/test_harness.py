@@ -53,6 +53,22 @@ class TestConfig:
         with pytest.raises(ConfigError, match="null"):
             ExperimentConfig.from_dict({"beta": None})
 
+    @pytest.mark.parametrize("data", [
+        {"np": 60.5}, {"runs": True}, {"horizon": 10.0}, {"substeps": 2.5},
+        {"ds": 1.5}, {"beta": float("inf")}, {"gamma": float("nan")}, {"budget": True},
+        {"p0": "0.1"}, {"count_reevals": 1}, {"count_reevals": "yes"}, {"algorithm": 3},
+    ])
+    def test_field_types_rejected(self, data):
+        with pytest.raises(ConfigError, match="must be"):
+            ExperimentConfig.from_dict(data)
+
+    def test_ints_accepted_for_float_fields(self):
+        cfg = ExperimentConfig.from_dict(
+            {"horizon": 10, "budget": 700, "beta": 1, "np": 60, "count_reevals": False}
+        )
+        assert cfg.budget == 700 and cfg.beta == 1 and cfg.np_size == 60
+        assert ExperimentConfig.from_dict({"budget": 700.0, "horizon": 10}).budget == 700.0
+
     def test_nullable_keys_allowed(self):
         cfg = ExperimentConfig.from_dict({"ds": None, "sub_fes": None})
         assert cfg.ds is None and cfg.sub_fes is None
@@ -182,6 +198,47 @@ class TestScheduleCsv:
         path = tmp_path / "sched.csv"
         path.write_text("t,i,j,w\n1,2,2,0.5\n")
         with pytest.raises(ConfigError):
+            read_schedule_csv(path, 4, 3)
+
+    @staticmethod
+    def full_schedule_text(n=4, horizon=3, w="0.5"):
+        rows = [f"{t},{i},{j},{w}" for t in range(1, horizon)
+                for i in range(n) for j in range(n) if i != j]
+        return "\n".join(["t,i,j,w", *rows]) + "\n"
+
+    def test_complete_schedule_accepted(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text(self.full_schedule_text())
+        assert np.all(read_schedule_csv(path, 4, 3).blocks.sum(axis=(1, 2)) == 6.0)
+
+    def test_incomplete_schedule_rejected(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text("t,i,j,w\n1,0,1,0.5\n")
+        with pytest.raises(ConfigError, match="23 of 24 entries missing"):
+            read_schedule_csv(path, 4, 3)
+
+    def test_duplicate_entry_rejected(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text(self.full_schedule_text() + "1,0,1,0.25\n")
+        with pytest.raises(ConfigError, match="duplicate"):
+            read_schedule_csv(path, 4, 3)
+
+    def test_short_row_rejected(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text(self.full_schedule_text() + "1,0\n")
+        with pytest.raises(ConfigError, match="4 fields"):
+            read_schedule_csv(path, 4, 3)
+
+    def test_non_numeric_row_rejected(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text(self.full_schedule_text().replace("1,0,1,0.5", "1,0,1,heavy"))
+        with pytest.raises(ConfigError, match="integers"):
+            read_schedule_csv(path, 4, 3)
+
+    def test_nan_weight_rejected(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text(self.full_schedule_text().replace("1,0,1,0.5", "1,0,1,nan"))
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
             read_schedule_csv(path, 4, 3)
 
     def test_node_ids_bounds_checked(self, tmp_path):
