@@ -35,7 +35,6 @@ from .dynamics import (
     make_batch_evaluator,
     objective_value,
     trace_series,
-    write_trace_csv,
     write_trajectory_csv,
 )
 from .eps_constraint import (

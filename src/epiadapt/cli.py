@@ -70,6 +70,9 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
             f"run {rec.run}: ofv={rec.ofv:.6f} violation={rec.violation:.3g} "
             f"evaluations={rec.evaluations}"
         )
+    if len(records) < cfg.runs:
+        print(f"{cfg.runs - len(records)} of {cfg.runs} runs aborted", file=sys.stderr)
+        return 3
     return 0
 
 

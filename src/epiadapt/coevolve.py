@@ -5,7 +5,8 @@ equal-size subcomponents and optimizes them one by one in the context of
 the global best vector: a subcomponent member is scored by splicing its
 genes into the best candidate at the group's indices. The feasibility
 tolerance decays on a single global generation counter across all
-subcomponents and cycles.
+subcomponents and cycles. A single subcomponent is plain NSDE, so
+:func:`run_nsde` is :func:`run_c3` with ``ds`` equal to the dimension.
 
 All randomness is drawn from streams keyed by (seed, purpose, index), so
 results are reproducible and independent of evaluation scheduling.
@@ -58,9 +59,9 @@ class C3Config:
 
     ``sub_fes`` is the evaluation budget of one subcomponent visit (the
     context-evaluation pass included), defaulting to 10 * NP; ``cycles``
-    of None runs until the total budget is exhausted. ``count_reevals``
-    controls whether the full-population re-evaluation after each visit is
-    charged against the budget (it always happens).
+    of None runs until the total budget is exhausted. With ``ds`` equal to
+    the dimension there is one group, a visit is ``sub_fes // NP`` plain
+    generations, and ``cycles`` counts those chunks.
     """
 
     ds: int
@@ -69,7 +70,6 @@ class C3Config:
     cycles: int | None = None
     gc_fraction: float = 0.2
     lam: float = 10.0
-    count_reevals: bool = True
 
     def __post_init__(self) -> None:
         if self.ds < 1:
@@ -155,7 +155,6 @@ def optimize_subcomponent(
     gen_start: int = 0,
     cycle: int = 1,
     max_fes: int | None = None,
-    count_reevals: bool = True,
 ) -> SubcomponentOutcome:
     """Optimize one group's columns in the context of the global best.
 
@@ -163,9 +162,11 @@ def optimize_subcomponent(
     ``best_genes`` (one population's worth of evaluations), then runs
     generations until ``sub_fes`` evaluations are consumed, writes the
     evolved columns back, and re-evaluates the full population so the
-    caches match the genes again. Returns the evaluations charged (the
-    re-evaluation pass is charged only when ``count_reevals``), the
-    generations run, and their history rows.
+    caches match the genes again. A single group owns every index, so
+    there the population itself evolves under ``evaluate``, with no
+    context pass and no re-evaluation, and its history rows are labelled
+    cycle 0, group 0 like plain NSDE's. Returns the evaluations charged,
+    the generations run, and their history rows.
     """
     np_size = pop.size
     if sub_fes < 2 * np_size:
@@ -173,23 +174,22 @@ def optimize_subcomponent(
             f"sub_fes={sub_fes} cannot fund the context pass plus one generation"
         )
     idx = plan.indices_for(group)
-    reeval_cost = np_size if count_reevals else 0
+    if plan.ns == 1:
+        sub, sub_evaluate, used, reeval_cost = pop, evaluate, 0, 0
+        cycle = group = 0
+    else:
+        def sub_evaluate(sub_genes: np.ndarray):
+            full = np.tile(best_genes, (sub_genes.shape[0], 1))
+            full[:, idx] = sub_genes
+            return evaluate(full)
 
-    def splice(sub_genes: np.ndarray) -> np.ndarray:
-        full = np.tile(best_genes, (sub_genes.shape[0], 1))
-        full[:, idx] = sub_genes
-        return full
-
-    def sub_evaluate(sub_genes: np.ndarray):
-        return evaluate(splice(sub_genes))
-
-    sub_f, sub_viol = sub_evaluate(pop.genes[:, idx])
-    sub = Population(
-        genes=pop.genes[:, idx].copy(),
-        f=np.asarray(sub_f, dtype=float),
-        violation=np.asarray(sub_viol, dtype=float),
-    )
-    used = np_size
+        sub_f, sub_viol = sub_evaluate(pop.genes[:, idx])
+        sub = Population(
+            genes=pop.genes[:, idx].copy(),
+            f=np.asarray(sub_f, dtype=float),
+            violation=np.asarray(sub_viol, dtype=float),
+        )
+        used, reeval_cost = np_size, np_size
     gens = 0
     history: list[GenerationRecord] = []
     while used + np_size <= sub_fes and (
@@ -212,11 +212,12 @@ def optimize_subcomponent(
                 epsilon=eps,
             )
         )
-    pop.genes[:, idx] = sub.genes
-    full_f, full_viol = evaluate(pop.genes)
-    pop.f = np.asarray(full_f, dtype=float)
-    pop.violation = np.asarray(full_viol, dtype=float)
-    used += reeval_cost
+    if plan.ns > 1:
+        pop.genes[:, idx] = sub.genes
+        full_f, full_viol = evaluate(pop.genes)
+        pop.f = np.asarray(full_f, dtype=float)
+        pop.violation = np.asarray(full_viol, dtype=float)
+        used += reeval_cost
     return SubcomponentOutcome(evaluations=used, generations=gens, history=history)
 
 
@@ -248,8 +249,8 @@ def run_c3(
     sub_fes = c3_cfg.sub_fes if c3_cfg.sub_fes is not None else 10 * np_size
     if sub_fes < 2 * np_size:
         raise ValueError(f"sub_fes={sub_fes} must be at least 2*NP={2 * np_size}")
-    reeval_cost = np_size if c3_cfg.count_reevals else 0
-    visit_min = 2 * np_size + reeval_cost
+    # A generation, plus the context pass and re-evaluation of several groups.
+    visit_min = np_size if ns == 1 else 3 * np_size
     if c3_cfg.total_budget < np_size + visit_min:
         raise ValueError(
             f"total_budget={c3_cfg.total_budget} cannot fund the initial "
@@ -287,7 +288,6 @@ def run_c3(
                 pop, plan, group, best_genes, evaluate, sched, de_cfg, sub_fes,
                 seed, gen_start=gen, cycle=cycle,
                 max_fes=c3_cfg.total_budget - fes,
-                count_reevals=c3_cfg.count_reevals,
             )
             fes += out.evaluations
             gen += out.generations
@@ -314,46 +314,11 @@ def run_nsde(
     gc_fraction: float = 0.2,
     lam: float = 10.0,
 ) -> OptimizationResult:
-    """Plain full-dimensional NSDE under the same epsilon schedule.
-
-    Uses the same keyed generation streams as :func:`run_c3`, so a
-    single-group coevolution run with re-evaluations uncharged reproduces
-    this trajectory generation for generation.
-    """
-    np_size = de_cfg.np_size
-    if total_budget < 2 * np_size:
-        raise ValueError(f"total_budget={total_budget} cannot fund one generation")
-    genes = init_population(de_cfg, dim, _keyed_rng(seed, _INIT))
-    f, viol = evaluate(genes)
-    pop = Population(genes, np.asarray(f, dtype=float), np.asarray(viol, dtype=float))
-    fes = np_size
-    sched = _make_schedule(
-        float(pop.violation.max()), total_budget, np_size, gc_fraction, lam
-    )
-    gen = 0
-    history: list[GenerationRecord] = []
-    while fes + np_size <= total_budget:
-        eps = epsilon_at(sched, min(gen, sched.gmax))
-        fes += nsde_generation(
-            pop, evaluate, eps, de_cfg, _keyed_rng(seed, _GENERATION, gen)
-        )
-        gen += 1
-        b = pop.eps_best_index(eps)
-        history.append(
-            GenerationRecord(
-                generation=gen,
-                cycle=0,
-                group=0,
-                best_f=float(pop.f[b]),
-                best_violation=float(pop.violation[b]),
-                epsilon=eps,
-            )
-        )
-    final = pop.eps_best_index(0.0)
-    return OptimizationResult(
-        best=pop.candidate(final),
-        history=history,
-        evaluations=fes,
-        generations=gen,
-        eps_schedule=sched,
+    """Plain full-dimensional NSDE: :func:`run_c3` with a single group."""
+    return run_c3(
+        evaluate,
+        dim,
+        C3Config(ds=dim, total_budget=total_budget, gc_fraction=gc_fraction, lam=lam),
+        de_cfg,
+        seed,
     )

@@ -295,14 +295,3 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
         for t, row in zip(traj.times, traj.p):
             writer.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in row])
 
-
-def write_trace_csv(
-    traj: Trajectory, sched: WeightSchedule, net: Network, path: str | Path
-) -> None:
-    """Export the I(t)/W(t) trace as CSV rows ``t, I, W``."""
-    times, i_level, w_level = trace_series(traj, sched, net)
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "I", "W"])
-        for t, i_val, w_val in zip(times, i_level, w_level):
-            writer.writerow([f"{t:.12g}", f"{i_val:.12g}", f"{w_val:.12g}"])

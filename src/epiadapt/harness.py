@@ -64,15 +64,15 @@ def normalize_algorithm(name: str) -> str:
 
 
 _FIELD_KINDS = {"int": "an integer", "int | None": "an integer or null",
-                "float": "a finite number", "bool": "true or false", "str": "a string"}
+                "float": "a finite number", "str": "a string"}
 
 
 def _has_field_type(value, annotation: str) -> bool:
     """Whether a config value fits its field: bools are not numbers, floats are finite."""
     if value is None:
         return annotation.endswith("| None")
-    if annotation in ("bool", "str"):
-        return isinstance(value, bool if annotation == "bool" else str)
+    if annotation == "str":
+        return isinstance(value, str)
     if isinstance(value, bool):
         return False
     if annotation == "float":
@@ -109,7 +109,6 @@ class ExperimentConfig:
     total_fes: int = 6_300_000
     gc_fraction: float = 0.2
     lam: float = 10.0
-    count_reevals: bool = True
     runs: int = 25
     master_seed: int = 0
 
@@ -128,25 +127,20 @@ class ExperimentConfig:
             (self.n >= 2, "n must be at least 2"),
             (1 <= self.m <= self.m0 <= self.n, "need 1 <= m <= m0 <= n"),
             (self.net_seed >= 0, "net_seed must be nonnegative"),
-            (self.beta >= 0.0, "beta must be nonnegative"),
-            (self.gamma >= 0.0, "gamma must be nonnegative"),
-            (0.0 <= self.p0 <= 1.0, "p0 must lie in [0, 1]"),
-            (self.horizon >= 2, "horizon must be at least 2"),
-            (self.substeps >= 1, "substeps must be at least 1"),
             (self.budget >= 0.0, "budget must be nonnegative"),
-            (self.np_size >= 4, "np must be at least 4"),
-            (0.0 <= self.cr <= 1.0, "cr must lie in [0, 1]"),
-            (0.0 <= self.fp <= 1.0, "fp must lie in [0, 1]"),
-            (self.ds is None or self.ds >= 1, "ds must be positive when given"),
             (self.sub_fes is None or self.sub_fes >= 1, "sub_fes must be positive"),
-            (self.total_fes >= 1, "total_fes must be positive"),
-            (0.0 < self.gc_fraction < 1.0, "gc_fraction must lie in (0, 1)"),
             (self.runs >= 1, "runs must be at least 1"),
             (self.master_seed >= 0, "master_seed must be nonnegative"),
         ]
         for ok, message in checks:
             if not ok:
                 raise ConfigError(message)
+        try:
+            self.epidemic_params()
+            self.de_config()
+            self.c3_config(self.n)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     @classmethod
     def json_keys(cls) -> list[str]:
@@ -179,6 +173,19 @@ class ExperimentConfig:
             substeps=self.substeps,
         )
 
+    def de_config(self) -> DEConfig:
+        return DEConfig(np_size=self.np_size, cr=self.cr, fp=self.fp)
+
+    def c3_config(self, n: int) -> C3Config:
+        """Coevolution layout for an n-node network; ``ds`` of None is n(n-1)."""
+        return C3Config(
+            ds=self.ds if self.ds is not None else n * (n - 1),
+            total_budget=self.total_fes,
+            sub_fes=self.sub_fes,
+            gc_fraction=self.gc_fraction,
+            lam=self.lam,
+        )
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -208,19 +215,10 @@ def _optimizer_record(
     start = time.perf_counter()
     dim = decision_dimension(net.n, cfg.horizon)
     evaluate = make_batch_evaluator(net, params, cfg.budget)
-    de_cfg = DEConfig(np_size=cfg.np_size, cr=cfg.cr, fp=cfg.fp)
+    de_cfg = cfg.de_config()
     seed = derive_run_seed(cfg.master_seed, run_index)
     if cfg.algorithm == "nsde_c3":
-        ds = cfg.ds if cfg.ds is not None else net.n * (net.n - 1)
-        c3_cfg = C3Config(
-            ds=ds,
-            total_budget=cfg.total_fes,
-            sub_fes=cfg.sub_fes,
-            gc_fraction=cfg.gc_fraction,
-            lam=cfg.lam,
-            count_reevals=cfg.count_reevals,
-        )
-        result = run_c3(evaluate, dim, c3_cfg, de_cfg, seed)
+        result = run_c3(evaluate, dim, cfg.c3_config(net.n), de_cfg, seed)
     else:
         result = run_nsde(
             evaluate, dim, cfg.total_fes, de_cfg, seed,

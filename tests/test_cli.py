@@ -123,3 +123,25 @@ def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])
     assert excinfo.value.code == 2
+
+
+def test_aborted_run_exits_3_and_keeps_survivors(workspace, monkeypatch, capsys):
+    import epiadapt.harness as harness
+    from epiadapt.dynamics import IntegrationError
+
+    tmp_path, net, config = workspace
+    real = harness._optimizer_record
+
+    def flaky(cfg, net, params, run_index):
+        if run_index == 1:
+            raise IntegrationError("state became non-finite during integration")
+        return real(cfg, net, params, run_index)
+
+    monkeypatch.setattr(harness, "_optimizer_record", flaky)
+    outdir = tmp_path / "opt"
+    assert main(["optimize", "--net", str(net), "--config", str(config),
+                 "--algo", "nsde", "--runs", "3", "--outdir", str(outdir)]) == 3
+    assert "1 of 3 runs aborted" in capsys.readouterr().err
+    runs = (outdir / "runs.csv").read_text().splitlines()[1:]
+    assert [line.split(",")[1] for line in runs] == ["0", "2"]
+    assert (outdir / "run_02" / "best_schedule.csv").exists()

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiadapt.coevolve import (
     C3Config,
@@ -118,18 +120,6 @@ class TestOptimizeSubcomponent:
         assert out.generations == 4
         assert out.evaluations == 60
         assert evaluate.calls == 60
-
-    def test_reevaluation_uncounted_mode(self):
-        evaluate = CountingEvaluator()
-        pop = self.setup_population(10, 8)
-        plan = GroupingPlan(perm=np.arange(8), ns=2, ds=4)
-        sched = EpsilonSchedule(eps0=0.0, gc=10, gmax=100)
-        out = optimize_subcomponent(
-            pop, plan, 2, pop.genes[0].copy(), evaluate, sched,
-            DEConfig(np_size=10), sub_fes=50, seed=3, count_reevals=False,
-        )
-        assert out.evaluations == 50
-        assert evaluate.calls == 60  # the pass still runs, it is just uncharged
 
     def test_caches_consistent_after_writeback(self):
         pop = self.setup_population(8, 6, seed=2)
@@ -250,21 +240,34 @@ class TestRunC3:
 
 
 class TestSingleGroupEquivalence:
-    def test_matches_plain_nsde_trajectory(self):
-        de_cfg = DEConfig(np_size=12)
-        budget = 12 * 40
-        plain = run_nsde(sphere, 10, budget, de_cfg, seed=21)
+    @given(
+        np_size=st.integers(4, 12),
+        generations=st.integers(1, 30),
+        spare=st.integers(0, 11),
+        chunk=st.integers(2, 12),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_matches_plain_nsde_trajectory(
+        self, np_size, generations, spare, chunk, seed
+    ):
+        dim = 6
+        de_cfg = DEConfig(np_size=np_size)
+        budget = np_size * (generations + 1) + spare % np_size
+        evaluate = CountingEvaluator()
         c3 = run_c3(
-            sphere, 10,
-            C3Config(ds=10, total_budget=budget, sub_fes=12 * 5, count_reevals=False),
-            de_cfg, seed=21,
+            evaluate, dim,
+            C3Config(ds=dim, total_budget=budget, sub_fes=chunk * np_size),
+            de_cfg, seed,
         )
-        assert len(c3.history) > 10
-        for ours, ref in zip(c3.history, plain.history):
-            assert ours.generation == ref.generation
-            assert ours.best_f == ref.best_f
-            assert ours.best_violation == ref.best_violation
-            assert ours.epsilon == ref.epsilon
+        plain = run_nsde(sphere, dim, budget, de_cfg, seed)
+        assert c3.best.genes.tobytes() == plain.best.genes.tobytes()
+        assert c3.best.f == plain.best.f
+        assert c3.best.violation == plain.best.violation
+        assert c3.evaluations == plain.evaluations == evaluate.calls
+        assert c3.generations == plain.generations == generations
+        assert c3.history == plain.history
+        assert {(row.cycle, row.group) for row in c3.history} == {(0, 0)}
 
 
 class TestRunNsde:

@@ -267,8 +267,8 @@ class TestTraces:
         with pytest.raises(ValueError):
             total_weights(sched, net20, -0.1)
 
-    def test_trajectory_and_trace_csv_exports(self, net20, tmp_path):
-        from epiadapt.dynamics import write_trace_csv, write_trajectory_csv
+    def test_trajectory_csv_export(self, net20, tmp_path):
+        from epiadapt.dynamics import write_trajectory_csv
 
         params = EpidemicParams(**REF_EPI, substeps=2)
         sched = no_adaptation_schedule(net20, 10)
@@ -278,13 +278,6 @@ class TestTraces:
         lines = tpath.read_text().splitlines()
         assert lines[0] == "t," + ",".join(f"p_{i}" for i in range(20))
         assert len(lines) == 22
-        wpath = tmp_path / "trace.csv"
-        write_trace_csv(traj, sched, net20, wpath)
-        lines = wpath.read_text().splitlines()
-        assert lines[0] == "t,I,W"
-        first = lines[1].split(",")
-        assert float(first[1]) == pytest.approx(0.153)
-        assert float(first[2]) == pytest.approx(170.0)
 
     def test_trace_series_aligned(self, net20):
         params = EpidemicParams(**REF_EPI, substeps=4)

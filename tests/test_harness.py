@@ -48,6 +48,8 @@ class TestConfig:
     def test_unknown_keys_rejected(self):
         with pytest.raises(ConfigError, match="unknown config keys"):
             ExperimentConfig.from_dict({"np_sizes": 16})
+        with pytest.raises(ConfigError, match="unknown config keys"):
+            ExperimentConfig.from_dict({"count_reevals": False})
 
     def test_null_value_rejected(self):
         with pytest.raises(ConfigError, match="null"):
@@ -56,7 +58,7 @@ class TestConfig:
     @pytest.mark.parametrize("data", [
         {"np": 60.5}, {"runs": True}, {"horizon": 10.0}, {"substeps": 2.5},
         {"ds": 1.5}, {"beta": float("inf")}, {"gamma": float("nan")}, {"budget": True},
-        {"p0": "0.1"}, {"count_reevals": 1}, {"count_reevals": "yes"}, {"algorithm": 3},
+        {"p0": "0.1"}, {"algorithm": 3}, {"lam": True}, {"sub_fes": 40.0},
     ])
     def test_field_types_rejected(self, data):
         with pytest.raises(ConfigError, match="must be"):
@@ -64,7 +66,7 @@ class TestConfig:
 
     def test_ints_accepted_for_float_fields(self):
         cfg = ExperimentConfig.from_dict(
-            {"horizon": 10, "budget": 700, "beta": 1, "np": 60, "count_reevals": False}
+            {"horizon": 10, "budget": 700, "beta": 1, "np": 60}
         )
         assert cfg.budget == 700 and cfg.beta == 1 and cfg.np_size == 60
         assert ExperimentConfig.from_dict({"budget": 700.0, "horizon": 10}).budget == 700.0
@@ -165,6 +167,26 @@ class TestRunExperiment:
                 assert (outdir / run / name).exists()
         header = (outdir / "run_00" / "history.csv").read_text().splitlines()[0]
         assert header == "generation,cycle,group,best_f,best_violation,epsilon"
+        for name, first in (("I", 0.153), ("W", 170.0)):
+            lines = (outdir / "run_00" / f"trace_{name}.csv").read_text().splitlines()
+            assert lines[0] == f"t,{name}"
+            assert len(lines) == 1 + 10 * 5 + 1
+            t0, value = lines[1].split(",")
+            assert float(t0) == 0.0 and float(value) == pytest.approx(first)
+
+    def test_single_group_c3_campaign_is_nsde(self, tmp_path):
+        run_experiment(tiny_config(algorithm="nsde"), outdir=tmp_path / "nsde")
+        run_experiment(tiny_config(algorithm="nsde_c3", ds=20 * 19 * 9),
+                       outdir=tmp_path / "c3")
+        runs = {
+            algo: [line.split(",")[1:] for line in
+                   (tmp_path / algo / "runs.csv").read_text().splitlines()]
+            for algo in ("nsde", "c3")
+        }
+        assert runs["c3"] == runs["nsde"]
+        for run in ("run_00", "run_01"):
+            nsde = (tmp_path / "nsde" / run / "history.csv").read_bytes()
+            assert (tmp_path / "c3" / run / "history.csv").read_bytes() == nsde
 
     def test_csv_bytes_identical_across_reruns(self, tmp_path):
         cfg = tiny_config(algorithm="nsde_c3")
