@@ -1,0 +1,136 @@
+/* Batch RK4 kernel for the mean-field SIS evaluator in dynamics.py.
+ *
+ * rk4_batch advances B candidates from the state p_unit at t = 1 over the
+ * T1 = horizon - 1 re-planned unit intervals, k RK4 steps each, and adds the
+ * trapezoid integral of sum_i sqrt(p_i) to obj_unit, the shared [0, 1)
+ * contribution. Each candidate goes through the arithmetic of
+ * dynamics._advance_unit step by step; only the mat-vec adds its terms in
+ * j order where BLAS uses its own order, so results agree with the numpy
+ * loop to round-off.
+ *
+ * x holds B rows of T1 * m genes, m = n * (n - 1). Gene e of an interval is
+ * the weight w[i, j] with pos[e] = j * n + i, scaled by beta_off[e] = beta[j].
+ *
+ * Candidates run LANES at a time, side by side: entry (i, lane) of a state
+ * sits at i * LANES + lane, and w[i, j] * beta[j] of each lane at
+ * (j * n + i) * LANES + lane, so every loop below is element-wise across
+ * lanes and vectorizes without reassociating any sum. Spare lanes of the
+ * last group repeat its first candidate.
+ *
+ * Returns 0 on success, 1 when a state became non-finite, 2 when the
+ * scratch memory could not be allocated.
+ */
+#include <math.h>
+#include <stdint.h>
+#include <stdlib.h>
+
+#define LANES 4
+#define ROWS 4
+
+/* Rows i0 .. i0 + R - 1 of out = (1 - v) * (W v) - gamma * v. The R * LANES
+ * sums stay in registers across the j loop. */
+static inline void rhs_rows(int64_t n, int64_t i0, const int R,
+                            const double *restrict wb, const double *restrict gamma,
+                            const double *restrict v, double *restrict out)
+{
+    double q[ROWS * LANES] = {0.0};
+    for (int64_t j = 0; j < n; ++j) {
+        const double *vj = v + j * LANES;
+        const double *col = wb + (j * n + i0) * LANES;
+        for (int r = 0; r < R; ++r)
+            for (int l = 0; l < LANES; ++l)
+                q[r * LANES + l] += col[r * LANES + l] * vj[l];
+    }
+    for (int r = 0; r < R; ++r)
+        for (int l = 0; l < LANES; ++l) {
+            const int64_t a = (i0 + r) * LANES + l;
+            out[a] = (1.0 - v[a]) * q[r * LANES + l] - gamma[i0 + r] * v[a];
+        }
+}
+
+static void rhs(int64_t n, const double *restrict wb, const double *restrict gamma,
+                const double *restrict v, double *restrict out)
+{
+    int64_t i0 = 0;
+    for (; i0 + ROWS <= n; i0 += ROWS)
+        rhs_rows(n, i0, ROWS, wb, gamma, v, out);
+    for (; i0 < n; ++i0)
+        rhs_rows(n, i0, 1, wb, gamma, v, out);
+}
+
+static void sqrt_sum(int64_t n, const double *restrict p, double *restrict s)
+{
+    for (int l = 0; l < LANES; ++l)
+        s[l] = 0.0;
+    for (int64_t i = 0; i < n; ++i)
+        for (int l = 0; l < LANES; ++l)
+            s[l] += sqrt(p[i * LANES + l]);
+}
+
+int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
+              const int64_t *pos, const double *beta_off, const double *gamma,
+              const double *p_unit, double obj_unit, double *obj)
+{
+    const int64_t m = n * (n - 1), nl = n * LANES;
+    const double h = 1.0 / (double)k, hh = 0.5 * h, h6 = h / 6.0;
+    double *wb = calloc((size_t)(n * nl + 6 * nl), sizeof(double));
+    if (wb == NULL)
+        return 2;
+    double *p = wb + n * nl, *tmp = p + nl;
+    double *k1 = tmp + nl, *k2 = k1 + nl, *k3 = k2 + nl, *k4 = k3 + nl;
+    double s[LANES], acc[LANES], total[LANES];
+    const double *rows[LANES];
+    int status = 0;
+
+    for (int64_t b0 = 0; b0 < B && status == 0; b0 += LANES) {
+        for (int l = 0; l < LANES; ++l) {
+            rows[l] = x + (b0 + l < B ? b0 + l : b0) * T1 * m;
+            total[l] = obj_unit;
+        }
+        for (int64_t i = 0; i < n; ++i)
+            for (int l = 0; l < LANES; ++l)
+                p[i * LANES + l] = p_unit[i];
+        for (int64_t t = 0; t < T1; ++t) {
+            for (int64_t e = 0; e < m; ++e)
+                for (int l = 0; l < LANES; ++l)
+                    wb[pos[e] * LANES + l] = rows[l][t * m + e] * beta_off[e];
+            sqrt_sum(n, p, s);
+            for (int l = 0; l < LANES; ++l)
+                acc[l] = 0.5 * s[l];
+            for (int64_t step = 0; step < k; ++step) {
+                rhs(n, wb, gamma, p, k1);
+                for (int64_t i = 0; i < nl; ++i)
+                    tmp[i] = p[i] + hh * k1[i];
+                rhs(n, wb, gamma, tmp, k2);
+                for (int64_t i = 0; i < nl; ++i)
+                    tmp[i] = p[i] + hh * k2[i];
+                rhs(n, wb, gamma, tmp, k3);
+                for (int64_t i = 0; i < nl; ++i)
+                    tmp[i] = p[i] + h * k3[i];
+                rhs(n, wb, gamma, tmp, k4);
+                for (int64_t i = 0; i < nl; ++i) {
+                    const double v =
+                        p[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+                    /* Not fmin/fmax: those would turn a NaN into a bound. */
+                    p[i] = v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
+                }
+                sqrt_sum(n, p, s);
+                for (int l = 0; l < LANES; ++l)
+                    acc[l] += s[l];
+            }
+            for (int l = 0; l < LANES; ++l) {
+                acc[l] -= 0.5 * s[l];
+                total[l] += h * acc[l];
+            }
+            for (int64_t i = 0; i < nl; ++i)
+                if (!isfinite(p[i]))
+                    status = 1;
+            if (status != 0)
+                break;
+        }
+        for (int l = 0; l < LANES && b0 + l < B; ++l)
+            obj[b0 + l] = total[l];
+    }
+    free(wb);
+    return status;
+}

@@ -12,6 +12,7 @@ from .coevolve import grouping_probability
 from .dynamics import integrate, objective_value, write_trajectory_csv
 from .graph import generate_ba, load_network, save_network
 from .harness import (
+    ABORTED_FILE,
     ConfigError,
     ExperimentConfig,
     normalize_algorithm,
@@ -86,6 +87,12 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 
 def _cmd_stats(args: argparse.Namespace) -> int:
+    for indir in args.indir:
+        aborted = Path(indir) / ABORTED_FILE
+        if aborted.exists():
+            lost = len(aborted.read_text().splitlines())
+            print(f"{indir}: {lost} run(s) aborted, not in runs.csv (see {aborted})",
+                  file=sys.stderr)
     rows = summarize_run_dirs(args.indir, reference=args.ref)
     write_summary_csv(rows, Path(args.out))
     for row in rows:

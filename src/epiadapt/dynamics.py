@@ -10,6 +10,11 @@ the total squared deviation of the schedule from the initial weights.
 from __future__ import annotations
 
 import csv
+import ctypes
+import os
+import subprocess
+import tempfile
+import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
 from pathlib import Path
@@ -32,6 +37,9 @@ class EpidemicParams:
 
     ``beta``, ``gamma`` and ``p0`` may be scalars (shared by all nodes) or
     per-node arrays; ``substeps`` is the number of RK4 steps per unit time.
+    A per-node ``beta[j]`` belongs to the source node: it scales every weight
+    ``w[i, j]`` along which node j infects node i, so node i's inflow is
+    ``sum_j w[i, j] * beta[j] * p[j]``.
     """
 
     beta: float | np.ndarray
@@ -229,23 +237,83 @@ def constraint_value(sched: WeightSchedule, net: Network, budget: float) -> floa
     return float(np.sum(dev * dev) - budget)
 
 
+_KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
+# No -march=native, so a cached library stays valid on any host of the same
+# architecture. No contraction into FMAs, so each step rounds as numpy's
+# does; no errno from sqrt, which only lets the compiler vectorize it.
+_KERNEL_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+
+
+@lru_cache(maxsize=None)
+def _kernel() -> Callable[..., int] | None:
+    """Load the compiled RK4 batch kernel, building it on first use.
+
+    The library is cached as ``__pycache__/_rk4-<hash>.so`` next to the
+    source, keyed by the source, the flags and the machine type. Each build
+    goes to its own temporary file and is renamed into place, so processes
+    that build at once cannot leave a torn file. Returns None, with one
+    RuntimeWarning, when the kernel cannot be built or loaded; the evaluator
+    then runs its numpy loop.
+    """
+    import hashlib  # here, so importing the package costs what it did before
+
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        key = source + " ".join(_KERNEL_CFLAGS + (os.uname().machine,)).encode()
+        digest = hashlib.sha256(key).hexdigest()[:16]
+        lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_rk4-{digest}.so"
+        if not lib.exists():
+            lib.parent.mkdir(exist_ok=True)
+            fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
+            os.close(fd)
+            try:
+                subprocess.run(
+                    ["cc", *_KERNEL_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                    check=True, capture_output=True,
+                )
+                os.replace(tmp, lib)
+            finally:
+                if os.path.exists(tmp):
+                    os.unlink(tmp)
+        fn = ctypes.CDLL(str(lib)).rk4_batch
+    except (OSError, subprocess.CalledProcessError) as exc:
+        warnings.warn(
+            f"RK4 kernel unavailable, the evaluator runs its numpy loop: {exc}",
+            RuntimeWarning, stacklevel=3,
+        )
+        return None
+    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
+    fn.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
+        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
+        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
+        f64, f64, f64, ctypes.c_double, f64,
+    ]
+    fn.restype = ctypes.c_int
+    return fn
+
+
 def make_batch_evaluator(
     net: Network, params: EpidemicParams, budget: float
 ) -> BatchEvaluator:
     """Vectorized evaluator mapping (B, D) candidates to (f, violation) arrays.
 
     The shared [0, 1) interval (identical for every candidate) is integrated
-    once up front. This is the hot path for population-based optimizers;
-    :func:`integrate` with :func:`objective_value` is the single-schedule
-    reference.
+    once up front. The re-planned intervals run in the compiled kernel of
+    ``_rk4.c`` when it is available and in a numpy loop over
+    :func:`_advance_unit` otherwise; the two agree to round-off. This is the
+    hot path for population-based optimizers; :func:`integrate` with
+    :func:`objective_value` is the single-schedule reference.
     """
     n, horizon, k = net.n, params.horizon, params.substeps
     beta, gamma, p0 = params.node_vectors(n)
     rows, cols = _offdiag_indices(n)
     dim = decision_dimension(n, horizon)
     x0 = np.tile(net.w0[rows, cols], horizon - 1)
-    beta_off = beta[cols].reshape(n - 1, n)
+    beta_off, gamma = beta[cols], np.ascontiguousarray(gamma)
     p_unit, obj_unit = _advance_unit(p0[None, :].copy(), (net.w0 * beta)[None], gamma, k)
+    kernel = _kernel()
+    pos = (cols * n + rows).astype(np.int64)
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -256,7 +324,17 @@ def make_batch_evaluator(
         b = x.shape[0]
         diff = x - x0
         g = np.einsum("ij,ij->i", diff, diff) - budget
+        if kernel is not None:
+            obj = np.empty(b)
+            status = kernel(b, n, horizon - 1, k, np.ascontiguousarray(x), pos,
+                            beta_off, gamma, p_unit[0], obj_unit[0], obj)
+            if status == 2:
+                raise MemoryError("RK4 kernel could not allocate its scratch buffer")
+            if status != 0:
+                raise IntegrationError("state became non-finite during integration")
+            return obj, np.maximum(0.0, g)
         blocks = x.reshape(b, horizon - 1, n - 1, n)
+        beta_rows = beta_off.reshape(n - 1, n)
         # One (B, n*n) buffer serves every interval. Past its leading
         # diagonal slot, each run of n+1 flat entries is n off-diagonals
         # (row-major) then a diagonal, so this view never touches the zeros.
@@ -265,7 +343,7 @@ def make_batch_evaluator(
         p = np.repeat(p_unit, b, axis=0)
         obj = np.full(b, obj_unit[0])
         for t in range(horizon - 1):
-            np.multiply(blocks[:, t], beta_off, out=offdiag)
+            np.multiply(blocks[:, t], beta_rows, out=offdiag)
             p, contrib = _advance_unit(p, wb.reshape(b, n, n), gamma, k)
             obj += contrib
         return obj, np.maximum(0.0, g)

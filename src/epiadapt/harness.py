@@ -5,7 +5,8 @@ independent optimization runs (or a single deterministic baseline run),
 and emits CSV artifacts. Per-run seeds are split from the master seed with
 a fixed derivation, so a campaign is reproducible byte for byte no matter
 how many worker processes execute it; wall times go to a separate
-timing.txt precisely to keep the CSVs deterministic.
+timing.txt precisely to keep the CSVs deterministic. Runs lost to a
+diverged integration are listed in aborted.txt, which exists only then.
 """
 from __future__ import annotations
 
@@ -49,6 +50,9 @@ ALGORITHMS = ("nsde", "nsde_c3", "none", "constant")
 # Budget identity of the constant baseline holds only to round-off; deviations
 # below this are reported as exactly feasible.
 BASELINE_FEAS_ATOL = 1e-9
+
+# Lists a campaign's lost runs, one "run <id>: <message>" line each.
+ABORTED_FILE = "aborted.txt"
 
 
 class ConfigError(ValueError):
@@ -296,6 +300,7 @@ def run_experiment(
     if net is None:
         net = generate_ba(cfg.n, cfg.m0, cfg.m, cfg.net_seed)
     params = cfg.epidemic_params()
+    failures: list[RunFailure] = []
     if cfg.algorithm in ("none", "constant"):
         records = [_baseline_record(cfg, net, params)]
     else:
@@ -306,12 +311,17 @@ def run_experiment(
         else:
             outcomes = [_run_one(p) for p in payloads]
         records = [out for out in outcomes if isinstance(out, RunRecord)]
-        for out in outcomes:
-            # A diverged integration loses its run, not the campaign.
-            if isinstance(out, RunFailure):
-                print(f"run {out.run} aborted: {out.message}", file=sys.stderr)
+        # A diverged integration loses its run, not the campaign.
+        failures = [out for out in outcomes if isinstance(out, RunFailure)]
+        for out in failures:
+            print(f"run {out.run} aborted: {out.message}", file=sys.stderr)
     if outdir is not None:
         emit_run_artifacts(records, net, Path(outdir))
+        aborted = Path(outdir) / ABORTED_FILE
+        if failures:
+            aborted.write_text("".join(f"run {out.run}: {out.message}\n" for out in failures))
+        else:
+            aborted.unlink(missing_ok=True)
     return records
 
 

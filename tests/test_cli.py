@@ -125,11 +125,11 @@ def test_missing_subcommand_usage_error():
     assert excinfo.value.code == 2
 
 
-def test_aborted_run_exits_3_and_keeps_survivors(workspace, monkeypatch, capsys):
+def fail_run_1(monkeypatch):
+    """Make run 1 of every campaign diverge, as a NaN state would."""
     import epiadapt.harness as harness
     from epiadapt.dynamics import IntegrationError
 
-    tmp_path, net, config = workspace
     real = harness._optimizer_record
 
     def flaky(cfg, net, params, run_index):
@@ -138,6 +138,11 @@ def test_aborted_run_exits_3_and_keeps_survivors(workspace, monkeypatch, capsys)
         return real(cfg, net, params, run_index)
 
     monkeypatch.setattr(harness, "_optimizer_record", flaky)
+
+
+def test_aborted_run_exits_3_and_keeps_survivors(workspace, monkeypatch, capsys):
+    tmp_path, net, config = workspace
+    fail_run_1(monkeypatch)
     outdir = tmp_path / "opt"
     assert main(["optimize", "--net", str(net), "--config", str(config),
                  "--algo", "nsde", "--runs", "3", "--outdir", str(outdir)]) == 3
@@ -145,3 +150,27 @@ def test_aborted_run_exits_3_and_keeps_survivors(workspace, monkeypatch, capsys)
     runs = (outdir / "runs.csv").read_text().splitlines()[1:]
     assert [line.split(",")[1] for line in runs] == ["0", "2"]
     assert (outdir / "run_02" / "best_schedule.csv").exists()
+
+
+def test_aborted_runs_recorded_and_reported_by_stats(workspace, monkeypatch, capsys):
+    tmp_path, net, config = workspace
+    whole, lossy = tmp_path / "whole", tmp_path / "lossy"
+    assert main(["optimize", "--net", str(net), "--config", str(config),
+                 "--algo", "nsde", "--runs", "3", "--outdir", str(whole)]) == 0
+    assert not (whole / "aborted.txt").exists()
+    fail_run_1(monkeypatch)
+    assert main(["optimize", "--net", str(net), "--config", str(config),
+                 "--algo", "nsde-c3", "--runs", "3", "--outdir", str(lossy)]) == 3
+    assert (lossy / "aborted.txt").read_text() == (
+        "run 1: state became non-finite during integration\n"
+    )
+    capsys.readouterr()
+    assert main(["stats", "--indir", str(lossy), str(whole), "--ref", "nsde-c3",
+                 "--out", str(tmp_path / "summary.csv")]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"{lossy}: 1 run(s) aborted")
+    monkeypatch.undo()
+    assert main(["optimize", "--net", str(net), "--config", str(config),
+                 "--algo", "nsde-c3", "--runs", "3", "--outdir", str(lossy)]) == 0
+    assert not (lossy / "aborted.txt").exists()

@@ -1,11 +1,17 @@
 import math
+import shutil
+import warnings
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
+import epiadapt.dynamics as dynamics
 from epiadapt.baselines import constant_adaptation_schedule, no_adaptation_schedule
 from epiadapt.dynamics import (
     EpidemicParams,
+    IntegrationError,
     Trajectory,
     WeightSchedule,
     constraint_value,
@@ -224,6 +230,126 @@ class TestEvaluateCandidate:
         evaluate = make_batch_evaluator(net20, params, 700.0)
         with pytest.raises(ValueError):
             evaluate(np.zeros((2, 100)))
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The compiled RK4 kernel; tests that need it skip when no compiler is found."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        fn = dynamics._kernel()
+    if fn is None:
+        pytest.skip("the RK4 kernel could not be built here")
+    return fn
+
+
+def numpy_loop_evaluator(*args):
+    """A batch evaluator forced onto its numpy loop, as when the kernel is missing."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_kernel", lambda: None)
+        return make_batch_evaluator(*args)
+
+
+@pytest.fixture()
+def isolated_kernel(tmp_path, monkeypatch):
+    """Point the kernel loader at a copy of the C source with an empty cache."""
+    loader = dynamics._kernel
+    source = tmp_path / "_rk4.c"
+    shutil.copy(dynamics._KERNEL_SOURCE, source)
+    monkeypatch.setattr(dynamics, "_KERNEL_SOURCE", source)
+    loader.cache_clear()
+    yield tmp_path / "__pycache__"
+    loader.cache_clear()
+
+
+class TestKernel:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(2, 8),
+        horizon=st.integers(2, 4),
+        substeps=st.integers(1, 20),
+        batch=st.sampled_from([0, 1, 2, 3, 4, 5, 9]),
+        per_node=st.tuples(st.booleans(), st.booleans(), st.booleans()),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_numpy_loop(self, kernel, n, horizon, substeps, batch, per_node, seed):
+        # batch 0 stands for a single 1-D candidate.
+        rng = np.random.default_rng(seed)
+        w0 = rng.random((n, n)) + 0.01
+        np.fill_diagonal(w0, 0.0)
+        net = network_from_weights(np.minimum(w0, 1.0))
+        beta, gamma, p0 = (
+            rng.random(n) if vector else float(rng.random())
+            for vector in per_node
+        )
+        # Stay inside RK4's real-axis stability limit, where round-off is not amplified.
+        assume((np.max(beta) * (n - 1) + np.max(gamma)) / substeps < 2.0)
+        params = EpidemicParams(beta=beta, gamma=gamma, p0=p0, horizon=horizon, substeps=substeps)
+        dim = decision_dimension(n, horizon)
+        x = rng.random(dim) if batch == 0 else rng.random((batch, dim))
+        budget = float(rng.random() * dim)
+        f_np, viol_np = numpy_loop_evaluator(net, params, budget)(x)
+        f_k, viol_k = make_batch_evaluator(net, params, budget)(x)
+        assert f_k.shape == f_np.shape == (max(batch, 1),)
+        np.testing.assert_allclose(f_k, f_np, rtol=1e-12, atol=0.0)
+        assert viol_k.tobytes() == viol_np.tobytes()
+
+    def test_nan_gene_raises_on_both_paths(self, kernel, net20):
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        x = np.full((3, 3420), 0.5)
+        x[2, 1000] = np.nan
+        with pytest.raises(IntegrationError):
+            make_batch_evaluator(net20, params, 700.0)(x)
+        with pytest.raises(IntegrationError):
+            numpy_loop_evaluator(net20, params, 700.0)(x)
+
+    def test_failed_compile_falls_back_with_warning(self, isolated_kernel, net20, monkeypatch):
+        monkeypatch.setenv("PATH", str(isolated_kernel.parent))
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        with pytest.warns(RuntimeWarning, match="numpy loop"):
+            evaluate = make_batch_evaluator(net20, params, 700.0)
+        assert dynamics._kernel() is None
+        x = np.random.default_rng(4).random((2, 3420))
+        expected = [evaluate_candidate(row, net20, params, 700.0).f for row in x]
+        np.testing.assert_allclose(evaluate(x)[0], expected, rtol=1e-12)
+        assert not list(isolated_kernel.glob("*"))
+
+    def test_cached_library_is_reused(self, isolated_kernel, net20, monkeypatch):
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        make_batch_evaluator(net20, params, 700.0)
+        (lib,) = isolated_kernel.glob("*")
+        built = lib.stat().st_mtime_ns
+        # A fresh process: no in-memory kernel, and no compiler to rebuild with.
+        dynamics._kernel.cache_clear()
+        monkeypatch.setenv("PATH", str(isolated_kernel.parent))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            make_batch_evaluator(net20, params, 700.0)
+            assert dynamics._kernel() is not None
+        assert list(isolated_kernel.glob("*")) == [lib]
+        assert lib.stat().st_mtime_ns == built
+
+    def test_beta_belongs_to_source_node(self, kernel):
+        # Node 0 cannot infect (beta_0 = 0) and node 1 starts healthy, so
+        # node 1 stays at 0 and node 0 decays freely; with beta on the
+        # receiving node, node 1 would catch the infection from node 0.
+        net = two_node_net()
+        params = EpidemicParams(
+            beta=np.array([0.0, 1.0]), gamma=0.3, p0=np.array([0.5, 0.0]),
+            horizon=4, substeps=20,
+        )
+        sched = WeightSchedule(blocks=np.ones((3, 2, 2)) - np.eye(2))
+        traj = integrate(net, params, sched)
+        assert np.all(traj.p[:, 1] == 0.0)
+        assert np.abs(traj.p[:, 0] - 0.5 * np.exp(-0.3 * traj.times)).max() < 1e-8
+        # Integral of sqrt(0.5 exp(-0.3 t)) over [0, 4].
+        closed = math.sqrt(0.5) / 0.15 * (1.0 - math.exp(-0.6))
+        x = np.ones((1, 6))
+        for evaluate in (make_batch_evaluator(net, params, 10.0),
+                         numpy_loop_evaluator(net, params, 10.0)):
+            f = evaluate(x)[0][0]
+            assert f == pytest.approx(objective_value(traj), rel=1e-12)
+            assert f == pytest.approx(closed, rel=1e-5)
 
 
 class TestTraces:
