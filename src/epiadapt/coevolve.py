@@ -18,7 +18,14 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .de_core import Candidate, DEConfig, Population, init_population, nsde_generation
+from .de_core import (
+    Candidate,
+    DEConfig,
+    Population,
+    init_population,
+    nsde_generation,
+    unpooled_empty,
+)
 from .eps_constraint import EpsilonSchedule, epsilon_at
 
 _INIT, _GROUPING, _GENERATION = 0, 1, 2
@@ -178,10 +185,14 @@ def optimize_subcomponent(
         sub, sub_evaluate, used, reeval_cost = pop, evaluate, 0, 0
         cycle = group = 0
     else:
+        # One context batch serves the whole visit: only the group's columns
+        # change between calls, and evaluate must copy any rows it keeps.
+        context = unpooled_empty((np_size, best_genes.size))
+        context[:] = best_genes
+
         def sub_evaluate(sub_genes: np.ndarray):
-            full = np.tile(best_genes, (sub_genes.shape[0], 1))
-            full[:, idx] = sub_genes
-            return evaluate(full)
+            context[:, idx] = sub_genes
+            return evaluate(context)
 
         sub_f, sub_viol = sub_evaluate(pop.genes[:, idx])
         sub = Population(

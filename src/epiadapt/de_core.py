@@ -9,11 +9,30 @@ operator its escape behavior.
 """
 from __future__ import annotations
 
+import math
+import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .eps_constraint import better_mask
+
+# Rows per block where a generation would otherwise make an (NP, D) temporary.
+_ROW_BLOCK = 32
+
+
+def unpooled_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array in a memory mapping of its own.
+
+    The mapping goes back to the OS when the array is freed. An (NP, D)
+    array from malloc goes back to its heap instead, where smaller
+    allocations split the hole it leaves, so the peak RSS of identical runs
+    came to differ by whole arrays. An optimizer run maps its large arrays
+    here once per run or per visit and reuses them.
+    """
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * size, 1))
+    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -52,6 +71,8 @@ class Population:
     genes: np.ndarray
     f: np.ndarray
     violation: np.ndarray
+    # Every generation builds its trials in this one buffer.
+    trials: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     @property
     def size(self) -> int:
@@ -78,7 +99,10 @@ def init_population(cfg: DEConfig, dim: int, rng: np.random.Generator) -> np.nda
     if dim < 1:
         raise ValueError("dimension must be positive")
     lo, hi = cfg.bounds
-    return lo + rng.random((cfg.np_size, dim)) * (hi - lo)
+    genes = rng.random(out=unpooled_empty((cfg.np_size, dim)))
+    genes *= hi - lo
+    genes += lo
+    return genes
 
 
 def sample_scale_factors(fp: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -105,23 +129,31 @@ def donor_indices(np_size: int, rng: np.random.Generator) -> tuple[np.ndarray, n
 
 
 def build_trials(
-    genes: np.ndarray, best: np.ndarray, cfg: DEConfig, rng: np.random.Generator
+    genes: np.ndarray,
+    best: np.ndarray,
+    cfg: DEConfig,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """All NP current-to-best/1 trials with binomial crossover, clamped to bounds.
 
     Row i mixes x_i + F_i*(best - x_i) + F_i*(x_r1 - x_r2) into x_i where
-    rand <= cr, with one forced gene per row.
+    rand <= cr, with one forced gene per row. The trials go to ``out`` when
+    it is given.
     """
     np_size, dim = genes.shape
     f = sample_scale_factors(cfg.fp, np_size, rng)
     r1, r2 = donor_indices(np_size, rng)
     # The crossover draws pass through the trial buffer before the mutant fills it.
-    trials = rng.random((np_size, dim))
+    trials = rng.random(out=np.empty_like(genes) if out is None else out)
     keep = trials > cfg.cr
     keep[np.arange(np_size), rng.integers(dim, size=np_size)] = False
     np.subtract(best, genes, out=trials)
-    trials += genes[r1]
-    trials -= genes[r2]
+    # By row blocks, so the donor rows make no (NP, D) temporary.
+    for start in range(0, np_size, _ROW_BLOCK):
+        rows = slice(start, start + _ROW_BLOCK)
+        trials[rows] += genes[r1[rows]]
+        trials[rows] -= genes[r2[rows]]
     trials *= f[:, None]
     trials += genes
     np.putmask(trials, keep, genes)
@@ -144,14 +176,19 @@ def nsde_generation(
     trials are reproducible regardless of how evaluations are scheduled.
     All trials are built from the generation-start population as array
     operations, batch-evaluated, and each replaces its parent when it wins
-    under the epsilon comparator.
+    under the epsilon comparator. ``evaluate`` gets ``pop.trials``, which
+    the next generation overwrites, so it must copy any rows it keeps.
     """
     if pop.size != cfg.np_size:
         raise ValueError(f"population size {pop.size} != configured {cfg.np_size}")
-    trials = build_trials(pop.genes, pop.genes[pop.eps_best_index(eps)], cfg, rng)
+    if pop.trials is None or pop.trials.shape != pop.genes.shape:
+        pop.trials = unpooled_empty(pop.genes.shape)
+    trials = build_trials(
+        pop.genes, pop.genes[pop.eps_best_index(eps)], cfg, rng, out=pop.trials
+    )
     trial_f, trial_viol = (np.asarray(a, dtype=float) for a in evaluate(trials))
     win = better_mask(trial_f, trial_viol, pop.f, pop.violation, eps)
-    pop.genes[win] = trials[win]
+    np.copyto(pop.genes, trials, where=win[:, None])
     pop.f[win] = trial_f[win]
     pop.violation[win] = trial_viol[win]
     return pop.size

@@ -25,6 +25,9 @@ import numpy as np
 from .graph import Network
 
 BatchEvaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+# Candidates per block of the evaluator's constraint sum, which thus makes
+# no (B, D) temporary (see de_core.unpooled_empty for why that matters).
+_ROW_BLOCK = 32
 
 
 class IntegrationError(RuntimeError):
@@ -322,8 +325,12 @@ def make_batch_evaluator(
         if x.shape[1] != dim:
             raise ValueError(f"expected {dim} genes per candidate, got {x.shape[1]}")
         b = x.shape[0]
-        diff = x - x0
-        g = np.einsum("ij,ij->i", diff, diff) - budget
+        # einsum sums each row on its own, so blocks give a single call's bytes.
+        g = np.empty(b)
+        for start in range(0, b, _ROW_BLOCK):
+            diff = x[start:start + _ROW_BLOCK] - x0
+            g[start:start + _ROW_BLOCK] = np.einsum("ij,ij->i", diff, diff)
+        g -= budget
         if kernel is not None:
             obj = np.empty(b)
             status = kernel(b, n, horizon - 1, k, np.ascontiguousarray(x), pos,

@@ -1,7 +1,10 @@
-"""Single-candidate reference helpers the tests check the library against."""
+"""Single-candidate reference helpers the tests check the library against,
+and a meter of the memory a call allocates."""
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -56,3 +59,18 @@ def total_weights(sched: WeightSchedule, net: Network, t: float) -> float:
     if not 0.0 <= t < sched.horizon:
         raise ValueError(f"t={t} outside [0, {sched.horizon})")
     return float((net.w0 if t < 1.0 else sched.blocks[int(t) - 1]).sum())
+
+
+def traced_peak(fn: Callable[[], object]) -> int:
+    """Peak bytes held during ``fn()`` beyond those held before it.
+
+    numpy reports its array buffers to tracemalloc, so this counts every
+    temporary array the call makes.
+    """
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

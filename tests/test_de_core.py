@@ -17,6 +17,7 @@ from epiadapt.de_core import (
     sample_scale_factors,
 )
 from epiadapt.eps_constraint import better_mask, better_than
+from reference import traced_peak
 
 
 def sphere(x):
@@ -291,6 +292,24 @@ class TestNsdeGeneration:
         nsde_generation(pop, sphere, 0.0, cfg, rng)
         changed = (pop.genes != before).sum(axis=1)
         assert changed.max() <= 1
+
+    def test_generations_reuse_one_trial_buffer(self):
+        # Every trial wins, so selection copies all NP rows each time.
+        calls = []
+
+        def always_better(x):
+            calls.append(None)
+            return np.full(x.shape[0], -float(len(calls))), np.zeros(x.shape[0])
+
+        cfg = DEConfig(np_size=256)
+        rng = np.random.default_rng(5)
+        pop = make_population(init_population(cfg, 2000, rng), sphere)
+        nsde_generation(pop, always_better, 0.0, cfg, rng)
+        trials = pop.trials
+        peak = traced_peak(lambda: nsde_generation(pop, always_better, 0.0, cfg, rng))
+        assert pop.trials is trials
+        assert np.all(pop.f == -2.0)
+        assert peak < 0.5 * pop.genes.nbytes
 
     def test_population_size_mismatch(self):
         cfg = DEConfig(np_size=10)

@@ -23,7 +23,13 @@ from epiadapt.dynamics import (
     trace_series,
 )
 from epiadapt.graph import generate_ba, network_from_weights
-from reference import encode_schedule, evaluate_candidate, infected_level, total_weights
+from reference import (
+    encode_schedule,
+    evaluate_candidate,
+    infected_level,
+    total_weights,
+    traced_peak,
+)
 
 REF_EPI = dict(beta=0.4, gamma=0.3, p0=0.153, horizon=10)
 
@@ -224,6 +230,24 @@ class TestEvaluateCandidate:
             ref = evaluate_candidate(x[i], net20, params, 700.0)
             assert f_batch[i] == pytest.approx(ref.f, rel=1e-9)
             assert viol_batch[i] == pytest.approx(ref.violation, rel=1e-9, abs=1e-9)
+
+    def test_batch_violation_bytes_do_not_depend_on_batch(self, net20):
+        # 70 rows span several blocks of the constraint sum.
+        params = EpidemicParams(**REF_EPI, substeps=1)
+        evaluate = make_batch_evaluator(net20, params, 700.0)
+        x = np.random.default_rng(4).random((70, 3420))
+        _, viol = evaluate(x)
+        rows = np.concatenate([evaluate(row)[1] for row in x])
+        assert viol.tobytes() == rows.tobytes()
+
+    @pytest.mark.parametrize("numpy_loop", [False, True])
+    def test_batch_evaluator_makes_no_batch_sized_temporary(self, net20, numpy_loop):
+        # A (B, D) temporary per call would fragment the malloc heap of long runs.
+        params = EpidemicParams(**REF_EPI, substeps=2)
+        make = numpy_loop_evaluator if numpy_loop else make_batch_evaluator
+        evaluate = make(net20, params, 700.0)
+        x = np.random.default_rng(6).random((256, 3420))
+        assert traced_peak(lambda: evaluate(x)) < 0.5 * x.nbytes
 
     def test_batch_evaluator_rejects_bad_width(self, net20):
         params = EpidemicParams(**REF_EPI, substeps=5)
