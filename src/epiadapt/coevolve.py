@@ -65,16 +65,15 @@ class C3Config:
     """Decomposition size and budget layout of the coevolution run.
 
     ``sub_fes`` is the evaluation budget of one subcomponent visit (the
-    context-evaluation pass included), defaulting to 10 * NP; ``cycles``
-    of None runs until the total budget is exhausted. With ``ds`` equal to
-    the dimension there is one group, a visit is ``sub_fes // NP`` plain
-    generations, and ``cycles`` counts those chunks.
+    context-evaluation pass included), defaulting to 10 * NP. Cycles run
+    until the total budget cannot fund another visit. With ``ds`` equal to
+    the dimension there is one group and a visit is ``sub_fes // NP`` plain
+    generations.
     """
 
     ds: int
     total_budget: int
     sub_fes: int | None = None
-    cycles: int | None = None
     gc_fraction: float = 0.2
     lam: float = 10.0
 
@@ -83,8 +82,6 @@ class C3Config:
             raise ValueError("ds must be positive")
         if self.total_budget < 1:
             raise ValueError("total_budget must be positive")
-        if self.cycles is not None and self.cycles < 1:
-            raise ValueError("cycles must be positive when given")
         if not 0.0 < self.gc_fraction < 1.0:
             raise ValueError("gc_fraction must lie in (0, 1)")
 
@@ -107,7 +104,6 @@ class OptimizationResult:
     history: list[GenerationRecord]
     evaluations: int
     generations: int
-    eps_schedule: EpsilonSchedule
 
 
 @dataclass(frozen=True)
@@ -249,9 +245,9 @@ def run_c3(
 ) -> OptimizationResult:
     """Full coevolution loop: cycles of regrouping and subcomponent visits.
 
-    Halts when the configured cycles are exhausted or the next visit would
-    overrun the total budget. Returns the feasibility-first best of the
-    final population together with the per-generation history.
+    Halts when the next visit would overrun the total budget. Returns the
+    feasibility-first best of the final population together with the
+    per-generation history.
     """
     np_size = de_cfg.np_size
     if dim % c3_cfg.ds != 0:
@@ -281,10 +277,7 @@ def run_c3(
     best_genes = pop.genes[pop.eps_best_index(epsilon_at(sched, 0))].copy()
 
     cycle = 0
-    exhausted = False
-    while not exhausted and (c3_cfg.cycles is None or cycle < c3_cfg.cycles):
-        if fes + visit_min > c3_cfg.total_budget:
-            break
+    while fes + visit_min <= c3_cfg.total_budget:
         cycle += 1
         if ns == 1:
             # A single group owns every index; the permutation is vacuous.
@@ -293,7 +286,6 @@ def run_c3(
             plan = random_grouping(dim, ns, _keyed_rng(seed, _GROUPING, cycle))
         for group in range(1, ns + 1):
             if fes + visit_min > c3_cfg.total_budget:
-                exhausted = True
                 break
             out = optimize_subcomponent(
                 pop, plan, group, best_genes, evaluate, sched, de_cfg, sub_fes,
@@ -312,7 +304,6 @@ def run_c3(
         history=history,
         evaluations=fes,
         generations=gen,
-        eps_schedule=sched,
     )
 
 

@@ -4,7 +4,7 @@ A generation builds all NP trials at once as array operations from one
 random stream. The scale factor is drawn per individual per generation from
 a mixture of a Gaussian centered at 0.5 and a heavy-tailed standard Cauchy;
 trials are accepted under the epsilon comparator. Heavy-tailed draws are
-used as-is (bound repair clamps the genes), which is what gives the
+used as-is (genes are weights, clamped into [0, 1]), which is what gives the
 operator its escape behavior.
 """
 from __future__ import annotations
@@ -37,12 +37,11 @@ def unpooled_empty(shape: tuple[int, ...]) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DEConfig:
-    """Population size, crossover rate, mixture probability, and gene bounds."""
+    """Population size, crossover rate, and mixture probability."""
 
     np_size: int
     cr: float = 0.9
     fp: float = 0.5
-    bounds: tuple[float, float] = (0.0, 1.0)
 
     def __post_init__(self) -> None:
         if self.np_size < 4:
@@ -51,8 +50,6 @@ class DEConfig:
             raise ValueError("cr must lie in [0, 1]")
         if not 0.0 <= self.fp <= 1.0:
             raise ValueError("fp must lie in [0, 1]")
-        if self.bounds[0] > self.bounds[1]:
-            raise ValueError("bounds must satisfy min <= max")
 
 
 @dataclass(frozen=True)
@@ -95,14 +92,10 @@ class Population:
 
 
 def init_population(cfg: DEConfig, dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Uniform-random genes of shape (NP, dim) within the configured bounds."""
+    """Uniform-random genes of shape (NP, dim) in [0, 1)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    lo, hi = cfg.bounds
-    genes = rng.random(out=unpooled_empty((cfg.np_size, dim)))
-    genes *= hi - lo
-    genes += lo
-    return genes
+    return rng.random(out=unpooled_empty((cfg.np_size, dim)))
 
 
 def sample_scale_factors(fp: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -135,7 +128,7 @@ def build_trials(
     rng: np.random.Generator,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """All NP current-to-best/1 trials with binomial crossover, clamped to bounds.
+    """All NP current-to-best/1 trials with binomial crossover, clamped to [0, 1].
 
     Row i mixes x_i + F_i*(best - x_i) + F_i*(x_r1 - x_r2) into x_i where
     rand <= cr, with one forced gene per row. The trials go to ``out`` when
@@ -157,14 +150,7 @@ def build_trials(
     trials *= f[:, None]
     trials += genes
     np.putmask(trials, keep, genes)
-    return repair_bounds(trials, cfg.bounds, out=trials)
-
-
-def repair_bounds(
-    v: np.ndarray, bounds: tuple[float, float], out: np.ndarray | None = None
-) -> np.ndarray:
-    """Clamp every gene into [min, max]."""
-    return np.clip(v, bounds[0], bounds[1], out=out)
+    return np.clip(trials, 0.0, 1.0, out=trials)
 
 
 def nsde_generation(

@@ -254,7 +254,8 @@ def _kernel() -> Callable[..., int] | None:
     The library is cached as ``__pycache__/_rk4-<hash>.so`` next to the
     source, keyed by the source, the flags and the machine type. Each build
     goes to its own temporary file and is renamed into place, so processes
-    that build at once cannot leave a torn file. Returns None, with one
+    that build at once cannot leave a torn file; a fresh build then deletes
+    the superseded ``_rk4-*.so`` files beside it. Returns None, with one
     RuntimeWarning, when the kernel cannot be built or loaded; the evaluator
     then runs its numpy loop.
     """
@@ -278,6 +279,13 @@ def _kernel() -> Callable[..., int] | None:
             finally:
                 if os.path.exists(tmp):
                     os.unlink(tmp)
+            # Builds of an earlier source or flags are never loaded again.
+            for stale in lib.parent.glob("_rk4-*.so"):
+                if stale != lib:
+                    try:
+                        stale.unlink()
+                    except OSError:  # another process may have removed it first
+                        pass
         fn = ctypes.CDLL(str(lib)).rk4_batch
     except (OSError, subprocess.CalledProcessError) as exc:
         warnings.warn(

@@ -1,4 +1,4 @@
-"""Epsilon-level constraint handling: violation degree, schedule, comparator.
+"""Epsilon-level constraint handling: tolerance schedule and comparator.
 
 The tolerance starts at the worst violation of the initial population and
 decays to zero as the generation counter grows, so early search trades
@@ -37,13 +37,6 @@ class EpsilonSchedule:
         if self.eps0 > 0.0:
             cp = -(math.log(self.eps0) + self.lam) / math.log(1.0 - self.gc / self.gmax)
             object.__setattr__(self, "cp", max(0.0, cp))
-
-
-def violation_degree(g: float) -> float:
-    """Constraint violation max(0, g) of a signed constraint value."""
-    if not math.isfinite(g):
-        raise ValueError(f"constraint value must be finite, got {g}")
-    return max(0.0, g)
 
 
 def epsilon_at(sched: EpsilonSchedule, generation: int) -> float:

@@ -12,50 +12,38 @@ from pathlib import Path
 
 import numpy as np
 
-POWER_ITERATION_CAP = 10_000
-
-
-class PowerIterationError(RuntimeError):
-    """Power iteration failed to converge within the iteration cap."""
-
 
 @dataclass(frozen=True)
 class Network:
-    """Undirected contact network with an initial weight matrix.
+    """Undirected contact network given by its initial weight matrix.
 
-    ``edges`` holds unordered pairs (i, j) with i < j. ``w0`` is the full
-    N x N weight matrix: zero diagonal, entries in [0, 1], and nonzero
-    exactly on the (symmetric) support of ``edges``.
+    ``w0`` is the full N x N weight matrix: zero diagonal, entries in
+    [0, 1], and a symmetric nonzero pattern (each edge in both directions).
     """
 
-    n: int
-    edges: frozenset[tuple[int, int]]
     w0: np.ndarray = field(repr=False)
 
     def __post_init__(self) -> None:
         w0 = np.asarray(self.w0, dtype=float)
-        if w0.shape != (self.n, self.n):
-            raise ValueError(f"w0 must be {self.n}x{self.n}, got {w0.shape}")
+        if w0.ndim != 2 or w0.shape[0] != w0.shape[1]:
+            raise ValueError(f"w0 must be a square matrix, got shape {w0.shape}")
         if np.any(np.diag(w0) != 0.0):
             raise ValueError("w0 must have a zero diagonal (no self-loops)")
-        if np.any(w0 < 0.0) or np.any(w0 > 1.0):
+        if not np.all((w0 >= 0.0) & (w0 <= 1.0)):
             raise ValueError("w0 entries must lie in [0, 1]")
         support = w0 > 0.0
         if not np.array_equal(support, support.T):
             raise ValueError("w0 support must be symmetric (both directions present)")
-        derived = {(i, j) for i, j in zip(*np.nonzero(np.triu(support, k=1)))}
-        derived = frozenset((int(i), int(j)) for i, j in derived)
-        if derived != self.edges:
-            raise ValueError("edges do not match the nonzero pattern of w0")
-        for i, j in self.edges:
-            if not (0 <= i < self.n and 0 <= j < self.n) or i == j:
-                raise ValueError(f"invalid edge ({i}, {j})")
         w0.setflags(write=False)
         object.__setattr__(self, "w0", w0)
 
     @property
+    def n(self) -> int:
+        return self.w0.shape[0]
+
+    @property
     def edge_count(self) -> int:
-        return len(self.edges)
+        return int(np.count_nonzero(np.triu(self.w0 > 0.0, k=1)))
 
 
 @dataclass(frozen=True)
@@ -63,15 +51,6 @@ class TopologyStats:
     avg_degree: float
     avg_clustering: float
     density: float
-
-
-def network_from_weights(w0: np.ndarray) -> Network:
-    """Build a Network from a weight matrix, deriving the edge set."""
-    w0 = np.asarray(w0, dtype=float)
-    n = w0.shape[0]
-    support = np.triu(w0 > 0.0, k=1)
-    edges = frozenset((int(i), int(j)) for i, j in zip(*np.nonzero(support)))
-    return Network(n=n, edges=edges, w0=w0)
 
 
 def generate_ba(n: int, m0: int, m: int, seed: int) -> Network:
@@ -109,7 +88,7 @@ def generate_ba(n: int, m0: int, m: int, seed: int) -> Network:
             degree[u] += 1
         degree[v] = m
 
-    return network_from_weights(w0)
+    return Network(w0)
 
 
 def topology_stats(net: Network) -> TopologyStats:
@@ -137,34 +116,18 @@ def topology_stats(net: Network) -> TopologyStats:
     )
 
 
-def spectral_radius(matrix: np.ndarray, tol: float = 1e-10) -> float:
-    """Largest eigenvalue of a nonnegative matrix by power iteration.
+def spectral_radius(matrix: np.ndarray) -> float:
+    """Largest eigenvalue modulus of a nonnegative matrix, from a dense eigensolver.
 
-    Deterministic all-ones start vector; Rayleigh-quotient estimate iterated
-    to relative tolerance ``tol``. A vanishing iterate (e.g. the zero matrix)
-    returns 0.0; failure to converge within the cap raises
-    PowerIterationError (imprimitive or otherwise degenerate input).
+    By Perron-Frobenius this is the Perron root, also on bipartite or other
+    imprimitive inputs, where a power iteration oscillates.
     """
     a = np.asarray(matrix, dtype=float)
     if a.ndim != 2 or a.shape[0] != a.shape[1] or a.shape[0] < 1:
         raise ValueError("matrix must be square and nonempty")
     if np.any(a < 0.0):
         raise ValueError("matrix must be nonnegative")
-    x = np.ones(a.shape[0])
-    est = 0.0
-    for _ in range(POWER_ITERATION_CAP):
-        y = a @ x
-        norm = np.linalg.norm(y)
-        if norm == 0.0:
-            return 0.0
-        x = y / norm
-        new_est = float(x @ (a @ x))
-        if abs(new_est - est) <= tol * max(abs(new_est), 1e-300):
-            return new_est
-        est = new_est
-    raise PowerIterationError(
-        f"no convergence after {POWER_ITERATION_CAP} iterations (tol={tol})"
-    )
+    return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
 def epidemic_threshold(net: Network) -> float:
@@ -187,8 +150,11 @@ def save_network(net: Network, path: str | Path) -> None:
 
 
 def load_network(path: str | Path) -> Network:
-    """Read a network CSV written by :func:`save_network`, validating invariants."""
-    rows: list[tuple[int, int, float]] = []
+    """Read a network CSV written by :func:`save_network`, validating invariants.
+
+    Node ids are nonnegative integers; the node count is the largest id + 1.
+    """
+    weights: dict[tuple[int, int], float] = {}
     with Path(path).open(newline="") as fh:
         reader = csv.reader(fh)
         header = next(reader, None)
@@ -199,20 +165,26 @@ def load_network(path: str | Path) -> Network:
                 continue
             if len(row) != 3:
                 raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            i, j, w = int(row[0]), int(row[1]), float(row[2])
-            rows.append((i, j, w))
-    if not rows:
+            try:
+                i, j, w = int(row[0]), int(row[1]), float(row[2])
+            except ValueError:
+                raise ValueError(f"{path}:{lineno}: i,j must be integers, w a number") from None
+            if i < 0 or j < 0:
+                raise ValueError(f"{path}:{lineno}: node ids must be nonnegative")
+            if i == j:
+                raise ValueError(f"{path}:{lineno}: self-loop at node {i}")
+            if (i, j) in weights:
+                raise ValueError(f"{path}:{lineno}: duplicate entry for ({i}, {j})")
+            if not 0.0 < w <= 1.0:
+                raise ValueError(f"{path}:{lineno}: weight {w} for ({i}, {j}) outside (0, 1]")
+            weights[(i, j)] = w
+    if not weights:
         raise ValueError(f"{path}: no weight rows")
-    n = max(max(i, j) for i, j, _ in rows) + 1
+    n = max(max(ij) for ij in weights) + 1
     w0 = np.zeros((n, n))
-    seen: set[tuple[int, int]] = set()
-    for i, j, w in rows:
-        if i == j:
-            raise ValueError(f"self-loop at node {i}")
-        if (i, j) in seen:
-            raise ValueError(f"duplicate entry for ({i}, {j})")
-        seen.add((i, j))
-        if not 0.0 < w <= 1.0:
-            raise ValueError(f"weight {w} for ({i}, {j}) outside (0, 1]")
+    for (i, j), w in weights.items():
         w0[i, j] = w
-    return network_from_weights(w0)
+    try:
+        return Network(w0)
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None

@@ -160,13 +160,7 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown config keys {unknown}; allowed keys are {sorted(allowed)}"
             )
-        kwargs = {cls._JSON_KEYS.get(key, key): value for key, value in data.items()}
-        try:
-            return cls(**kwargs)
-        except ConfigError:
-            raise
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(str(exc)) from exc
+        return cls(**{cls._JSON_KEYS.get(key, key): value for key, value in data.items()})
 
     def epidemic_params(self) -> EpidemicParams:
         return EpidemicParams(
@@ -421,22 +415,35 @@ def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path)
 
 
 def read_runs_csv(path: str | Path) -> list[dict]:
-    """Rows of a runs.csv as dicts with typed ofv/violation fields."""
+    """Rows of a runs.csv as dicts with typed run/ofv/violation fields.
+
+    Every row must have every column, an integer run, finite ofv and
+    violation, and an (algorithm, run) pair of its own.
+    """
     out: list[dict] = []
+    seen: set[tuple[str, int]] = set()
     with Path(path).open(newline="") as fh:
         reader = csv.DictReader(fh)
         required = {"algorithm", "run", "ofv", "violation"}
         if reader.fieldnames is None or not required <= set(reader.fieldnames):
             raise ConfigError(f"{path}: missing columns {sorted(required)}")
         for row in reader:
-            out.append(
-                {
-                    "algorithm": row["algorithm"],
-                    "run": int(row["run"]),
-                    "ofv": float(row["ofv"]),
-                    "violation": float(row["violation"]),
-                }
-            )
+            where = f"{path}:{reader.line_num}"
+            if None in row or None in row.values():
+                raise ConfigError(f"{where}: expected {len(reader.fieldnames)} fields")
+            try:
+                run = int(row["run"])
+                ofv, violation = float(row["ofv"]), float(row["violation"])
+            except ValueError:
+                raise ConfigError(f"{where}: run must be an integer, ofv and violation numbers") from None
+            if not (math.isfinite(ofv) and math.isfinite(violation)):
+                raise ConfigError(f"{where}: ofv and violation must be finite")
+            key = (row["algorithm"], run)
+            if key in seen:
+                raise ConfigError(f"{where}: duplicate run {run} of {row['algorithm']}")
+            seen.add(key)
+            out.append({"algorithm": row["algorithm"], "run": run, "ofv": ofv,
+                        "violation": violation})
     if not out:
         raise ConfigError(f"{path}: no run rows")
     return out

@@ -12,7 +12,7 @@ from epiadapt.dynamics import (
     integrate,
     objective_value,
 )
-from epiadapt.graph import generate_ba, network_from_weights
+from epiadapt.graph import Network, generate_ba
 from reference import total_weights
 
 PARAMS = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=10, substeps=10)
@@ -87,7 +87,7 @@ class TestConstantRatio:
             constant_adaptation_ratio(net20, 10, cap + 1.0)
 
     def test_weightless_network_rejected(self):
-        net = network_from_weights(np.zeros((3, 3)))
+        net = Network(np.zeros((3, 3)))
         with pytest.raises(ValueError):
             constant_adaptation_ratio(net, 10, 0.0)
 

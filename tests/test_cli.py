@@ -108,6 +108,23 @@ def test_mistyped_config_field_exits_2(workspace, tmp_path, override):
                  "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("bad_row", [
+    "nsde,1,2.5",                 # short
+    "nsde,0,3.5,0.0,40,1",        # run 0 again
+    "nsde,1,nan,0.0,40,1",        # non-finite ofv
+])
+def test_stats_on_malformed_runs_csv_exits_2(tmp_path, capsys, bad_row):
+    indir = tmp_path / "plain"
+    indir.mkdir()
+    (indir / "runs.csv").write_text(
+        "algorithm,run,ofv,violation,evaluations,generations\n"
+        f"nsde,0,2.5,0.0,40,1\n{bad_row}\n"
+    )
+    assert main(["stats", "--indir", str(indir), "--ref", "nsde",
+                 "--out", str(tmp_path / "summary.csv")]) == 2
+    assert f"{indir / 'runs.csv'}:3:" in capsys.readouterr().err
+
+
 def test_invalid_parameter_exits_2(tmp_path):
     assert main(["gen-net", "--n", "3", "--m0", "5", "--m", "5",
                  "--seed", "0", "--out", str(tmp_path / "net.csv")]) == 2

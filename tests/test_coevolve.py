@@ -175,7 +175,8 @@ class TestRunC3:
         assert len(result.history) == result.generations
 
     def test_cycle_and_group_bookkeeping(self):
-        cfg = C3Config(ds=5, total_budget=2000, sub_fes=40, cycles=2)
+        # Initial population 10, then per cycle 4 visits of 10 + 3*10 + 10.
+        cfg = C3Config(ds=5, total_budget=410, sub_fes=40)
         result = run_c3(sphere, 20, cfg, DEConfig(np_size=10), seed=5)
         cycles = {row.cycle for row in result.history}
         groups = {row.group for row in result.history}
@@ -185,9 +186,10 @@ class TestRunC3:
         assert result.generations == 2 * 4 * 3
 
     def test_every_index_visited_once_per_cycle(self):
-        # The partition property: with cycles=1, all D genes are owned by
+        # The partition property: in one cycle, all D genes are owned by
         # exactly one group, so each generation count per group is equal.
-        cfg = C3Config(ds=4, total_budget=800, sub_fes=30, cycles=1)
+        # The budget funds exactly one cycle: 10 + 3 visits of 10 + 2*10 + 10.
+        cfg = C3Config(ds=4, total_budget=130, sub_fes=30)
         result = run_c3(sphere, 12, cfg, DEConfig(np_size=10), seed=2)
         per_group = {}
         for row in result.history:
@@ -233,8 +235,6 @@ class TestRunC3:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             C3Config(ds=0, total_budget=100)
-        with pytest.raises(ValueError):
-            C3Config(ds=5, total_budget=100, cycles=0)
         with pytest.raises(ValueError):
             C3Config(ds=5, total_budget=100, gc_fraction=1.5)
 

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from hypothesis.extra.numpy import arrays
 
 import epiadapt.de_core as de_core
 from epiadapt.de_core import (
@@ -13,7 +12,6 @@ from epiadapt.de_core import (
     donor_indices,
     init_population,
     nsde_generation,
-    repair_bounds,
     sample_scale_factors,
 )
 from epiadapt.eps_constraint import better_mask, better_than
@@ -57,11 +55,6 @@ class FakeRng:
 
 
 class TestInitPopulation:
-    def test_degenerate_bounds(self):
-        cfg = DEConfig(np_size=10, bounds=(0.0, 0.0))
-        pop = init_population(cfg, 5, np.random.default_rng(0))
-        assert np.all(pop == 0.0)
-
     def test_per_gene_mean(self):
         cfg = DEConfig(np_size=10_000)
         pop = init_population(cfg, 5, np.random.default_rng(1))
@@ -74,17 +67,15 @@ class TestInitPopulation:
         np.testing.assert_array_equal(a, b)
 
     def test_respects_bounds(self):
-        cfg = DEConfig(np_size=50, bounds=(0.2, 0.7))
+        cfg = DEConfig(np_size=50)
         pop = init_population(cfg, 10, np.random.default_rng(3))
-        assert pop.min() >= 0.2 and pop.max() <= 0.7
+        assert pop.min() >= 0.0 and pop.max() < 1.0
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
             DEConfig(np_size=3)
         with pytest.raises(ValueError):
             DEConfig(np_size=10, cr=1.5)
-        with pytest.raises(ValueError):
-            DEConfig(np_size=10, bounds=(1.0, 0.0))
 
 
 class TestScaleFactor:
@@ -192,26 +183,6 @@ class TestCrossover:
         with pytest.raises(ValueError):
             build_trials(np.zeros((4, 3)), np.zeros(4), DEConfig(np_size=4),
                          np.random.default_rng(0))
-
-
-class TestRepair:
-    def test_clamps(self):
-        np.testing.assert_array_equal(
-            repair_bounds(np.array([-0.3, 0.5, 1.7]), (0.0, 1.0)),
-            np.array([0.0, 0.5, 1.0]),
-        )
-
-    def test_in_bounds_unchanged(self):
-        v = np.array([0.0, 0.25, 1.0])
-        np.testing.assert_array_equal(repair_bounds(v, (0.0, 1.0)), v)
-
-    @given(arrays(np.float64, st.integers(1, 30),
-                  elements=st.floats(-1e6, 1e6, allow_nan=False)))
-    @settings(max_examples=50, deadline=None)
-    def test_idempotent(self, v):
-        once = repair_bounds(v, (0.0, 1.0))
-        np.testing.assert_array_equal(repair_bounds(once, (0.0, 1.0)), once)
-        assert once.min() >= 0.0 and once.max() <= 1.0
 
 
 class TestNsdeGeneration:

@@ -22,7 +22,7 @@ from epiadapt.dynamics import (
     objective_value,
     trace_series,
 )
-from epiadapt.graph import generate_ba, network_from_weights
+from epiadapt.graph import Network, generate_ba
 from reference import (
     encode_schedule,
     evaluate_candidate,
@@ -40,7 +40,7 @@ def net20():
 
 
 def two_node_net():
-    return network_from_weights(np.array([[0.0, 1.0], [1.0, 0.0]]))
+    return Network(np.array([[0.0, 1.0], [1.0, 0.0]]))
 
 
 class TestDecisionDimension:
@@ -96,7 +96,7 @@ class TestIntegrate:
         assert traj.p[traj.times == 1.0][0][0] == pytest.approx(0.370409, abs=1e-6)
 
     def test_isolated_nodes_decay_despite_positive_beta(self):
-        net = network_from_weights(np.zeros((2, 2)))
+        net = Network(np.zeros((2, 2)))
         params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.5, horizon=4, substeps=50)
         sched = WeightSchedule(blocks=np.zeros((3, 2, 2)))
         traj = integrate(net, params, sched)
@@ -301,7 +301,7 @@ class TestKernel:
         rng = np.random.default_rng(seed)
         w0 = rng.random((n, n)) + 0.01
         np.fill_diagonal(w0, 0.0)
-        net = network_from_weights(np.minimum(w0, 1.0))
+        net = Network(np.minimum(w0, 1.0))
         beta, gamma, p0 = (
             rng.random(n) if vector else float(rng.random())
             for vector in per_node
@@ -352,6 +352,18 @@ class TestKernel:
             assert dynamics._kernel() is not None
         assert list(isolated_kernel.glob("*")) == [lib]
         assert lib.stat().st_mtime_ns == built
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_fresh_build_prunes_superseded_builds(self, isolated_kernel):
+        isolated_kernel.mkdir()
+        stale = isolated_kernel / "_rk4-0123456789abcdef.so"
+        stale.write_bytes(b"a build of an earlier source")
+        unrelated = isolated_kernel / "module.cpython.pyc"
+        unrelated.write_bytes(b"")
+        assert dynamics._kernel() is not None
+        (lib,) = isolated_kernel.glob("_rk4-*.so")
+        assert lib != stale and not stale.exists()
+        assert unrelated.exists()
 
     def test_beta_belongs_to_source_node(self, kernel):
         # Node 0 cannot infect (beta_0 = 0) and node 1 starts healthy, so

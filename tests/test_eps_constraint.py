@@ -8,21 +8,10 @@ from epiadapt.eps_constraint import (
     EpsilonSchedule,
     better_than,
     epsilon_at,
-    violation_degree,
 )
 
 finite = st.floats(allow_nan=False, allow_infinity=False, min_value=-1e12, max_value=1e12)
 nonneg = st.floats(allow_nan=False, allow_infinity=False, min_value=0.0, max_value=1e12)
-
-
-class TestViolationDegree:
-    @pytest.mark.parametrize("g,expected", [(-700.0, 0.0), (830.0, 830.0), (0.0, 0.0)])
-    def test_values(self, g, expected):
-        assert violation_degree(g) == expected
-
-    def test_non_finite_rejected(self):
-        with pytest.raises(ValueError):
-            violation_degree(float("nan"))
 
 
 class TestEpsilonSchedule:

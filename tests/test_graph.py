@@ -5,11 +5,9 @@ from hypothesis import strategies as st
 
 from epiadapt.graph import (
     Network,
-    PowerIterationError,
     epidemic_threshold,
     generate_ba,
     load_network,
-    network_from_weights,
     save_network,
     spectral_radius,
     topology_stats,
@@ -18,14 +16,14 @@ from epiadapt.graph import (
 
 def complete_graph(n: int) -> Network:
     w0 = np.ones((n, n)) - np.eye(n)
-    return network_from_weights(w0)
+    return Network(w0)
 
 
 def path_graph(n: int) -> Network:
     w0 = np.zeros((n, n))
     for i in range(n - 1):
         w0[i, i + 1] = w0[i + 1, i] = 1.0
-    return network_from_weights(w0)
+    return Network(w0)
 
 
 class TestGenerateBA:
@@ -37,7 +35,7 @@ class TestGenerateBA:
     def test_seed_clique_only(self):
         net = generate_ba(5, 5, 5, seed=3)
         assert net.edge_count == 10
-        assert net.edges == complete_graph(5).edges
+        np.testing.assert_array_equal(net.w0, complete_graph(5).w0)
 
     @given(
         n=st.integers(2, 30),
@@ -57,7 +55,6 @@ class TestGenerateBA:
     def test_reproducible(self):
         a = generate_ba(20, 5, 5, seed=123)
         b = generate_ba(20, 5, 5, seed=123)
-        assert a.edges == b.edges
         np.testing.assert_array_equal(a.w0, b.w0)
 
     def test_binary_symmetric_weights(self):
@@ -107,7 +104,7 @@ class TestTopologyStats:
 
     def test_single_node_rejected(self):
         with pytest.raises(ValueError):
-            topology_stats(network_from_weights(np.zeros((1, 1))))
+            topology_stats(Network(np.zeros((1, 1))))
 
 
 class TestSpectralRadius:
@@ -126,7 +123,7 @@ class TestSpectralRadius:
             n = int(rng.integers(1, 7))
             a = rng.random((n, n))
             expected = float(np.max(np.abs(np.linalg.eigvals(a))))
-            assert spectral_radius(a, tol=1e-13) == pytest.approx(expected, abs=1e-8)
+            assert spectral_radius(a) == pytest.approx(expected, abs=1e-8)
 
     def test_symmetric_instances_match_eigvalsh(self):
         for seed in range(20):
@@ -138,12 +135,22 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.array([[0.0, -1.0], [1.0, 0.0]]))
 
-    def test_imprimitive_cycle_raises(self):
-        # Weighted 3-cycle: all eigenvalues share one modulus, the iteration
-        # oscillates instead of converging.
+    def test_imprimitive_cycle(self):
+        # Weighted 3-cycle: all eigenvalues share one modulus, so a power
+        # iteration would oscillate instead of converging.
         a = np.array([[0, 0.3, 0], [0, 0, 0.7], [0.9, 0, 0]])
-        with pytest.raises(PowerIterationError):
-            spectral_radius(a)
+        assert spectral_radius(a) == pytest.approx((0.3 * 0.7 * 0.9) ** (1 / 3), rel=1e-12)
+
+    @pytest.mark.parametrize("left,right,expected", [
+        (1, 3, np.sqrt(3.0)),   # star K1,3
+        (2, 3, np.sqrt(6.0)),   # K2,3
+    ])
+    def test_complete_bipartite(self, left, right, expected):
+        # Bipartite spectra are symmetric about 0; the radius is sqrt(left * right).
+        w0 = np.zeros((left + right, left + right))
+        w0[:left, left:] = w0[left:, :left] = 1.0
+        assert spectral_radius(w0) == pytest.approx(expected, rel=1e-12)
+        assert epidemic_threshold(Network(w0)) == pytest.approx(1.0 / expected, rel=1e-12)
 
 
 class TestEpidemicThreshold:
@@ -155,7 +162,7 @@ class TestEpidemicThreshold:
 
     def test_edgeless_rejected(self):
         with pytest.raises(ValueError):
-            epidemic_threshold(network_from_weights(np.zeros((3, 3))))
+            epidemic_threshold(Network(np.zeros((3, 3))))
 
     def test_effective_rate_exceeds_threshold(self):
         # beta/gamma = 4/3 while every instance's threshold is below 0.12.
@@ -168,25 +175,27 @@ class TestNetworkValidation:
     def test_nonzero_diagonal_rejected(self):
         w0 = np.eye(3)
         with pytest.raises(ValueError, match="diagonal"):
-            Network(n=3, edges=frozenset(), w0=w0)
+            Network(w0)
 
     def test_asymmetric_support_rejected(self):
         w0 = np.zeros((3, 3))
         w0[0, 1] = 1.0
         with pytest.raises(ValueError, match="symmetric"):
-            Network(n=3, edges=frozenset({(0, 1)}), w0=w0)
-
-    def test_edges_must_match_support(self):
-        w0 = np.zeros((3, 3))
-        w0[0, 1] = w0[1, 0] = 1.0
-        with pytest.raises(ValueError, match="edges"):
-            Network(n=3, edges=frozenset({(1, 2)}), w0=w0)
+            Network(w0)
 
     def test_weights_above_one_rejected(self):
         w0 = np.zeros((2, 2))
         w0[0, 1] = w0[1, 0] = 1.5
         with pytest.raises(ValueError, match="0, 1"):
-            network_from_weights(w0)
+            Network(w0)
+
+    def test_nan_weight_rejected(self):
+        # NaN is neither positive nor outside [0, 1] by comparison, so it
+        # would pass as a missing edge.
+        w0 = np.zeros((2, 2))
+        w0[0, 1] = w0[1, 0] = np.nan
+        with pytest.raises(ValueError, match="0, 1"):
+            Network(w0)
 
     def test_w0_is_immutable(self):
         net = generate_ba(6, 3, 2, seed=0)
@@ -200,7 +209,6 @@ class TestNetworkCsv:
         path = tmp_path / "net.csv"
         save_network(net, path)
         loaded = load_network(path)
-        assert loaded.edges == net.edges
         np.testing.assert_array_equal(loaded.w0, net.w0)
 
     def test_both_directions_present(self, tmp_path):
@@ -233,6 +241,20 @@ class TestNetworkCsv:
         path = tmp_path / "bad.csv"
         path.write_text("i,j,w\n0,1,2.0\n1,0,2.0\n")
         with pytest.raises(ValueError, match="outside"):
+            load_network(path)
+
+    def test_negative_node_id_rejected(self, tmp_path):
+        # Read as an index, -1 would land on node n-1 and slip past the
+        # duplicate check.
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,w\n0,1,1.0\n1,0,1.0\n-1,0,1.0\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:4: node ids must be nonnegative"):
+            load_network(path)
+
+    def test_row_errors_name_file_and_line(self, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_text("i,j,w\n0,1,1.0\n1,0,x\n")
+        with pytest.raises(ValueError, match=r"bad\.csv:3: "):
             load_network(path)
 
     def test_bad_header_rejected(self, tmp_path):

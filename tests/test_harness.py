@@ -294,3 +294,23 @@ class TestStatsPipeline:
         path.write_text("algorithm,run,ofv,violation\n")
         with pytest.raises(ConfigError):
             read_runs_csv(path)
+
+    @pytest.mark.parametrize("bad_row,message", [
+        ("nsde,1,2.5", "expected 4 fields"),
+        ("nsde,1,2.5,0.0,7", "expected 4 fields"),
+        ("nsde,one,2.5,0.0", "integer"),
+        ("nsde,1,low,0.0", "numbers"),
+        ("nsde,1,nan,0.0", "finite"),
+        ("nsde,1,2.5,inf", "finite"),
+        ("nsde,0,3.5,0.0", "duplicate run 0 of nsde"),
+    ])
+    def test_runs_csv_rows_validated(self, tmp_path, bad_row, message):
+        path = tmp_path / "runs.csv"
+        path.write_text(f"algorithm,run,ofv,violation\nnsde,0,2.5,0.0\n{bad_row}\n")
+        with pytest.raises(ConfigError, match=rf"runs\.csv:3: .*{message}"):
+            read_runs_csv(path)
+
+    def test_runs_csv_run_ids_are_per_algorithm(self, tmp_path):
+        path = tmp_path / "runs.csv"
+        path.write_text("algorithm,run,ofv,violation\nnsde,0,2.5,0.0\nnone,0,3.0,0.0\n")
+        assert [row["algorithm"] for row in read_runs_csv(path)] == ["nsde", "none"]
