@@ -14,7 +14,7 @@ results are reproducible and independent of evaluation scheduling.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,30 +34,6 @@ _INIT, _GROUPING, _GENERATION = 0, 1, 2
 def _keyed_rng(seed: int, kind: int, index: int = 0) -> np.random.Generator:
     # Fixed-length entropy tuples keep the streams collision-free.
     return np.random.default_rng([seed, kind, index, 0])
-
-
-@dataclass(frozen=True)
-class GroupingPlan:
-    """A permutation of [0, D) split into ns consecutive groups of size ds."""
-
-    perm: np.ndarray = field(repr=False)
-    ns: int
-    ds: int
-
-    def __post_init__(self) -> None:
-        perm = np.asarray(self.perm, dtype=int)
-        if self.ns * self.ds != perm.size:
-            raise ValueError("ns * ds must equal the permutation length")
-        if not np.array_equal(np.sort(perm), np.arange(perm.size)):
-            raise ValueError("perm must be a permutation of [0, D)")
-        perm.setflags(write=False)
-        object.__setattr__(self, "perm", perm)
-
-    def indices_for(self, group: int) -> np.ndarray:
-        """Decision indices owned by 1-based group j."""
-        if not 1 <= group <= self.ns:
-            raise ValueError(f"group {group} outside [1, {self.ns}]")
-        return self.perm[(group - 1) * self.ds : group * self.ds]
 
 
 @dataclass(frozen=True)
@@ -106,20 +82,13 @@ class OptimizationResult:
     generations: int
 
 
-@dataclass(frozen=True)
-class SubcomponentOutcome:
-    evaluations: int
-    generations: int
-    history: list[GenerationRecord]
-
-
-def random_grouping(dim: int, ns: int, rng: np.random.Generator) -> GroupingPlan:
-    """Uniform random partition of [0, dim) into ns groups of dim/ns indices."""
+def random_grouping(dim: int, ns: int, rng: np.random.Generator) -> np.ndarray:
+    """Uniform random partition of [0, dim): row j-1 of the (ns, dim/ns) result is group j."""
     if ns < 1:
         raise ValueError("ns must be positive")
     if dim % ns != 0:
         raise ValueError(f"ns={ns} does not divide dim={dim}")
-    return GroupingPlan(perm=rng.permutation(dim), ns=ns, ds=dim // ns)
+    return rng.permutation(dim).reshape(ns, dim // ns)
 
 
 def grouping_probability(k: int, cycles: int, ns: int) -> float:
@@ -147,7 +116,7 @@ def grouping_probability(k: int, cycles: int, ns: int) -> float:
 
 def optimize_subcomponent(
     pop: Population,
-    plan: GroupingPlan,
+    plan: np.ndarray,
     group: int,
     best_genes: np.ndarray,
     evaluate,
@@ -158,9 +127,10 @@ def optimize_subcomponent(
     gen_start: int = 0,
     cycle: int = 1,
     max_fes: int | None = None,
-) -> SubcomponentOutcome:
+) -> tuple[int, int, list[GenerationRecord]]:
     """Optimize one group's columns in the context of the global best.
 
+    ``plan`` is a :func:`random_grouping` result and ``group`` is 1-based.
     Extracts the group's columns, scores every member spliced into
     ``best_genes`` (one population's worth of evaluations), then runs
     generations until ``sub_fes`` evaluations are consumed, writes the
@@ -176,8 +146,8 @@ def optimize_subcomponent(
         raise ValueError(
             f"sub_fes={sub_fes} cannot fund the context pass plus one generation"
         )
-    idx = plan.indices_for(group)
-    if plan.ns == 1:
+    idx = plan[group - 1]
+    if len(plan) == 1:
         sub, sub_evaluate, used, reeval_cost = pop, evaluate, 0, 0
         cycle = group = 0
     else:
@@ -219,13 +189,13 @@ def optimize_subcomponent(
                 epsilon=eps,
             )
         )
-    if plan.ns > 1:
+    if len(plan) > 1:
         pop.genes[:, idx] = sub.genes
         full_f, full_viol = evaluate(pop.genes)
         pop.f = np.asarray(full_f, dtype=float)
         pop.violation = np.asarray(full_viol, dtype=float)
         used += reeval_cost
-    return SubcomponentOutcome(evaluations=used, generations=gens, history=history)
+    return used, gens, history
 
 
 def _make_schedule(
@@ -279,22 +249,18 @@ def run_c3(
     cycle = 0
     while fes + visit_min <= c3_cfg.total_budget:
         cycle += 1
-        if ns == 1:
-            # A single group owns every index; the permutation is vacuous.
-            plan = GroupingPlan(perm=np.arange(dim), ns=1, ds=dim)
-        else:
-            plan = random_grouping(dim, ns, _keyed_rng(seed, _GROUPING, cycle))
+        plan = random_grouping(dim, ns, _keyed_rng(seed, _GROUPING, cycle))
         for group in range(1, ns + 1):
             if fes + visit_min > c3_cfg.total_budget:
                 break
-            out = optimize_subcomponent(
+            used, gens, rows = optimize_subcomponent(
                 pop, plan, group, best_genes, evaluate, sched, de_cfg, sub_fes,
                 seed, gen_start=gen, cycle=cycle,
                 max_fes=c3_cfg.total_budget - fes,
             )
-            fes += out.evaluations
-            gen += out.generations
-            history.extend(out.history)
+            fes += used
+            gen += gens
+            history.extend(rows)
             eps = epsilon_at(sched, min(gen, sched.gmax))
             best_genes = pop.genes[pop.eps_best_index(eps)].copy()
 

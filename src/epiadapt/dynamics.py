@@ -28,6 +28,8 @@ BatchEvaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
 # Candidates per block of the evaluator's constraint sum, which thus makes
 # no (B, D) temporary (see de_core.unpooled_empty for why that matters).
 _ROW_BLOCK = 32
+# Classical RK4 is stable on the negative real axis for h * |lambda| < 2.785.
+_RK4_REAL_LIMIT = 2.785
 
 
 class IntegrationError(RuntimeError):
@@ -66,7 +68,11 @@ class EpidemicParams:
             raise ValueError("substeps must be at least 1")
 
     def node_vectors(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcast the rate/initial-condition fields to length-n vectors."""
+        """Broadcast the rate/initial-condition fields to length-n vectors.
+
+        Refuses a step RK4 cannot take stably on n nodes: with weights in
+        [0, 1], every node's rate is at most sum(beta) - min(beta) + max(gamma).
+        """
         out = []
         for name in ("beta", "gamma", "p0"):
             value = np.asarray(getattr(self, name), dtype=float)
@@ -75,6 +81,12 @@ class EpidemicParams:
             elif value.shape != (n,):
                 raise ValueError(f"{name} must be scalar or length {n}")
             out.append(value)
+        rate = out[0].sum() - out[0].min() + out[1].max()
+        if rate / self.substeps >= _RK4_REAL_LIMIT:
+            raise ValueError(
+                f"substeps={self.substeps} is unstable for RK4 at rate {rate:.4g}; "
+                f"use substeps >= {int(rate // _RK4_REAL_LIMIT) + 1}"
+            )
         return out[0], out[1], out[2]
 
 
@@ -201,7 +213,7 @@ def integrate(net: Network, params: EpidemicParams, sched: WeightSchedule) -> Tr
     """Integrate the mean-field SIS equations over [0, horizon].
 
     The interval [0, 1) runs on the network's initial weights; block t-1 of
-    the schedule governs [t, t+1).
+    the schedule governs [t, t+1). Unstable ``substeps`` raise ValueError.
     """
     if sched.n != net.n:
         raise ValueError(f"schedule is for {sched.n} nodes, network has {net.n}")
@@ -314,7 +326,8 @@ def make_batch_evaluator(
     ``_rk4.c`` when it is available and in a numpy loop over
     :func:`_advance_unit` otherwise; the two agree to round-off. This is the
     hot path for population-based optimizers; :func:`integrate` with
-    :func:`objective_value` is the single-schedule reference.
+    :func:`objective_value` is the single-schedule reference. Unstable
+    ``substeps`` raise ValueError, as there.
     """
     n, horizon, k = net.n, params.horizon, params.substeps
     beta, gamma, p0 = params.node_vectors(n)

@@ -130,14 +130,6 @@ def spectral_radius(matrix: np.ndarray) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
 
-def epidemic_threshold(net: Network) -> float:
-    """Threshold 1/lambda_max of the weight matrix; errors on edgeless input."""
-    lam = spectral_radius(net.w0)
-    if lam == 0.0:
-        raise ValueError("epidemic threshold undefined: spectral radius is 0")
-    return 1.0 / lam
-
-
 def save_network(net: Network, path: str | Path) -> None:
     """Write the network as CSV rows ``i,j,w``, one per directed nonzero weight."""
     with Path(path).open("w", newline="") as fh:

@@ -455,8 +455,14 @@ def summarize_run_dirs(
     """Aggregate runs.csv files from campaign directories into summary rows."""
     ofvs: dict[str, list[float]] = {}
     viols: dict[str, list[float]] = {}
+    source: dict[tuple[str, int], Path] = {}
     for indir in indirs:
-        for row in read_runs_csv(Path(indir) / "runs.csv"):
+        path = Path(indir) / "runs.csv"
+        for row in read_runs_csv(path):
+            key = (row["algorithm"], row["run"])
+            if key in source:
+                raise ConfigError(f"{path}: run {key[1]} of {key[0]} is already in {source[key]}")
+            source[key] = path
             ofvs.setdefault(row["algorithm"], []).append(row["ofv"])
             viols.setdefault(row["algorithm"], []).append(row["violation"])
     return summarize(ofvs, reference=normalize_algorithm(reference), violations=viols)

@@ -125,6 +125,33 @@ def test_stats_on_malformed_runs_csv_exits_2(tmp_path, capsys, bad_row):
     assert f"{indir / 'runs.csv'}:3:" in capsys.readouterr().err
 
 
+def test_unstable_substeps_exits_2(workspace, tmp_path, capsys):
+    # RK4 at substeps 1 leaves [0, 1] on this network; the clip used to hide
+    # that and report an objective 17% low with exit 0.
+    _, net, _ = workspace
+    coarse = tmp_path / "coarse.json"
+    coarse.write_text(json.dumps({"substeps": 1}))
+    assert main(["simulate", "--net", str(net), "--config", str(coarse),
+                 "--out", str(tmp_path / "x.csv")]) == 2
+    assert "use substeps >= 3" in capsys.readouterr().err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_stats_rejects_run_seen_in_another_dir(workspace, capsys):
+    # The same campaign written at two worker counts holds the same runs.
+    tmp_path, net, config = workspace
+    dirs = [tmp_path / "w1", tmp_path / "w2"]
+    for workers, outdir in zip(("1", "2"), dirs):
+        assert main(["optimize", "--net", str(net), "--config", str(config),
+                     "--algo", "nsde-c3", "--workers", workers,
+                     "--outdir", str(outdir)]) == 0
+    capsys.readouterr()
+    assert main(["stats", "--indir", *map(str, dirs),
+                 "--out", str(tmp_path / "summary.csv")]) == 2
+    err = capsys.readouterr().err
+    assert str(dirs[0] / "runs.csv") in err and str(dirs[1] / "runs.csv") in err
+
+
 def test_invalid_parameter_exits_2(tmp_path):
     assert main(["gen-net", "--n", "3", "--m0", "5", "--m", "5",
                  "--seed", "0", "--out", str(tmp_path / "net.csv")]) == 2

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from epiadapt.coevolve import (
     C3Config,
-    GroupingPlan,
     grouping_probability,
     optimize_subcomponent,
     random_grouping,
@@ -37,19 +36,19 @@ class CountingEvaluator:
 class TestRandomGrouping:
     def test_partition(self):
         plan = random_grouping(6, 3, np.random.default_rng(0))
-        groups = [set(plan.indices_for(j).tolist()) for j in (1, 2, 3)]
+        groups = [set(plan[j - 1].tolist()) for j in (1, 2, 3)]
         assert all(len(g) == 2 for g in groups)
         assert set().union(*groups) == set(range(6))
 
     def test_large_decomposition_shape(self):
         plan = random_grouping(3420, 9, np.random.default_rng(1))
-        assert plan.ns == 9 and plan.ds == 380
-        assert plan.indices_for(9).size == 380
+        assert plan.shape == (9, 380)
+        assert plan[8].size == 380
 
     def test_same_seed_same_plan(self):
         a = random_grouping(30, 5, np.random.default_rng(7))
         b = random_grouping(30, 5, np.random.default_rng(7))
-        np.testing.assert_array_equal(a.perm, b.perm)
+        np.testing.assert_array_equal(a, b)
 
     def test_divisibility_enforced(self):
         with pytest.raises(ValueError):
@@ -57,12 +56,7 @@ class TestRandomGrouping:
 
     def test_plan_validation(self):
         with pytest.raises(ValueError):
-            GroupingPlan(perm=np.array([0, 0, 1, 2]), ns=2, ds=2)
-        with pytest.raises(ValueError):
-            GroupingPlan(perm=np.arange(4), ns=2, ds=3)
-        plan = GroupingPlan(perm=np.arange(4), ns=2, ds=2)
-        with pytest.raises(ValueError):
-            plan.indices_for(3)
+            random_grouping(4, 0, np.random.default_rng(0))
 
 
 class TestGroupingProbability:
@@ -110,15 +104,15 @@ class TestOptimizeSubcomponent:
     def test_consumes_sub_fes_exactly(self):
         evaluate = CountingEvaluator()
         pop = self.setup_population(10, 8)
-        plan = GroupingPlan(perm=np.arange(8), ns=2, ds=4)
+        plan = np.arange(8).reshape(2, 4)
         sched = EpsilonSchedule(eps0=0.0, gc=10, gmax=100)
-        out = optimize_subcomponent(
+        used, gens, history = optimize_subcomponent(
             pop, plan, 1, pop.genes[0].copy(), evaluate, sched,
             DEConfig(np_size=10), sub_fes=50, seed=3,
         )
         # 1 context pass + 4 generations, plus the counted re-evaluation.
-        assert out.generations == 4
-        assert out.evaluations == 60
+        assert gens == len(history) == 4
+        assert used == 60
         assert evaluate.calls == 60
 
     def test_caches_consistent_after_writeback(self):
@@ -135,7 +129,7 @@ class TestOptimizeSubcomponent:
 
     def test_budget_too_small_rejected(self):
         pop = self.setup_population(10, 8)
-        plan = GroupingPlan(perm=np.arange(8), ns=2, ds=4)
+        plan = np.arange(8).reshape(2, 4)
         sched = EpsilonSchedule(eps0=0.0, gc=10, gmax=100)
         with pytest.raises(ValueError, match="one generation"):
             optimize_subcomponent(
@@ -155,11 +149,11 @@ class TestOptimizeSubcomponent:
             plan = random_grouping(dim, 4, rng)
             for group in range(1, 5):
                 best = pop.genes[pop.eps_best_index(0.0)].copy()
-                out = optimize_subcomponent(
+                _, gens, _ = optimize_subcomponent(
                     pop, plan, group, best, sphere, sched, de_cfg,
                     sub_fes=np_size * 4, seed=9, gen_start=gen, cycle=cycle,
                 )
-                gen += out.generations
+                gen += gens
                 best_values.append(float(pop.f[pop.eps_best_index(0.0)]))
         assert all(b <= a + 1e-12 for a, b in zip(best_values, best_values[1:]))
         assert best_values[-1] < best_values[0]

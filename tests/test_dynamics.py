@@ -233,7 +233,7 @@ class TestEvaluateCandidate:
 
     def test_batch_violation_bytes_do_not_depend_on_batch(self, net20):
         # 70 rows span several blocks of the constraint sum.
-        params = EpidemicParams(**REF_EPI, substeps=1)
+        params = EpidemicParams(**REF_EPI, substeps=3)
         evaluate = make_batch_evaluator(net20, params, 700.0)
         x = np.random.default_rng(4).random((70, 3420))
         _, viol = evaluate(x)
@@ -243,7 +243,7 @@ class TestEvaluateCandidate:
     @pytest.mark.parametrize("numpy_loop", [False, True])
     def test_batch_evaluator_makes_no_batch_sized_temporary(self, net20, numpy_loop):
         # A (B, D) temporary per call would fragment the malloc heap of long runs.
-        params = EpidemicParams(**REF_EPI, substeps=2)
+        params = EpidemicParams(**REF_EPI, substeps=3)
         make = numpy_loop_evaluator if numpy_loop else make_batch_evaluator
         evaluate = make(net20, params, 700.0)
         x = np.random.default_rng(6).random((256, 3420))
@@ -432,14 +432,14 @@ class TestTraces:
     def test_trajectory_csv_export(self, net20, tmp_path):
         from epiadapt.dynamics import write_trajectory_csv
 
-        params = EpidemicParams(**REF_EPI, substeps=2)
+        params = EpidemicParams(**REF_EPI, substeps=3)
         sched = no_adaptation_schedule(net20, 10)
         traj = integrate(net20, params, sched)
         tpath = tmp_path / "traj.csv"
         write_trajectory_csv(traj, tpath)
         lines = tpath.read_text().splitlines()
         assert lines[0] == "t," + ",".join(f"p_{i}" for i in range(20))
-        assert len(lines) == 22
+        assert len(lines) == 32
 
     def test_trace_series_aligned(self, net20):
         params = EpidemicParams(**REF_EPI, substeps=4)
@@ -465,6 +465,30 @@ class TestParamValidation:
     def test_short_horizon_rejected(self):
         with pytest.raises(ValueError):
             EpidemicParams(beta=0.1, gamma=0.3, p0=0.1, horizon=1)
+
+    @pytest.mark.parametrize("substeps,stable", [(2, False), (3, True)])
+    def test_rk4_step_guard(self, net20, substeps, stable):
+        # Rate sum(beta) - min(beta) + max(gamma) = 0.4 * 19 + 0.3 = 7.9, and
+        # RK4's real-axis limit is 2.785: 7.9 / 3 = 2.63 passes, 7.9 / 2 fails.
+        params = EpidemicParams(**REF_EPI, substeps=substeps)
+        sched = no_adaptation_schedule(net20, 10)
+        if stable:
+            integrate(net20, params, sched)
+            make_batch_evaluator(net20, params, 700.0)
+            return
+        with pytest.raises(ValueError, match="use substeps >= 3"):
+            integrate(net20, params, sched)
+        with pytest.raises(ValueError, match="use substeps >= 3"):
+            make_batch_evaluator(net20, params, 700.0)
+
+    def test_rk4_step_guard_per_node_rates(self):
+        # Node 0's inflow is at most beta[1] + beta[2] = 5, plus gamma 1.
+        params = EpidemicParams(beta=np.array([0.0, 2.0, 3.0]), gamma=1.0, p0=0.1,
+                                horizon=2, substeps=2)
+        with pytest.raises(ValueError, match="use substeps >= 3"):
+            params.node_vectors(3)
+        EpidemicParams(beta=np.array([0.0, 2.0, 3.0]), gamma=1.0, p0=0.1,
+                       horizon=2, substeps=3).node_vectors(3)
 
     def test_vector_rates_accepted(self):
         params = EpidemicParams(

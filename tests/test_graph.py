@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from epiadapt.graph import (
     Network,
-    epidemic_threshold,
     generate_ba,
     load_network,
     save_network,
@@ -150,25 +149,21 @@ class TestSpectralRadius:
         w0 = np.zeros((left + right, left + right))
         w0[:left, left:] = w0[left:, :left] = 1.0
         assert spectral_radius(w0) == pytest.approx(expected, rel=1e-12)
-        assert epidemic_threshold(Network(w0)) == pytest.approx(1.0 / expected, rel=1e-12)
 
 
 class TestEpidemicThreshold:
+    # The mean-field SIS threshold is 1 / spectral_radius(w0).
     def test_complete_graph(self):
-        assert epidemic_threshold(complete_graph(5)) == pytest.approx(0.25)
+        assert 1.0 / spectral_radius(complete_graph(5).w0) == pytest.approx(0.25)
 
     def test_two_cycle(self):
-        assert epidemic_threshold(path_graph(2)) == pytest.approx(1.0)
-
-    def test_edgeless_rejected(self):
-        with pytest.raises(ValueError):
-            epidemic_threshold(Network(np.zeros((3, 3))))
+        assert 1.0 / spectral_radius(path_graph(2).w0) == pytest.approx(1.0)
 
     def test_effective_rate_exceeds_threshold(self):
         # beta/gamma = 4/3 while every instance's threshold is below 0.12.
         tau = 0.4 / 0.3
         for seed in range(30):
-            assert tau > epidemic_threshold(generate_ba(20, 5, 5, seed=seed))
+            assert tau > 1.0 / spectral_radius(generate_ba(20, 5, 5, seed=seed).w0)
 
 
 class TestNetworkValidation:
