@@ -15,7 +15,8 @@
  * sits at i * LANES + lane, and w[i, j] * beta[j] of each lane at
  * (j * n + i) * LANES + lane, so every loop below is element-wise across
  * lanes and vectorizes without reassociating any sum. Spare lanes of the
- * last group repeat its first candidate.
+ * last group repeat its first candidate. LANES comes from the build (-D) to
+ * match the host's vector width; every width gives the same bytes.
  *
  * Returns 0 on success, 1 when a state became non-finite, 2 when the
  * scratch memory could not be allocated.
@@ -24,7 +25,9 @@
 #include <stdint.h>
 #include <stdlib.h>
 
+#ifndef LANES
 #define LANES 4
+#endif
 #define ROWS 4
 
 /* Rows i0 .. i0 + R - 1 of out = (1 - v) * (W v) - gamma * v. The R * LANES

@@ -253,58 +253,86 @@ def constraint_value(sched: WeightSchedule, net: Network, budget: float) -> floa
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
-# No -march=native, so a cached library stays valid on any host of the same
-# architecture. No contraction into FMAs, so each step rounds as numpy's
-# does; no errno from sqrt, which only lets the compiler vectorize it.
+_CPUINFO = Path("/proc/cpuinfo")
+# No -march=native, so a cached library stays valid on any host of its ISA
+# level. No contraction into FMAs, so each step rounds as numpy's does, also
+# where the level has FMA; no errno from sqrt, which only lets the compiler
+# vectorize it. Lanes never reassociate a sum, so every level's build gives
+# the same bytes.
 _KERNEL_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+# x86-64 levels v2 and v3 as /proc/cpuinfo names them (abm is lzcnt, pni sse3).
+_V3_CPU_FLAGS = frozenset((
+    "cx16", "lahf_lm", "popcnt", "pni", "sse4_1", "sse4_2", "ssse3",
+    "avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",
+))
+# Builds of _rk4.c, widest first: name, the cpuinfo flags the host must
+# list, and the flags added to _KERNEL_CFLAGS. The last needs nothing.
+_KERNEL_LEVELS = (
+    ("v4", _V3_CPU_FLAGS | {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+     ("-march=x86-64-v4", "-mprefer-vector-width=512", "-DLANES=8")),
+    ("v3", _V3_CPU_FLAGS, ("-march=x86-64-v3", "-DLANES=4")),
+    ("base", frozenset(), ()),
+)
 
 
-@lru_cache(maxsize=None)
-def _kernel() -> Callable[..., int] | None:
-    """Load the compiled RK4 batch kernel, building it on first use.
+def _host_levels(cpuinfo: str, machine: str) -> list[str]:
+    """Names of the kernel builds this host can run, widest first.
 
-    The library is cached as ``__pycache__/_rk4-<hash>.so`` next to the
-    source, keyed by the source, the flags and the machine type. Each build
-    goes to its own temporary file and is renamed into place, so processes
-    that build at once cannot leave a torn file; a fresh build then deletes
-    the superseded ``_rk4-*.so`` files beside it. Returns None, with one
-    RuntimeWarning, when the kernel cannot be built or loaded; the evaluator
-    then runs its numpy loop.
+    ``cpuinfo`` is the text of /proc/cpuinfo; outside x86_64, or without a
+    ``flags`` line, only the builds that need no flag remain.
+    """
+    flags: set[str] = set()
+    if machine == "x86_64":
+        for line in cpuinfo.splitlines():
+            if line.startswith("flags"):
+                flags = set(line.partition(":")[2].split())
+                break
+    return [name for name, needs, _ in _KERNEL_LEVELS if needs <= flags]
+
+
+def _kernel_build(level: str) -> Callable[..., int]:
+    """Load the ``level`` build of the RK4 batch kernel, compiling it on first use.
+
+    The library is cached as ``__pycache__/_rk4-<level>-<hash>.so`` next to
+    the source, keyed by the source, the flags and the machine type. Each
+    build goes to its own temporary file and is renamed into place, so
+    processes that build at once cannot leave a torn file; a fresh build then
+    deletes the ``_rk4-*.so`` files beside it that no level would load now.
+    Raises OSError or CalledProcessError when the build cannot be made or
+    loaded.
     """
     import hashlib  # here, so importing the package costs what it did before
 
-    try:
-        source = _KERNEL_SOURCE.read_bytes()
-        key = source + " ".join(_KERNEL_CFLAGS + (os.uname().machine,)).encode()
-        digest = hashlib.sha256(key).hexdigest()[:16]
-        lib = _KERNEL_SOURCE.parent / "__pycache__" / f"_rk4-{digest}.so"
-        if not lib.exists():
-            lib.parent.mkdir(exist_ok=True)
-            fd, tmp = tempfile.mkstemp(suffix=".so", dir=lib.parent)
-            os.close(fd)
-            try:
-                subprocess.run(
-                    ["cc", *_KERNEL_CFLAGS, "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                    check=True, capture_output=True,
-                )
-                os.replace(tmp, lib)
-            finally:
-                if os.path.exists(tmp):
-                    os.unlink(tmp)
-            # Builds of an earlier source or flags are never loaded again.
-            for stale in lib.parent.glob("_rk4-*.so"):
-                if stale != lib:
-                    try:
-                        stale.unlink()
-                    except OSError:  # another process may have removed it first
-                        pass
-        fn = ctypes.CDLL(str(lib)).rk4_batch
-    except (OSError, subprocess.CalledProcessError) as exc:
-        warnings.warn(
-            f"RK4 kernel unavailable, the evaluator runs its numpy loop: {exc}",
-            RuntimeWarning, stacklevel=3,
-        )
-        return None
+    source = _KERNEL_SOURCE.read_bytes()
+    machine = os.uname().machine
+    cache = _KERNEL_SOURCE.parent / "__pycache__"
+    libs, cflags = {}, {}
+    for name, _, extra in _KERNEL_LEVELS:
+        cflags[name] = _KERNEL_CFLAGS + extra
+        key = source + " ".join(cflags[name] + (machine,)).encode()
+        libs[name] = cache / f"_rk4-{name}-{hashlib.sha256(key).hexdigest()[:16]}.so"
+    lib = libs[level]
+    if not lib.exists():
+        cache.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        try:
+            subprocess.run(
+                ["cc", *cflags[level], "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
+                check=True, capture_output=True,
+            )
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        # Builds of an earlier source or flags are never loaded again.
+        for stale in cache.glob("_rk4-*.so"):
+            if stale not in libs.values():
+                try:
+                    stale.unlink()
+                except OSError:  # another process may have removed it first
+                    pass
+    fn = ctypes.CDLL(str(lib)).rk4_batch
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
     fn.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
@@ -314,6 +342,40 @@ def _kernel() -> Callable[..., int] | None:
     ]
     fn.restype = ctypes.c_int
     return fn
+
+
+@lru_cache(maxsize=None)
+def _kernel() -> Callable[..., int] | None:
+    """The widest build of the RK4 batch kernel this host runs, or None.
+
+    The host's level comes from /proc/cpuinfo, read here on first use and
+    never at import: x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then
+    the baseline build. A build that cannot be made or loaded passes to the
+    next; past the last, the evaluator runs its numpy loop. Either fallback
+    gives one RuntimeWarning.
+    """
+    try:
+        cpuinfo = _CPUINFO.read_text()
+    except OSError:
+        cpuinfo = ""
+    failed = []
+    for level in _host_levels(cpuinfo, os.uname().machine):
+        try:
+            fn = _kernel_build(level)
+        except (OSError, subprocess.CalledProcessError) as exc:
+            failed.append(f"{level}: {exc}")
+            continue
+        if failed:
+            warnings.warn(
+                f"RK4 kernel runs its {level} build: {'; '.join(failed)}",
+                RuntimeWarning, stacklevel=3,
+            )
+        return fn
+    warnings.warn(
+        f"RK4 kernel unavailable, the evaluator runs its numpy loop: {'; '.join(failed)}",
+        RuntimeWarning, stacklevel=3,
+    )
+    return None
 
 
 def make_batch_evaluator(

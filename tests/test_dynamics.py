@@ -1,5 +1,8 @@
+import functools
 import math
+import os
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -244,7 +247,7 @@ class TestEvaluateCandidate:
     def test_batch_evaluator_makes_no_batch_sized_temporary(self, net20, numpy_loop):
         # A (B, D) temporary per call would fragment the malloc heap of long runs.
         params = EpidemicParams(**REF_EPI, substeps=3)
-        make = numpy_loop_evaluator if numpy_loop else make_batch_evaluator
+        make = functools.partial(kernel_evaluator, None) if numpy_loop else make_batch_evaluator
         evaluate = make(net20, params, 700.0)
         x = np.random.default_rng(6).random((256, 3420))
         assert traced_peak(lambda: evaluate(x)) < 0.5 * x.nbytes
@@ -267,10 +270,10 @@ def kernel():
     return fn
 
 
-def numpy_loop_evaluator(*args):
-    """A batch evaluator forced onto its numpy loop, as when the kernel is missing."""
+def kernel_evaluator(build, *args):
+    """A batch evaluator on one kernel build; None forces its numpy loop, as when no build loads."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_kernel", lambda: None)
+        m.setattr(dynamics, "_kernel", lambda: build)
         return make_batch_evaluator(*args)
 
 
@@ -286,37 +289,122 @@ def isolated_kernel(tmp_path, monkeypatch):
     loader.cache_clear()
 
 
+@pytest.fixture(scope="module")
+def level_builds(tmp_path_factory):
+    """Every kernel build this host can make and run, by level, from a temporary cache."""
+    source = tmp_path_factory.mktemp("levels") / "_rk4.c"
+    shutil.copy(dynamics._KERNEL_SOURCE, source)
+    try:
+        cpuinfo = dynamics._CPUINFO.read_text()
+    except OSError:
+        cpuinfo = ""
+    builds = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_KERNEL_SOURCE", source)
+        for level in dynamics._host_levels(cpuinfo, os.uname().machine):
+            try:
+                builds[level] = dynamics._kernel_build(level)
+            except (OSError, subprocess.CalledProcessError):
+                pass
+    if "base" not in builds:
+        pytest.skip("the baseline RK4 kernel could not be built here")
+    return builds
+
+
+@st.composite
+def evaluator_cases(draw):
+    """A network, rates, budget and candidates inside RK4's stable region.
+
+    Batch 0 stands for a single 1-D candidate; 7, 8, 16 and 17 leave 8-lane
+    groups full or with spare lanes.
+    """
+    n = draw(st.integers(2, 8))
+    horizon = draw(st.integers(2, 4))
+    substeps = draw(st.integers(1, 20))
+    batch = draw(st.sampled_from([0, 1, 2, 3, 4, 5, 7, 8, 9, 16, 17]))
+    per_node = draw(st.tuples(st.booleans(), st.booleans(), st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    w0 = rng.random((n, n)) + 0.01
+    np.fill_diagonal(w0, 0.0)
+    net = Network(np.minimum(w0, 1.0))
+    beta, gamma, p0 = (
+        rng.random(n) if vector else float(rng.random())
+        for vector in per_node
+    )
+    # Stay inside RK4's real-axis stability limit, where round-off is not amplified.
+    assume((np.max(beta) * (n - 1) + np.max(gamma)) / substeps < 2.0)
+    params = EpidemicParams(beta=beta, gamma=gamma, p0=p0, horizon=horizon, substeps=substeps)
+    dim = decision_dimension(n, horizon)
+    x = rng.random(dim) if batch == 0 else rng.random((batch, dim))
+    return net, params, float(rng.random() * dim), x
+
+
+# Flags lines of /proc/cpuinfo, trimmed to what the levels test.
+HASWELL = ("fpu sse sse2 ssse3 fma cx16 pcid sse4_1 sse4_2 movbe popcnt xsave avx "
+           "f16c lahf_lm abm pni bmi1 avx2 bmi2")
+SKYLAKE_X = HASWELL + " avx512f avx512dq avx512cd avx512bw avx512vl"
+# Knights Landing: AVX-512 without BW, DQ or VL.
+KNIGHTS_LANDING = HASWELL + " avx512f avx512pf avx512er avx512cd"
+SANDY_BRIDGE = HASWELL.replace(" fma", "").replace(" avx2", "").replace(" bmi1", "")
+
+
 class TestKernel:
     @settings(max_examples=60, deadline=None)
-    @given(
-        n=st.integers(2, 8),
-        horizon=st.integers(2, 4),
-        substeps=st.integers(1, 20),
-        batch=st.sampled_from([0, 1, 2, 3, 4, 5, 9]),
-        per_node=st.tuples(st.booleans(), st.booleans(), st.booleans()),
-        seed=st.integers(0, 2**32 - 1),
-    )
-    def test_matches_numpy_loop(self, kernel, n, horizon, substeps, batch, per_node, seed):
-        # batch 0 stands for a single 1-D candidate.
-        rng = np.random.default_rng(seed)
-        w0 = rng.random((n, n)) + 0.01
-        np.fill_diagonal(w0, 0.0)
-        net = Network(np.minimum(w0, 1.0))
-        beta, gamma, p0 = (
-            rng.random(n) if vector else float(rng.random())
-            for vector in per_node
-        )
-        # Stay inside RK4's real-axis stability limit, where round-off is not amplified.
-        assume((np.max(beta) * (n - 1) + np.max(gamma)) / substeps < 2.0)
-        params = EpidemicParams(beta=beta, gamma=gamma, p0=p0, horizon=horizon, substeps=substeps)
-        dim = decision_dimension(n, horizon)
-        x = rng.random(dim) if batch == 0 else rng.random((batch, dim))
-        budget = float(rng.random() * dim)
-        f_np, viol_np = numpy_loop_evaluator(net, params, budget)(x)
+    @given(case=evaluator_cases())
+    def test_matches_numpy_loop(self, kernel, case):
+        net, params, budget, x = case
+        f_np, viol_np = kernel_evaluator(None, net, params, budget)(x)
         f_k, viol_k = make_batch_evaluator(net, params, budget)(x)
-        assert f_k.shape == f_np.shape == (max(batch, 1),)
+        assert f_k.shape == f_np.shape == (len(np.atleast_2d(x)),)
         np.testing.assert_allclose(f_k, f_np, rtol=1e-12, atol=0.0)
         assert viol_k.tobytes() == viol_np.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=evaluator_cases())
+    def test_every_level_gives_baseline_bytes(self, level_builds, case):
+        net, params, budget, x = case
+        f_base, viol_base = kernel_evaluator(level_builds["base"], net, params, budget)(x)
+        for level, build in level_builds.items():
+            f, viol = kernel_evaluator(build, net, params, budget)(x)
+            assert f.tobytes() == f_base.tobytes(), level
+            assert viol.tobytes() == viol_base.tobytes(), level
+
+    @pytest.mark.parametrize("flags,machine,level", [
+        (SKYLAKE_X, "x86_64", "v4"),
+        (KNIGHTS_LANDING, "x86_64", "v3"),
+        (HASWELL, "x86_64", "v3"),
+        (SANDY_BRIDGE, "x86_64", "base"),
+        (SKYLAKE_X, "aarch64", "base"),
+    ])
+    def test_host_level_from_cpuinfo(self, flags, machine, level):
+        cpuinfo = f"processor\t: 0\nvendor_id\t: GenuineIntel\nflags\t\t: {flags}\nbugs\t\t: spectre_v1\n"
+        assert dynamics._host_levels(cpuinfo, machine)[0] == level
+        assert dynamics._host_levels(cpuinfo, machine)[-1] == "base"
+        assert dynamics._host_levels("", machine) == ["base"]
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_unreadable_cpuinfo_means_baseline_build(self, isolated_kernel, monkeypatch):
+        monkeypatch.setattr(dynamics, "_CPUINFO", isolated_kernel.parent / "no-cpuinfo")
+        assert dynamics._kernel() is not None
+        (lib,) = isolated_kernel.glob("*")
+        assert lib.name.startswith("_rk4-base-")
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_failed_wide_build_falls_back_to_baseline(self, isolated_kernel, net20, monkeypatch):
+        base = dynamics._KERNEL_LEVELS[-1]
+        monkeypatch.setattr(dynamics, "_KERNEL_LEVELS",
+                            (("wide", frozenset(), ("-fno-such-option",)), base))
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate = make_batch_evaluator(net20, params, 700.0)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "runs its base build" in str(caught[0].message)
+        (lib,) = isolated_kernel.glob("*")
+        assert lib.name.startswith("_rk4-base-")
+        x = np.random.default_rng(5).random((17, 3420))
+        expected = kernel_evaluator(dynamics._kernel_build("base"), net20, params, 700.0)(x)
+        assert evaluate(x)[0].tobytes() == expected[0].tobytes()
 
     def test_nan_gene_raises_on_both_paths(self, kernel, net20):
         params = EpidemicParams(**REF_EPI, substeps=4)
@@ -325,7 +413,7 @@ class TestKernel:
         with pytest.raises(IntegrationError):
             make_batch_evaluator(net20, params, 700.0)(x)
         with pytest.raises(IntegrationError):
-            numpy_loop_evaluator(net20, params, 700.0)(x)
+            kernel_evaluator(None, net20, params, 700.0)(x)
 
     def test_failed_compile_falls_back_with_warning(self, isolated_kernel, net20, monkeypatch):
         monkeypatch.setenv("PATH", str(isolated_kernel.parent))
@@ -382,7 +470,7 @@ class TestKernel:
         closed = math.sqrt(0.5) / 0.15 * (1.0 - math.exp(-0.6))
         x = np.ones((1, 6))
         for evaluate in (make_batch_evaluator(net, params, 10.0),
-                         numpy_loop_evaluator(net, params, 10.0)):
+                         kernel_evaluator(None, net, params, 10.0)):
             f = evaluate(x)[0][0]
             assert f == pytest.approx(objective_value(traj), rel=1e-12)
             assert f == pytest.approx(closed, rel=1e-5)
