@@ -1,4 +1,5 @@
-/* Batch RK4 kernel for the mean-field SIS evaluator in dynamics.py.
+/* Compiled kernels: rk4_batch for the batch evaluator in dynamics.py and
+ * de_trials for the NSDE operators in de_core.py (see there).
  *
  * rk4_batch advances B candidates from the state p_unit at t = 1 over the
  * T1 = horizon - 1 re-planned unit intervals, k RK4 steps each, and adds the
@@ -29,6 +30,12 @@
 #define LANES 4
 #endif
 #define ROWS 4
+
+/* Not fmin/fmax: those would turn a NaN into a bound, where np.clip keeps it. */
+static inline double clamp01(double v)
+{
+    return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
+}
 
 /* Rows i0 .. i0 + R - 1 of out = (1 - v) * (W v) - gamma * v. The R * LANES
  * sums stay in registers across the j loop. */
@@ -114,8 +121,7 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
                 for (int64_t i = 0; i < nl; ++i) {
                     const double v =
                         p[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-                    /* Not fmin/fmax: those would turn a NaN into a bound. */
-                    p[i] = v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
+                    p[i] = clamp01(v);
                 }
                 sqrt_sum(n, p, s);
                 for (int l = 0; l < LANES; ++l)
@@ -136,4 +142,36 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
     }
     free(wb);
     return status;
+}
+
+/* ((((best - x_i) + x_r1) - x_r2) * f_i) + x_i, in de_core's numpy order. */
+static inline double mutant(double best, double xi, double a, double b, double f)
+{
+    return (((best - xi) + a) - b) * f + xi;
+}
+
+/* de_trials builds the NP current-to-best/1 trials of de_core.build_trials
+ * in one pass over each row. trial holds the crossover uniforms on entry:
+ * gene j of row i keeps x[i, j] where its uniform exceeds cr, unless j is
+ * the row's forced gene, and takes the mutant otherwise; every gene is then
+ * clamped to [0, 1]. x holds the NP rows of D genes; trial must not overlap
+ * x or best. */
+void de_trials(int64_t NP, int64_t D, const double *restrict x,
+               const double *restrict best, const int64_t *restrict r1,
+               const int64_t *restrict r2, const double *restrict f,
+               const int64_t *restrict forced, double cr, double *restrict trial)
+{
+    for (int64_t i = 0; i < NP; ++i) {
+        const double *xi = x + i * D, *a = x + r1[i] * D, *b = x + r2[i] * D;
+        double *t = trial + i * D;
+        const double fi = f[i];
+        /* Clamping both sides before the pick gives the same bytes as
+         * clamping the pick, and only this form vectorizes below v4. */
+        for (int64_t j = 0; j < D; ++j) {
+            const double v = clamp01(mutant(best[j], xi[j], a[j], b[j], fi));
+            t[j] = t[j] > cr ? clamp01(xi[j]) : v;
+        }
+        const int64_t j = forced[i];
+        t[j] = clamp01(mutant(best[j], xi[j], a[j], b[j], fi));
+    }
 }

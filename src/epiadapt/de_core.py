@@ -1,11 +1,17 @@
 """Differential-evolution population machinery with neighborhood-search F.
 
-A generation builds all NP trials at once as array operations from one
-random stream. The scale factor is drawn per individual per generation from
-a mixture of a Gaussian centered at 0.5 and a heavy-tailed standard Cauchy;
-trials are accepted under the epsilon comparator. Heavy-tailed draws are
-used as-is (genes are weights, clamped into [0, 1]), which is what gives the
-operator its escape behavior.
+A generation builds all NP trials at once from one random stream. The scale
+factor is drawn per individual per generation from a mixture of a Gaussian
+centered at 0.5 and a heavy-tailed standard Cauchy; trials are accepted
+under the epsilon comparator. Heavy-tailed draws are used as-is (genes are
+weights, clamped into [0, 1]), which is what gives the operator its escape
+behavior.
+
+Every draw is a whole numpy array. The trials are then formed in one pass
+of ``de_trials`` in ``_rk4.c``, loaded with the RK4 kernel by
+``dynamics._kernel``; where no build loads, the numpy passes run instead.
+The two give the same bytes: the pass keeps numpy's operation order, is
+built without FMA contraction and clamps as ``np.clip`` does, NaN included.
 """
 from __future__ import annotations
 
@@ -15,6 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import dynamics
 from .eps_constraint import better_mask
 
 # Rows per block where a generation would otherwise make an (NP, D) temporary.
@@ -131,16 +138,33 @@ def build_trials(
     """All NP current-to-best/1 trials with binomial crossover, clamped to [0, 1].
 
     Row i mixes x_i + F_i*(best - x_i) + F_i*(x_r1 - x_r2) into x_i where
-    rand <= cr, with one forced gene per row. The trials go to ``out`` when
-    it is given.
+    rand <= cr, with one forced gene per row. ``genes`` must be a C-ordered
+    float64 (NP, D) array and ``best`` hold D genes. The trials go to
+    ``out`` when it is given, which must be laid out as ``genes`` and share
+    no memory with ``genes`` or ``best``.
     """
+    if genes.ndim != 2 or genes.dtype != np.float64 or not genes.flags.c_contiguous:
+        raise ValueError("genes must be a C-contiguous 2-D float64 array")
     np_size, dim = genes.shape
+    best = np.ascontiguousarray(best, dtype=np.float64)
+    if best.shape != (dim,):
+        raise ValueError(f"best has shape {best.shape}, expected ({dim},)")
+    if out is not None:
+        if out.shape != genes.shape or out.dtype != genes.dtype or not out.flags.c_contiguous:
+            raise ValueError("out must be a C-contiguous array of the shape and dtype of genes")
+        if np.may_share_memory(out, genes) or np.may_share_memory(out, best):
+            raise ValueError("out must not share memory with genes or best")
     f = sample_scale_factors(cfg.fp, np_size, rng)
     r1, r2 = donor_indices(np_size, rng)
     # The crossover draws pass through the trial buffer before the mutant fills it.
     trials = rng.random(out=np.empty_like(genes) if out is None else out)
+    forced = rng.integers(dim, size=np_size)
+    built = dynamics._kernel()
+    if built is not None:
+        built.de_trials(np_size, dim, genes, best, r1, r2, f, forced, cfg.cr, trials)
+        return trials
     keep = trials > cfg.cr
-    keep[np.arange(np_size), rng.integers(dim, size=np_size)] = False
+    keep[np.arange(np_size), forced] = False
     np.subtract(best, genes, out=trials)
     # By row blocks, so the donor rows make no (NP, D) temporary.
     for start in range(0, np_size, _ROW_BLOCK):
@@ -174,7 +198,9 @@ def nsde_generation(
     )
     trial_f, trial_viol = (np.asarray(a, dtype=float) for a in evaluate(trials))
     win = better_mask(trial_f, trial_viol, pop.f, pop.violation, eps)
-    np.copyto(pop.genes, trials, where=win[:, None])
+    # Row by row: a masked copy would pass over every losing row as well.
+    for i in np.flatnonzero(win):
+        pop.genes[i] = trials[i]
     pop.f[win] = trial_f[win]
     pop.violation[win] = trial_viol[win]
     return pop.size

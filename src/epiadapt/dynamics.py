@@ -290,8 +290,8 @@ def _host_levels(cpuinfo: str, machine: str) -> list[str]:
     return [name for name, needs, _ in _KERNEL_LEVELS if needs <= flags]
 
 
-def _kernel_build(level: str) -> Callable[..., int]:
-    """Load the ``level`` build of the RK4 batch kernel, compiling it on first use.
+def _kernel_build(level: str) -> ctypes.CDLL:
+    """Load the ``level`` build of ``_rk4.c``, compiling it on first use.
 
     The library is cached as ``__pycache__/_rk4-<level>-<hash>.so`` next to
     the source, keyed by the source, the flags and the machine type. Each
@@ -332,27 +332,33 @@ def _kernel_build(level: str) -> Callable[..., int]:
                     stale.unlink()
                 except OSError:  # another process may have removed it first
                     pass
-    fn = ctypes.CDLL(str(lib)).rk4_batch
+    built = ctypes.CDLL(str(lib))
     f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    fn.argtypes = [
+    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
+    rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
+    built.rk4_batch.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS"),
-        np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS"),
-        f64, f64, f64, ctypes.c_double, f64,
+        rows, i64, f64, f64, f64, ctypes.c_double, f64,
     ]
-    fn.restype = ctypes.c_int
-    return fn
+    built.rk4_batch.restype = ctypes.c_int
+    built.de_trials.argtypes = [
+        ctypes.c_int64, ctypes.c_int64, rows, f64, i64, i64, f64, i64,
+        ctypes.c_double, rows,
+    ]
+    built.de_trials.restype = None
+    return built
 
 
 @lru_cache(maxsize=None)
-def _kernel() -> Callable[..., int] | None:
-    """The widest build of the RK4 batch kernel this host runs, or None.
+def _kernel() -> ctypes.CDLL | None:
+    """The widest build of ``_rk4.c`` this host runs, or None.
 
-    The host's level comes from /proc/cpuinfo, read here on first use and
-    never at import: x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then
-    the baseline build. A build that cannot be made or loaded passes to the
-    next; past the last, the evaluator runs its numpy loop. Either fallback
-    gives one RuntimeWarning.
+    It holds the RK4 batch kernel and the NSDE trial pass. The host's level
+    comes from /proc/cpuinfo, read here on first use and never at import:
+    x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then the baseline
+    build. A build that cannot be made or loaded passes to the next; past
+    the last, the evaluator and the DE operators run their numpy code.
+    Either fallback gives one RuntimeWarning per process.
     """
     try:
         cpuinfo = _CPUINFO.read_text()
@@ -361,7 +367,7 @@ def _kernel() -> Callable[..., int] | None:
     failed = []
     for level in _host_levels(cpuinfo, os.uname().machine):
         try:
-            fn = _kernel_build(level)
+            built = _kernel_build(level)
         except (OSError, subprocess.CalledProcessError) as exc:
             failed.append(f"{level}: {exc}")
             continue
@@ -370,9 +376,10 @@ def _kernel() -> Callable[..., int] | None:
                 f"RK4 kernel runs its {level} build: {'; '.join(failed)}",
                 RuntimeWarning, stacklevel=3,
             )
-        return fn
+        return built
     warnings.warn(
-        f"RK4 kernel unavailable, the evaluator runs its numpy loop: {'; '.join(failed)}",
+        "RK4 kernel unavailable, the evaluator and the DE operators run their "
+        f"numpy loops: {'; '.join(failed)}",
         RuntimeWarning, stacklevel=3,
     )
     return None
@@ -416,8 +423,8 @@ def make_batch_evaluator(
         g -= budget
         if kernel is not None:
             obj = np.empty(b)
-            status = kernel(b, n, horizon - 1, k, np.ascontiguousarray(x), pos,
-                            beta_off, gamma, p_unit[0], obj_unit[0], obj)
+            status = kernel.rk4_batch(b, n, horizon - 1, k, np.ascontiguousarray(x), pos,
+                                      beta_off, gamma, p_unit[0], obj_unit[0], obj)
             if status == 2:
                 raise MemoryError("RK4 kernel could not allocate its scratch buffer")
             if status != 0:

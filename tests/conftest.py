@@ -1,0 +1,54 @@
+"""Fixtures over the builds of the compiled kernels in ``_rk4.c``."""
+import os
+import shutil
+import subprocess
+import warnings
+
+import pytest
+
+import epiadapt.dynamics as dynamics
+
+
+@pytest.fixture(scope="module")
+def kernel():
+    """The loaded kernel library; tests that need it skip when no compiler is found."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)
+        built = dynamics._kernel()
+    if built is None:
+        pytest.skip("the compiled kernels could not be built here")
+    return built
+
+
+@pytest.fixture()
+def isolated_kernel(tmp_path, monkeypatch):
+    """Point the kernel loader at a copy of the C source with an empty cache."""
+    loader = dynamics._kernel
+    source = tmp_path / "_rk4.c"
+    shutil.copy(dynamics._KERNEL_SOURCE, source)
+    monkeypatch.setattr(dynamics, "_KERNEL_SOURCE", source)
+    loader.cache_clear()
+    yield tmp_path / "__pycache__"
+    loader.cache_clear()
+
+
+@pytest.fixture(scope="module")
+def level_builds(tmp_path_factory):
+    """Every kernel build this host can make and run, by level, from a temporary cache."""
+    source = tmp_path_factory.mktemp("levels") / "_rk4.c"
+    shutil.copy(dynamics._KERNEL_SOURCE, source)
+    try:
+        cpuinfo = dynamics._CPUINFO.read_text()
+    except OSError:
+        cpuinfo = ""
+    builds = {}
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_KERNEL_SOURCE", source)
+        for level in dynamics._host_levels(cpuinfo, os.uname().machine):
+            try:
+                builds[level] = dynamics._kernel_build(level)
+            except (OSError, subprocess.CalledProcessError):
+                pass
+    if "base" not in builds:
+        pytest.skip("the baseline build of the kernels could not be built here")
+    return builds

@@ -1,9 +1,17 @@
+import os
+import subprocess
+import sys
+import warnings
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epiadapt
 import epiadapt.de_core as de_core
+import epiadapt.dynamics as dynamics
 from epiadapt.de_core import (
     Candidate,
     DEConfig,
@@ -14,7 +22,9 @@ from epiadapt.de_core import (
     nsde_generation,
     sample_scale_factors,
 )
+from epiadapt.dynamics import EpidemicParams, make_batch_evaluator
 from epiadapt.eps_constraint import better_mask, better_than
+from epiadapt.graph import generate_ba
 from reference import traced_peak
 
 
@@ -183,6 +193,162 @@ class TestCrossover:
         with pytest.raises(ValueError):
             build_trials(np.zeros((4, 3)), np.zeros(4), DEConfig(np_size=4),
                          np.random.default_rng(0))
+
+    @pytest.mark.parametrize("genes,best,out", [
+        (np.zeros((4, 3), np.float32), np.zeros(3), None),
+        (np.zeros((3, 4)).T, np.zeros(3), None),
+        (np.zeros(12), np.zeros(12), None),
+        (np.zeros((4, 3)), np.zeros((1, 3)), None),
+        (np.zeros((4, 3)), np.zeros(3), np.zeros((4, 4))),
+        (np.zeros((4, 3)), np.zeros(3), np.zeros((4, 3), np.float32)),
+        (np.zeros((4, 3)), np.zeros(3), np.zeros((3, 4)).T),
+    ])
+    def test_malformed_arrays_rejected_before_any_draw(self, genes, best, out):
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(ValueError):
+            build_trials(genes, best, DEConfig(np_size=4), rng, out=out)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_out_overlapping_genes_rejected(self, compiled, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(dynamics, "_kernel", lambda: None)
+        genes = np.random.default_rng(1).random((6, 5))
+        before = genes.copy()
+        out = np.empty_like(genes)
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        for best, target in ((genes[0], genes), (out[2], out)):
+            with pytest.raises(ValueError, match="share memory"):
+                build_trials(genes, best, DEConfig(np_size=6), rng, out=target)
+        assert rng.bit_generator.state == state
+        np.testing.assert_array_equal(genes, before)
+
+
+@st.composite
+def trial_cases(draw, nan=True):
+    """Genes, best, config and generation seed for :func:`build_trials`.
+
+    Genes and best hold runs of exact 0.0 and 1.0, and with ``nan`` maybe a
+    NaN, which the clamp must keep; best is a population row or a row of
+    its own. cr and fp take both ends of [0, 1] or a value between, and
+    fp = 0 draws every F from the Cauchy, whose large values push mutants
+    past both clamp bounds.
+    """
+    np_size = draw(st.integers(4, 40))
+    dim = draw(st.sampled_from([1, 2]) | st.integers(1, 300))
+    rate = st.sampled_from([0.0, 1.0]) | st.floats(0.0, 1.0)
+    cfg = DEConfig(np_size=np_size, cr=draw(rate), fp=draw(rate))
+    genes = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).random((np_size + 1, dim))
+    for value in (0.0, 1.0):
+        start = draw(st.integers(0, genes.size))
+        genes.flat[start:start + draw(st.integers(0, genes.size // 2))] = value
+    if nan and draw(st.booleans()):
+        genes.flat[draw(st.integers(0, genes.size - 1))] = np.nan
+    best = genes[draw(st.integers(0, np_size))]
+    return genes[:np_size], best, cfg, draw(st.integers(0, 2**32 - 1))
+
+
+def trials_on(build, genes, best, cfg, seed):
+    """Trials from one kernel build; None forces the numpy passes, as when no build loads."""
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(dynamics, "_kernel", lambda: build)
+        return build_trials(genes, best, cfg, np.random.default_rng(seed))
+
+
+def toy_constrained(x):
+    """A cheap objective and violation where trials win and lose alike."""
+    return ((x - 0.3) ** 2).sum(axis=1), np.maximum(0.0, x.mean(axis=1) - 0.5)
+
+
+class TiedCrossoverRng:
+    """A generator whose crossover uniforms all equal 0.5."""
+
+    def __init__(self, seed):
+        self._rng = np.random.default_rng(seed)
+
+    def random(self, out):
+        out.fill(0.5)
+        return out
+
+    def integers(self, high, size=None):
+        return self._rng.integers(high, size=size)
+
+
+class TestCompiledTrials:
+    @settings(max_examples=150, deadline=None)
+    @given(case=trial_cases())
+    def test_matches_numpy_bytes(self, kernel, case):
+        genes, best, cfg, seed = case
+        compiled = trials_on(kernel, genes, best, cfg, seed)
+        assert compiled.tobytes() == trials_on(None, genes, best, cfg, seed).tobytes()
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=trial_cases())
+    def test_every_level_gives_baseline_bytes(self, level_builds, case):
+        genes, best, cfg, seed = case
+        base = trials_on(level_builds["base"], genes, best, cfg, seed)
+        for level, build in level_builds.items():
+            assert trials_on(build, genes, best, cfg, seed).tobytes() == base.tobytes(), level
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=trial_cases(nan=False))
+    def test_generations_match_numpy_bytes(self, kernel, case):
+        genes, _, cfg, seed = case
+        runs = []
+        for build in (kernel, None):
+            pop = make_population(genes.copy(), toy_constrained)
+            rng = np.random.default_rng(seed)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(dynamics, "_kernel", lambda: build)
+                for _ in range(5):
+                    nsde_generation(pop, toy_constrained, 0.1, cfg, rng)
+            runs.append([a.tobytes() for a in (pop.genes, pop.f, pop.violation)])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.parametrize("compiled", [True, False])
+    def test_uniform_equal_to_cr_takes_mutant(self, compiled, monkeypatch):
+        if not compiled:
+            monkeypatch.setattr(dynamics, "_kernel", lambda: None)
+        monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.5))
+        genes = np.random.default_rng(1).random((10, 7))
+        trials = build_trials(genes, genes[4], DEConfig(np_size=10, cr=0.5),
+                              TiedCrossoverRng(6))
+        expected = np.clip(expected_mutants(genes, genes[4], 0.5, 6), 0.0, 1.0)
+        np.testing.assert_allclose(trials, expected, rtol=0.0, atol=1e-15)
+
+    def test_no_compiler_runs_numpy_code_with_one_warning(self, kernel, isolated_kernel,
+                                                           monkeypatch):
+        monkeypatch.setenv("PATH", str(isolated_kernel.parent))
+        net = generate_ba(20, 5, 5, seed=1)
+        params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=10, substeps=4)
+        cfg = DEConfig(np_size=8)
+
+        def run(evaluate):
+            rng = np.random.default_rng(3)
+            pop = make_population(init_population(cfg, 3420, rng), evaluate)
+            for _ in range(3):
+                nsde_generation(pop, evaluate, 0.0, cfg, rng)
+            return [a.tobytes() for a in (pop.genes, pop.f, pop.violation)]
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            evaluate = make_batch_evaluator(net, params, 700.0)
+            fallback = run(evaluate)
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert dynamics._kernel() is None
+        assert not list(isolated_kernel.glob("*"))
+        # The same numpy-loop evaluator, now with the compiled trial pass.
+        monkeypatch.setattr(dynamics, "_kernel", lambda: kernel)
+        assert run(evaluate) == fallback
+
+    def test_import_builds_nothing(self):
+        code = ("import epiadapt, epiadapt.dynamics as d; "
+                "assert d._kernel.cache_info().misses == 0")
+        src = str(Path(epiadapt.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
 
 class TestNsdeGeneration:

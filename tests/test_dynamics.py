@@ -1,8 +1,6 @@
 import functools
 import math
-import os
 import shutil
-import subprocess
 import warnings
 
 import numpy as np
@@ -259,56 +257,11 @@ class TestEvaluateCandidate:
             evaluate(np.zeros((2, 100)))
 
 
-@pytest.fixture(scope="module")
-def kernel():
-    """The compiled RK4 kernel; tests that need it skip when no compiler is found."""
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
-        fn = dynamics._kernel()
-    if fn is None:
-        pytest.skip("the RK4 kernel could not be built here")
-    return fn
-
-
 def kernel_evaluator(build, *args):
     """A batch evaluator on one kernel build; None forces its numpy loop, as when no build loads."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dynamics, "_kernel", lambda: build)
         return make_batch_evaluator(*args)
-
-
-@pytest.fixture()
-def isolated_kernel(tmp_path, monkeypatch):
-    """Point the kernel loader at a copy of the C source with an empty cache."""
-    loader = dynamics._kernel
-    source = tmp_path / "_rk4.c"
-    shutil.copy(dynamics._KERNEL_SOURCE, source)
-    monkeypatch.setattr(dynamics, "_KERNEL_SOURCE", source)
-    loader.cache_clear()
-    yield tmp_path / "__pycache__"
-    loader.cache_clear()
-
-
-@pytest.fixture(scope="module")
-def level_builds(tmp_path_factory):
-    """Every kernel build this host can make and run, by level, from a temporary cache."""
-    source = tmp_path_factory.mktemp("levels") / "_rk4.c"
-    shutil.copy(dynamics._KERNEL_SOURCE, source)
-    try:
-        cpuinfo = dynamics._CPUINFO.read_text()
-    except OSError:
-        cpuinfo = ""
-    builds = {}
-    with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_KERNEL_SOURCE", source)
-        for level in dynamics._host_levels(cpuinfo, os.uname().machine):
-            try:
-                builds[level] = dynamics._kernel_build(level)
-            except (OSError, subprocess.CalledProcessError):
-                pass
-    if "base" not in builds:
-        pytest.skip("the baseline RK4 kernel could not be built here")
-    return builds
 
 
 @st.composite
