@@ -17,7 +17,7 @@ from .dynamics import (
     objective_value,
 )
 from .eps_constraint import EpsilonSchedule, better_than
-from .graph import generate_ba, load_network, spectral_radius
-from .harness import ConfigError, ExperimentConfig, run_experiment
+from .graph import generate_ba, spectral_radius
+from .harness import ConfigError, ExperimentConfig, load_network, run_experiment
 
 __version__ = "0.1.0"

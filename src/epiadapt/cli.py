@@ -9,28 +9,33 @@ from pathlib import Path
 
 from .baselines import no_adaptation_schedule
 from .coevolve import grouping_probability
-from .dynamics import integrate, objective_value, write_trajectory_csv
-from .graph import generate_ba, load_network, save_network
+from .dynamics import integrate, objective_value
+from .graph import Network, generate_ba
 from .harness import (
     ABORTED_FILE,
     ConfigError,
     ExperimentConfig,
+    load_network,
     normalize_algorithm,
     read_schedule_csv,
     run_experiment,
+    save_network,
     summarize_run_dirs,
     write_summary_csv,
+    write_trajectory_csv,
 )
 
 
-def _load_config(path: str, **overrides) -> ExperimentConfig:
+def _load_config(path: str, net: Network, **overrides) -> ExperimentConfig:
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    cfg = ExperimentConfig.from_dict(data)
+    cfg = ExperimentConfig.from_dict({"n": net.n, **data})
+    if cfg.n != net.n:
+        raise ConfigError(f"config {path} sets n={cfg.n}, but the network has {net.n} nodes")
     if overrides:
         cfg = dataclasses.replace(cfg, **overrides)
     return cfg
@@ -44,8 +49,8 @@ def _cmd_gen_net(args: argparse.Namespace) -> int:
 
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config)
     net = load_network(args.net)
+    cfg = _load_config(args.config, net)
     params = cfg.epidemic_params()
     if args.schedule is None:
         sched = no_adaptation_schedule(net, cfg.horizon)
@@ -58,13 +63,15 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
+    if args.workers < 1:
+        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     overrides: dict = {"algorithm": normalize_algorithm(args.algo)}
     if args.runs is not None:
         overrides["runs"] = args.runs
     if args.seed is not None:
         overrides["master_seed"] = args.seed
-    cfg = _load_config(args.config, **overrides)
     net = load_network(args.net)
+    cfg = _load_config(args.config, net, **overrides)
     records = run_experiment(cfg, net=net, outdir=args.outdir, workers=args.workers)
     for rec in records:
         print(
@@ -78,8 +85,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
-    cfg = _load_config(args.config, algorithm=normalize_algorithm(args.mode))
     net = load_network(args.net)
+    cfg = _load_config(args.config, net, algorithm=normalize_algorithm(args.mode))
     records = run_experiment(cfg, net=net, outdir=args.outdir)
     rec = records[0]
     print(f"{rec.algorithm}: ofv={rec.ofv:.6f} violation={rec.violation:.3g}")

@@ -85,12 +85,15 @@ class Population:
     def eps_best_index(self, eps: float) -> int:
         """Index a sequential :func:`better_than` scan from index 0 would keep.
 
-        That is the first lexicographic minimum of (max(violation, eps), f),
-        except that a NaN objective heading the best-violation ties is never
-        displaced, since no comparison against it succeeds.
+        That is the first lexicographic minimum of (max(violation, eps), f)
+        over the rows whose violation is not NaN, as no comparison with a NaN
+        succeeds: a NaN violation never wins, and one at index 0, like a NaN
+        objective heading the best-violation ties, is never displaced.
         """
         key = np.maximum(self.violation, eps)
-        ties = np.flatnonzero(key == key.min())
+        if np.isnan(key[0]):
+            return 0
+        ties = np.flatnonzero(key == np.nanmin(key))
         f = self.f[ties]
         return int(ties[0] if np.isnan(f[0]) else ties[np.nanargmin(f)])
 

@@ -9,7 +9,6 @@ the total squared deviation of the schedule from the initial weights.
 """
 from __future__ import annotations
 
-import csv
 import ctypes
 import os
 import subprocess
@@ -459,14 +458,4 @@ def trace_series(
     totals = np.array([net.w0.sum()] + [block.sum() for block in sched.blocks])
     w_level = totals[np.minimum(traj.times.astype(int), sched.horizon - 1)]
     return traj.times, traj.p.mean(axis=1), w_level
-
-
-def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
-    """Export a trajectory as CSV rows ``t, p_0, ..., p_{N-1}``."""
-    n = traj.p.shape[1]
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"p_{i}" for i in range(n)])
-        for t, row in zip(traj.times, traj.p):
-            writer.writerow([f"{t:.12g}"] + [f"{v:.12g}" for v in row])
 

@@ -6,9 +6,7 @@ matrix sets the epidemic threshold of the mean-field SIS dynamics.
 """
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -129,54 +127,3 @@ def spectral_radius(matrix: np.ndarray) -> float:
         raise ValueError("matrix must be nonnegative")
     return float(np.max(np.abs(np.linalg.eigvals(a))))
 
-
-def save_network(net: Network, path: str | Path) -> None:
-    """Write the network as CSV rows ``i,j,w``, one per directed nonzero weight."""
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["i", "j", "w"])
-        for i in range(net.n):
-            for j in range(net.n):
-                if net.w0[i, j] > 0.0:
-                    writer.writerow([i, j, f"{net.w0[i, j]:.12g}"])
-
-
-def load_network(path: str | Path) -> Network:
-    """Read a network CSV written by :func:`save_network`, validating invariants.
-
-    Node ids are nonnegative integers; the node count is the largest id + 1.
-    """
-    weights: dict[tuple[int, int], float] = {}
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["i", "j", "w"]:
-            raise ValueError(f"{path}: expected header 'i,j,w'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 3:
-                raise ValueError(f"{path}:{lineno}: expected 3 columns")
-            try:
-                i, j, w = int(row[0]), int(row[1]), float(row[2])
-            except ValueError:
-                raise ValueError(f"{path}:{lineno}: i,j must be integers, w a number") from None
-            if i < 0 or j < 0:
-                raise ValueError(f"{path}:{lineno}: node ids must be nonnegative")
-            if i == j:
-                raise ValueError(f"{path}:{lineno}: self-loop at node {i}")
-            if (i, j) in weights:
-                raise ValueError(f"{path}:{lineno}: duplicate entry for ({i}, {j})")
-            if not 0.0 < w <= 1.0:
-                raise ValueError(f"{path}:{lineno}: weight {w} for ({i}, {j}) outside (0, 1]")
-            weights[(i, j)] = w
-    if not weights:
-        raise ValueError(f"{path}: no weight rows")
-    n = max(max(ij) for ij in weights) + 1
-    w0 = np.zeros((n, n))
-    for (i, j), w in weights.items():
-        w0[i, j] = w
-    try:
-        return Network(w0)
-    except ValueError as exc:
-        raise ValueError(f"{path}: {exc}") from None

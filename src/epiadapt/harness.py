@@ -1,12 +1,12 @@
-"""Experiment orchestration: seeded campaigns, run records, CSV artifacts.
+"""Experiment orchestration and the package's CSV formats.
 
 A campaign builds one network, executes the configured number of
 independent optimization runs (or a single deterministic baseline run),
-and emits CSV artifacts. Per-run seeds are split from the master seed with
-a fixed derivation, so a campaign is reproducible byte for byte no matter
-how many worker processes execute it; wall times go to a separate
-timing.txt precisely to keep the CSVs deterministic. Runs lost to a
-diverged integration are listed in aborted.txt, which exists only then.
+and emits CSV artifacts (csv module dialect, numbers as ``.12g``). Run
+seeds derive from the master seed by a fixed split, so a campaign is
+reproducible byte for byte at any number of worker processes; wall times
+go to timing.txt to keep the CSVs deterministic. Runs lost to a diverged
+integration go to aborted.txt, which exists only then.
 """
 from __future__ import annotations
 
@@ -40,7 +40,6 @@ from .dynamics import (
     make_batch_evaluator,
     objective_value,
     trace_series,
-    _offdiag_indices,
 )
 from .graph import Network, generate_ba
 from .stats import AlgorithmSummary, summarize
@@ -323,29 +322,79 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def write_history_csv(history: Sequence[GenerationRecord], path: Path) -> None:
-    with path.open("w", newline="") as fh:
+def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+    """Write ``header`` and then ``rows`` in the csv module's default dialect."""
+    with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(
-            ["generation", "cycle", "group", "best_f", "best_violation", "epsilon"]
-        )
-        for row in history:
-            writer.writerow(
-                [row.generation, row.cycle, row.group,
-                 _fmt(row.best_f), _fmt(row.best_violation), _fmt(row.epsilon)]
-            )
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
+def _read_rows(path: str | Path, header: list[str]):
+    """Yield ``(where, ints, number)`` per nonblank row of a CSV headed ``header``.
+
+    All fields but the last are integers, the last a number. ``where`` is
+    ``path:line``; it starts every error raised here and the caller's own.
+    """
+    width = f"{len(header)} fields {','.join(header)}"
+    kinds = f"{','.join(header[:-1])} must be integers, {header[-1]} a number"
+    with Path(path).open(newline="") as fh:
+        reader = csv.reader(fh)
+        first = next(reader, None)
+        if first is None or [h.strip() for h in first] != header:
+            raise ConfigError(f"{path}: expected header '{','.join(header)}'")
+        for lineno, row in enumerate(reader, start=2):
+            if not row:
+                continue
+            where = f"{path}:{lineno}"
+            if len(row) != len(header):
+                raise ConfigError(f"{where}: expected {width}, got {len(row)}")
+            try:
+                ints, number = [int(v) for v in row[:-1]], float(row[-1])
+            except ValueError:
+                raise ConfigError(f"{where}: {kinds}") from None
+            yield where, ints, number
+
+
+def save_network(net: Network, path: str | Path) -> None:
+    """Write the network as CSV rows ``i,j,w``, one per directed nonzero weight."""
+    _write_csv(path, ["i", "j", "w"],
+               ([i, j, _fmt(w)] for (i, j), w in np.ndenumerate(net.w0) if w > 0.0))
+
+
+def load_network(path: str | Path) -> Network:
+    """Read a network CSV written by :func:`save_network`, validating invariants.
+
+    Node ids are nonnegative integers; the node count is the largest id + 1.
+    """
+    weights: dict[tuple[int, int], float] = {}
+    for where, (i, j), w in _read_rows(path, ["i", "j", "w"]):
+        if i < 0 or j < 0:
+            raise ConfigError(f"{where}: node ids must be nonnegative")
+        if i == j:
+            raise ConfigError(f"{where}: self-loop at node {i}")
+        if (i, j) in weights:
+            raise ConfigError(f"{where}: duplicate entry for ({i}, {j})")
+        if not 0.0 < w <= 1.0:
+            raise ConfigError(f"{where}: weight {w} for ({i}, {j}) outside (0, 1]")
+        weights[(i, j)] = w
+    if not weights:
+        raise ConfigError(f"{path}: no weight rows")
+    n = max(max(ij) for ij in weights) + 1
+    w0 = np.zeros((n, n))
+    for (i, j), w in weights.items():
+        w0[i, j] = w
+    try:
+        return Network(w0)
+    except ValueError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
 
 
 def write_schedule_csv(sched: WeightSchedule, path: Path) -> None:
     """All off-diagonal weights of every block, rows ``t,i,j,w`` with t >= 1."""
-    rows, cols = _offdiag_indices(sched.n)
-    with path.open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t", "i", "j", "w"])
-        for t in range(1, sched.horizon):
-            block = sched.blocks[t - 1]
-            for i, j in zip(rows, cols):
-                writer.writerow([t, i, j, _fmt(block[i, j])])
+    _write_csv(path, ["t", "i", "j", "w"],
+               ([t + 1, i, j, _fmt(w)]
+                for (t, i, j), w in np.ndenumerate(sched.blocks) if i != j))
 
 
 def read_schedule_csv(path: str | Path, n: int, horizon: int) -> WeightSchedule:
@@ -355,63 +404,50 @@ def read_schedule_csv(path: str | Path, n: int, horizon: int) -> WeightSchedule:
     """
     blocks = np.zeros((horizon - 1, n, n))
     seen: set[tuple[int, int, int]] = set()
-    with Path(path).open(newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if header is None or [h.strip() for h in header] != ["t", "i", "j", "w"]:
-            raise ConfigError(f"{path}: expected header 't,i,j,w'")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            if len(row) != 4:
-                raise ConfigError(f"{path}:{lineno}: expected 4 fields t,i,j,w, got {len(row)}")
-            try:
-                t, i, j, w = int(row[0]), int(row[1]), int(row[2]), float(row[3])
-            except ValueError:
-                raise ConfigError(f"{path}:{lineno}: t,i,j must be integers, w a number") from None
-            if not 1 <= t < horizon:
-                raise ConfigError(f"{path}:{lineno}: block index {t} outside [1, {horizon})")
-            if not (0 <= i < n and 0 <= j < n):
-                raise ConfigError(f"{path}:{lineno}: node ids must lie in [0, {n})")
-            if i == j:
-                raise ConfigError(f"{path}:{lineno}: diagonal weights must stay zero")
-            if (t, i, j) in seen:
-                raise ConfigError(f"{path}:{lineno}: duplicate entry t={t}, i={i}, j={j}")
-            seen.add((t, i, j))
-            blocks[t - 1, i, j] = w
+    for where, (t, i, j), w in _read_rows(path, ["t", "i", "j", "w"]):
+        if not 1 <= t < horizon:
+            raise ConfigError(f"{where}: block index {t} outside [1, {horizon})")
+        if not (0 <= i < n and 0 <= j < n):
+            raise ConfigError(f"{where}: node ids must lie in [0, {n})")
+        if i == j:
+            raise ConfigError(f"{where}: diagonal weights must stay zero")
+        if (t, i, j) in seen:
+            raise ConfigError(f"{where}: duplicate entry t={t}, i={i}, j={j}")
+        seen.add((t, i, j))
+        blocks[t - 1, i, j] = w
     expected = (horizon - 1) * n * (n - 1)
     if len(seen) != expected:
         raise ConfigError(f"{path}: {expected - len(seen)} of {expected} entries missing")
     return WeightSchedule(blocks=blocks)
 
 
+def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
+    """Export a trajectory as CSV rows ``t, p_0, ..., p_{N-1}``."""
+    _write_csv(path, ["t"] + [f"p_{i}" for i in range(traj.p.shape[1])],
+               ([_fmt(t), *map(_fmt, row)] for t, row in zip(traj.times, traj.p)))
+
+
 def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path) -> None:
     """Write runs.csv plus per-run history, traces, schedule, and timing.txt."""
     outdir.mkdir(parents=True, exist_ok=True)
-    with (outdir / "runs.csv").open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["algorithm", "run", "ofv", "violation", "evaluations", "generations"]
-        )
-        for rec in records:
-            writer.writerow(
-                [rec.algorithm, rec.run, _fmt(rec.ofv), _fmt(rec.violation),
-                 rec.evaluations, rec.generations]
-            )
+    _write_csv(outdir / "runs.csv",
+               ["algorithm", "run", "ofv", "violation", "evaluations", "generations"],
+               ([rec.algorithm, rec.run, _fmt(rec.ofv), _fmt(rec.violation),
+                 rec.evaluations, rec.generations] for rec in records))
     for rec in records:
         rdir = outdir / f"run_{rec.run:02d}"
         rdir.mkdir(exist_ok=True)
-        write_history_csv(rec.history, rdir / "history.csv")
+        _write_csv(rdir / "history.csv",
+                   ["generation", "cycle", "group", "best_f", "best_violation", "epsilon"],
+                   ([row.generation, row.cycle, row.group, _fmt(row.best_f),
+                     _fmt(row.best_violation), _fmt(row.epsilon)] for row in rec.history))
         write_schedule_csv(rec.schedule, rdir / "best_schedule.csv")
         times, i_level, w_level = trace_series(rec.trajectory, rec.schedule, net)
         for name, series in (("I", i_level), ("W", w_level)):
-            with (rdir / f"trace_{name}.csv").open("w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(["t", name])
-                writer.writerows([_fmt(t), _fmt(value)] for t, value in zip(times, series))
-    with (outdir / "timing.txt").open("w") as fh:
-        for rec in records:
-            fh.write(f"run {rec.run}: {rec.wall_time:.3f} s\n")
+            _write_csv(rdir / f"trace_{name}.csv", ["t", name],
+                       ([_fmt(t), _fmt(value)] for t, value in zip(times, series)))
+    (outdir / "timing.txt").write_text(
+        "".join(f"run {rec.run}: {rec.wall_time:.3f} s\n" for rec in records))
 
 
 def read_runs_csv(path: str | Path) -> list[dict]:
@@ -469,19 +505,7 @@ def summarize_run_dirs(
 
 
 def write_summary_csv(rows: Sequence[AlgorithmSummary], path: Path) -> None:
-    with Path(path).open("w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(
-            ["algorithm", "mean_ofv", "std", "p_value", "best", "infeasible_runs"]
-        )
-        for row in rows:
-            writer.writerow(
-                [
-                    row.algorithm,
-                    _fmt(row.mean_ofv),
-                    _fmt(row.std),
-                    "-" if row.p_value is None else _fmt(row.p_value),
-                    int(row.is_best),
-                    row.n_infeasible,
-                ]
-            )
+    _write_csv(path, ["algorithm", "mean_ofv", "std", "p_value", "best", "infeasible_runs"],
+               ([row.algorithm, _fmt(row.mean_ofv), _fmt(row.std),
+                 "-" if row.p_value is None else _fmt(row.p_value),
+                 int(row.is_best), row.n_infeasible] for row in rows))

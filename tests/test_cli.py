@@ -3,7 +3,7 @@ import json
 import pytest
 
 from epiadapt.cli import main
-from epiadapt.graph import load_network
+from epiadapt.harness import load_network
 
 TINY_CONFIG = {
     "n": 20, "m0": 5, "m": 5, "net_seed": 1,
@@ -97,6 +97,29 @@ def test_incomplete_schedule_exits_2(workspace, tmp_path):
     schedule.write_text("t,i,j,w\n1,0,1,0.5\n")
     assert main(["simulate", "--net", str(net), "--config", str(config),
                  "--schedule", str(schedule), "--out", str(tmp_path / "x.csv")]) == 2
+
+
+@pytest.mark.parametrize("flag", [["--workers", "0"], ["--workers=-2"]])
+def test_optimize_rejects_fewer_than_one_worker(workspace, capsys, flag):
+    tmp_path, net, config = workspace
+    assert main(["optimize", "--net", str(net), "--config", str(config),
+                 "--algo", "nsde", *flag, "--outdir", str(tmp_path / "opt")]) == 2
+    assert "--workers must be at least 1" in capsys.readouterr().err
+    assert not (tmp_path / "opt").exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["simulate", "--out", "{tmp}/x.csv"],
+    ["optimize", "--algo", "nsde", "--outdir", "{tmp}/opt"],
+    ["baseline", "--mode", "none", "--outdir", "{tmp}/none"],
+])
+def test_config_n_must_match_network(workspace, capsys, command):
+    tmp_path, net, _ = workspace
+    bad = tmp_path / "n30.json"
+    bad.write_text(json.dumps({**TINY_CONFIG, "n": 30}))
+    name, *rest = (arg.format(tmp=tmp_path) for arg in command)
+    assert main([name, "--net", str(net), "--config", str(bad), *rest]) == 2
+    assert "sets n=30, but the network has 20 nodes" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("override", [{"np": 10.5}, {"horizon": 10.0}, {"runs": True}])

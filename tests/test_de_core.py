@@ -483,9 +483,10 @@ def scan_best_index(f, viol, eps):
     return best
 
 
-# Small value pools make ties, values exactly at eps, and NaN objectives common.
+# Small value pools make ties, values exactly at eps, and NaNs in both arrays common.
 EPS_VALUES = st.sampled_from([0.0, 0.5, 1.0])
-VIOLATIONS = st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]), min_size=1, max_size=12)
+VIOLATION_VALUES = st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0, np.nan])
+VIOLATIONS = st.lists(VIOLATION_VALUES, min_size=1, max_size=12)
 OBJECTIVES = st.sampled_from([-1.0, 0.0, 1.0, 3.0, np.inf, np.nan])
 
 
@@ -503,8 +504,7 @@ class TestEpsComparatorArrays:
     def test_selection_mask_matches_better_than(self, data, eps):
         viol_a = np.array(data.draw(VIOLATIONS))
         size = viol_a.size
-        viol_b = np.array(data.draw(st.lists(st.sampled_from([0.0, 0.25, 0.5, 1.0, 2.0]),
-                                             min_size=size, max_size=size)))
+        viol_b = np.array(data.draw(st.lists(VIOLATION_VALUES, min_size=size, max_size=size)))
         f_a, f_b = (np.array(data.draw(st.lists(OBJECTIVES, min_size=size, max_size=size)))
                     for _ in range(2))
         expected = [better_than(f_a[i], viol_a[i], f_b[i], viol_b[i], eps) for i in range(size)]

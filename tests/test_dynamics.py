@@ -471,7 +471,7 @@ class TestTraces:
             total_weights(sched, net20, -0.1)
 
     def test_trajectory_csv_export(self, net20, tmp_path):
-        from epiadapt.dynamics import write_trajectory_csv
+        from epiadapt.harness import write_trajectory_csv
 
         params = EpidemicParams(**REF_EPI, substeps=3)
         sched = no_adaptation_schedule(net20, 10)

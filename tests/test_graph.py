@@ -6,11 +6,10 @@ from hypothesis import strategies as st
 from epiadapt.graph import (
     Network,
     generate_ba,
-    load_network,
-    save_network,
     spectral_radius,
     topology_stats,
 )
+from epiadapt.harness import load_network, save_network
 
 
 def complete_graph(n: int) -> Network:

@@ -5,20 +5,32 @@ import numpy as np
 import pytest
 
 from epiadapt.baselines import no_adaptation_schedule
-from epiadapt.dynamics import EpidemicParams, integrate, objective_value
-from epiadapt.graph import generate_ba
+from epiadapt.coevolve import GenerationRecord
+from epiadapt.dynamics import (
+    EpidemicParams,
+    Trajectory,
+    WeightSchedule,
+    integrate,
+    objective_value,
+)
+from epiadapt.graph import Network, generate_ba
 from epiadapt.harness import (
     ConfigError,
     ExperimentConfig,
+    RunRecord,
     derive_run_seed,
+    emit_run_artifacts,
     normalize_algorithm,
     read_runs_csv,
     read_schedule_csv,
     run_experiment,
+    save_network,
     summarize_run_dirs,
     write_schedule_csv,
     write_summary_csv,
+    write_trajectory_csv,
 )
+from epiadapt.stats import AlgorithmSummary
 
 TINY = dict(
     np_size=10, total_fes=1200, sub_fes=40, substeps=5, runs=2, master_seed=3
@@ -314,3 +326,69 @@ class TestStatsPipeline:
         path = tmp_path / "runs.csv"
         path.write_text("algorithm,run,ofv,violation\nnsde,0,2.5,0.0\nnone,0,3.0,0.0\n")
         assert [row["algorithm"] for row in read_runs_csv(path)] == ["nsde", "none"]
+
+
+class TestArtifactBytes:
+    """Every writer's exact bytes: header, .12g numbers, the csv module's \\r\\n."""
+
+    third = 1.0 / 3.0
+    net = Network(np.array([[0.0, 1.0, third], [1.0, 0.0, 0.0], [0.25, 0.0, 0.0]]))
+    sched = WeightSchedule(blocks=np.array([[[0.0, 0.5, third], [0.0, 0.0, 0.0],
+                                             [0.25, 0.0, 0.0]]]))
+    traj = Trajectory(times=np.arange(5) / 2.0,
+                      p=np.array([[0.5, 0.5, 0.5], [0.25, 0.5, 0.75], [0.0, third, 1.0],
+                                  [1e-13, 0.0, 0.0], [1.0, 1.0, 1.0]]))
+    schedule_bytes = (b"t,i,j,w\r\n1,0,1,0.5\r\n1,0,2,0.333333333333\r\n1,1,0,0\r\n"
+                      b"1,1,2,0\r\n1,2,0,0.25\r\n1,2,1,0\r\n")
+
+    def test_network(self, tmp_path):
+        save_network(self.net, tmp_path / "net.csv")
+        assert (tmp_path / "net.csv").read_bytes() == (
+            b"i,j,w\r\n0,1,1\r\n0,2,0.333333333333\r\n1,0,1\r\n2,0,0.25\r\n"
+        )
+
+    def test_schedule(self, tmp_path):
+        write_schedule_csv(self.sched, tmp_path / "sched.csv")
+        assert (tmp_path / "sched.csv").read_bytes() == self.schedule_bytes
+
+    def test_trajectory(self, tmp_path):
+        write_trajectory_csv(self.traj, tmp_path / "traj.csv")
+        assert (tmp_path / "traj.csv").read_bytes() == (
+            b"t,p_0,p_1,p_2\r\n0,0.5,0.5,0.5\r\n0.5,0.25,0.5,0.75\r\n"
+            b"1,0,0.333333333333,1\r\n1.5,1e-13,0,0\r\n2,1,1,1\r\n"
+        )
+
+    def test_run_artifacts(self, tmp_path):
+        record = RunRecord(
+            algorithm="nsde_c3", run=0, ofv=2.0 / 3.0, violation=0.0, evaluations=40,
+            generations=4, history=[GenerationRecord(1, 0, 2, self.third, 0.0, 1e-13)],
+            schedule=self.sched, trajectory=self.traj,
+        )
+        emit_run_artifacts([record], self.net, tmp_path)
+        run = tmp_path / "run_00"
+        assert (tmp_path / "runs.csv").read_bytes() == (
+            b"algorithm,run,ofv,violation,evaluations,generations\r\n"
+            b"nsde_c3,0,0.666666666667,0,40,4\r\n"
+        )
+        assert (run / "history.csv").read_bytes() == (
+            b"generation,cycle,group,best_f,best_violation,epsilon\r\n"
+            b"1,0,2,0.333333333333,0,1e-13\r\n"
+        )
+        assert (run / "best_schedule.csv").read_bytes() == self.schedule_bytes
+        assert (run / "trace_I.csv").read_bytes() == (
+            b"t,I\r\n0,0.5\r\n0.5,0.5\r\n1,0.444444444444\r\n1.5,3.33333333333e-14\r\n"
+            b"2,1\r\n"
+        )
+        assert (run / "trace_W.csv").read_bytes() == (
+            b"t,W\r\n0,2.58333333333\r\n0.5,2.58333333333\r\n1,1.08333333333\r\n"
+            b"1.5,1.08333333333\r\n2,1.08333333333\r\n"
+        )
+
+    def test_summary(self, tmp_path):
+        rows = [AlgorithmSummary("nsde_c3", 2.0 / 3.0, 0.1, None, 2, 0, True),
+                AlgorithmSummary("none", 1.5, 0.0, self.third, 1, 1, False)]
+        write_summary_csv(rows, tmp_path / "summary.csv")
+        assert (tmp_path / "summary.csv").read_bytes() == (
+            b"algorithm,mean_ofv,std,p_value,best,infeasible_runs\r\n"
+            b"nsde_c3,0.666666666667,0.1,-,1,0\r\nnone,1.5,0,0.333333333333,0,1\r\n"
+        )
