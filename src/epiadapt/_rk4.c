@@ -7,10 +7,14 @@
  * contribution. Each candidate goes through the arithmetic of
  * dynamics._advance_unit step by step; only the mat-vec adds its terms in
  * j order where BLAS uses its own order, so results agree with the numpy
- * loop to round-off.
+ * loop to round-off. Before integrating, it also writes each candidate's
+ * squared deviation sum_e (x_e - x0_e)^2 to g; that sum mirrors the loop of
+ * numpy's einsum on its x86-64 baseline, so its bytes equal the numpy
+ * loop's (see sq_dev).
  *
  * x holds B rows of T1 * m genes, m = n * (n - 1). Gene e of an interval is
  * the weight w[i, j] with pos[e] = j * n + i, scaled by beta_off[e] = beta[j].
+ * x0 is one row of T1 * m genes: w0's off-diagonal entries, tiled.
  *
  * Candidates run LANES at a time, side by side: entry (i, lane) of a state
  * sits at i * LANES + lane, and w[i, j] * beta[j] of each lane at
@@ -68,6 +72,37 @@ static void rhs(int64_t n, const double *restrict wb, const double *restrict gam
         rhs_rows(n, i0, 1, wb, gamma, v, out);
 }
 
+/* g[l] = sum_e (rows[l][e] - x0[e])^2 over D genes for each lane's row, in
+ * the order of numpy's einsum ('ij,ij->i') for a contiguous float64 row on
+ * its x86-64 baseline (SSE2, 2 f64 lanes, multiply and add rounded apart):
+ * a0 sums the even genes and a1 the odd ones; each full block of 8 adds its
+ * products last pair first, the rest go in pairs in order, and the result
+ * is a0 + a1. D = T1 * n * (n - 1) is even, so the pairs cover every gene.
+ * Each row keeps its own two sums, so running the rows side by side changes
+ * no byte. The violation decides selection, so these bytes must not move. */
+static void sq_dev(int64_t D, const double *const *rows, const double *restrict x0,
+                   double *restrict g)
+{
+    double a0[LANES] = {0.0}, a1[LANES] = {0.0};
+    int64_t j = 0;
+    for (; j + 8 <= D; j += 8)
+        for (int q = 6; q >= 0; q -= 2)
+            for (int l = 0; l < LANES; ++l) {
+                const double d0 = rows[l][j + q] - x0[j + q];
+                const double d1 = rows[l][j + q + 1] - x0[j + q + 1];
+                a0[l] += d0 * d0;
+                a1[l] += d1 * d1;
+            }
+    for (; j < D; j += 2)
+        for (int l = 0; l < LANES; ++l) {
+            const double d0 = rows[l][j] - x0[j], d1 = rows[l][j + 1] - x0[j + 1];
+            a0[l] += d0 * d0;
+            a1[l] += d1 * d1;
+        }
+    for (int l = 0; l < LANES; ++l)
+        g[l] = a0[l] + a1[l];
+}
+
 static void sqrt_sum(int64_t n, const double *restrict p, double *restrict s)
 {
     for (int l = 0; l < LANES; ++l)
@@ -78,8 +113,9 @@ static void sqrt_sum(int64_t n, const double *restrict p, double *restrict s)
 }
 
 int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
-              const int64_t *pos, const double *beta_off, const double *gamma,
-              const double *p_unit, double obj_unit, double *obj)
+              const double *x0, const int64_t *pos, const double *beta_off,
+              const double *gamma, const double *p_unit, double obj_unit,
+              double *obj, double *g)
 {
     const int64_t m = n * (n - 1), nl = n * LANES;
     const double h = 1.0 / (double)k, hh = 0.5 * h, h6 = h / 6.0;
@@ -88,7 +124,7 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
         return 2;
     double *p = wb + n * nl, *tmp = p + nl;
     double *k1 = tmp + nl, *k2 = k1 + nl, *k3 = k2 + nl, *k4 = k3 + nl;
-    double s[LANES], acc[LANES], total[LANES];
+    double s[LANES], acc[LANES], total[LANES], dev[LANES];
     const double *rows[LANES];
     int status = 0;
 
@@ -97,6 +133,9 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
             rows[l] = x + (b0 + l < B ? b0 + l : b0) * T1 * m;
             total[l] = obj_unit;
         }
+        sq_dev(T1 * m, rows, x0, dev);
+        for (int l = 0; l < LANES && b0 + l < B; ++l)
+            g[b0 + l] = dev[l];
         for (int64_t i = 0; i < n; ++i)
             for (int l = 0; l < LANES; ++l)
                 p[i * LANES + l] = p_unit[i];

@@ -24,8 +24,9 @@ import numpy as np
 from .graph import Network
 
 BatchEvaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-# Candidates per block of the evaluator's constraint sum, which thus makes
-# no (B, D) temporary (see de_core.unpooled_empty for why that matters).
+# Candidates per block of the numpy loop's constraint sum, which thus makes
+# no (B, D) temporary (see de_core.unpooled_empty for why that matters). The
+# kernel sums in C and needs no blocks.
 _ROW_BLOCK = 32
 # Classical RK4 is stable on the negative real axis for h * |lambda| < 2.785.
 _RK4_REAL_LIMIT = 2.785
@@ -337,7 +338,7 @@ def _kernel_build(level: str) -> ctypes.CDLL:
     rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
     built.rk4_batch.argtypes = [
         ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        rows, i64, f64, f64, f64, ctypes.c_double, f64,
+        rows, f64, i64, f64, f64, f64, ctypes.c_double, f64, f64,
     ]
     built.rk4_batch.restype = ctypes.c_int
     built.de_trials.argtypes = [
@@ -392,7 +393,10 @@ def make_batch_evaluator(
     The shared [0, 1) interval (identical for every candidate) is integrated
     once up front. The re-planned intervals run in the compiled kernel of
     ``_rk4.c`` when it is available and in a numpy loop over
-    :func:`_advance_unit` otherwise; the two agree to round-off. This is the
+    :func:`_advance_unit` otherwise; the two agree to round-off in f. The
+    violation, max(0, sum of (x - x0)^2 - budget), comes from the same kernel
+    call; it decides selection, so the kernel sums in the order of the numpy
+    loop's ``einsum`` and both paths give the same bytes. This is the
     hot path for population-based optimizers; :func:`integrate` with
     :func:`objective_value` is the single-schedule reference. Unstable
     ``substeps`` raise ValueError, as there.
@@ -414,21 +418,22 @@ def make_batch_evaluator(
         if x.shape[1] != dim:
             raise ValueError(f"expected {dim} genes per candidate, got {x.shape[1]}")
         b = x.shape[0]
-        # einsum sums each row on its own, so blocks give a single call's bytes.
         g = np.empty(b)
-        for start in range(0, b, _ROW_BLOCK):
-            diff = x[start:start + _ROW_BLOCK] - x0
-            g[start:start + _ROW_BLOCK] = np.einsum("ij,ij->i", diff, diff)
-        g -= budget
         if kernel is not None:
             obj = np.empty(b)
-            status = kernel.rk4_batch(b, n, horizon - 1, k, np.ascontiguousarray(x), pos,
-                                      beta_off, gamma, p_unit[0], obj_unit[0], obj)
+            status = kernel.rk4_batch(b, n, horizon - 1, k, np.ascontiguousarray(x), x0,
+                                      pos, beta_off, gamma, p_unit[0], obj_unit[0], obj, g)
             if status == 2:
                 raise MemoryError("RK4 kernel could not allocate its scratch buffer")
             if status != 0:
                 raise IntegrationError("state became non-finite during integration")
+            g -= budget
             return obj, np.maximum(0.0, g)
+        # einsum sums each row on its own, so blocks give a single call's bytes.
+        for start in range(0, b, _ROW_BLOCK):
+            diff = x[start:start + _ROW_BLOCK] - x0
+            g[start:start + _ROW_BLOCK] = np.einsum("ij,ij->i", diff, diff)
+        g -= budget
         blocks = x.reshape(b, horizon - 1, n - 1, n)
         beta_rows = beta_off.reshape(n - 1, n)
         # One (B, n*n) buffer serves every interval. Past its leading

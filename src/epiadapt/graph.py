@@ -59,6 +59,8 @@ def generate_ba(n: int, m0: int, m: int, seed: int) -> Network:
     current degree (collisions redrawn). The edge count is therefore exactly
     m0*(m0-1)/2 + (n-m0)*m for every seed. Weights are 1 on every edge.
     """
+    if n < 2:
+        raise ValueError("need at least 2 nodes")
     if m > m0:
         raise ValueError(f"m={m} must not exceed m0={m0}")
     if m0 > n:

@@ -400,7 +400,8 @@ def write_schedule_csv(sched: WeightSchedule, path: Path) -> None:
 def read_schedule_csv(path: str | Path, n: int, horizon: int) -> WeightSchedule:
     """Read a schedule written by :func:`write_schedule_csv`.
 
-    Every off-diagonal entry of every block must appear exactly once.
+    Every off-diagonal entry of every block must appear exactly once, with
+    a weight in [0, 1].
     """
     blocks = np.zeros((horizon - 1, n, n))
     seen: set[tuple[int, int, int]] = set()
@@ -413,6 +414,8 @@ def read_schedule_csv(path: str | Path, n: int, horizon: int) -> WeightSchedule:
             raise ConfigError(f"{where}: diagonal weights must stay zero")
         if (t, i, j) in seen:
             raise ConfigError(f"{where}: duplicate entry t={t}, i={i}, j={j}")
+        if not 0.0 <= w <= 1.0:
+            raise ConfigError(f"{where}: weight {w} for t={t}, i={i}, j={j} outside [0, 1]")
         seen.add((t, i, j))
         blocks[t - 1, i, j] = w
     expected = (horizon - 1) * n * (n - 1)

@@ -180,6 +180,14 @@ def test_invalid_parameter_exits_2(tmp_path):
                  "--seed", "0", "--out", str(tmp_path / "net.csv")]) == 2
 
 
+def test_single_node_network_exits_2(tmp_path, capsys):
+    out = tmp_path / "net.csv"
+    assert main(["gen-net", "--n", "1", "--m0", "1", "--m", "1",
+                 "--seed", "0", "--out", str(out)]) == 2
+    assert "need at least 2 nodes" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_network_file_exits_3(workspace, tmp_path):
     _, _, config = workspace
     assert main(["simulate", "--net", str(tmp_path / "nope.csv"),

@@ -10,6 +10,8 @@ from hypothesis import strategies as st
 
 import epiadapt.dynamics as dynamics
 from epiadapt.baselines import constant_adaptation_schedule, no_adaptation_schedule
+from epiadapt.coevolve import optimize_subcomponent, random_grouping
+from epiadapt.de_core import DEConfig, Population
 from epiadapt.dynamics import (
     EpidemicParams,
     IntegrationError,
@@ -23,6 +25,7 @@ from epiadapt.dynamics import (
     objective_value,
     trace_series,
 )
+from epiadapt.eps_constraint import EpsilonSchedule
 from epiadapt.graph import Network, generate_ba
 from reference import (
     encode_schedule,
@@ -321,6 +324,52 @@ class TestKernel:
             f, viol = kernel_evaluator(build, net, params, budget)(x)
             assert f.tobytes() == f_base.tobytes(), level
             assert viol.tobytes() == viol_base.tobytes(), level
+
+    @pytest.mark.parametrize("batch", [1, 9, 350])
+    def test_violation_bytes_at_workload_scale(self, level_builds, net20, batch):
+        # D = 3420 is 427 full blocks of 8 genes, then 2 pairs. Budget 0
+        # makes each violation the bare sum, so no bit of it is hidden.
+        params = EpidemicParams(**REF_EPI, substeps=3)
+        rng = np.random.default_rng(batch)
+        x = rng.random((batch, 3420))
+        x[rng.random(x.shape) < 0.1] = 1.0
+        x[rng.random(x.shape) < 0.1] = 0.0
+        _, expected = kernel_evaluator(None, net20, params, 0.0)(x)
+        for level, build in level_builds.items():
+            _, viol = kernel_evaluator(build, net20, params, 0.0)(x)
+            assert viol.tobytes() == expected.tobytes(), level
+
+    def test_c3_context_batches_give_numpy_loop_bytes(self, kernel, net20):
+        # A visit to group 2 of 3 scores (NP, D) context batches in which only
+        # the group's columns vary. With budget 0 and eps 0 every candidate is
+        # infeasible, so selection follows the violations alone and both
+        # paths must evolve the same genes.
+        params = EpidemicParams(**REF_EPI, substeps=3)
+        rng = np.random.default_rng(11)
+        plan = random_grouping(3420, 3, rng)
+        genes = rng.random((10, 3420))
+        runs = []
+        for build in (kernel, None):
+            evaluate = kernel_evaluator(build, net20, params, 0.0)
+            seen = []
+
+            def recording(x, evaluate=evaluate, seen=seen):
+                f, viol = evaluate(x)
+                seen.append(viol.tobytes())
+                return f, viol
+
+            pop = Population(genes.copy(), *evaluate(genes))
+            optimize_subcomponent(
+                pop, plan, 2, genes[0].copy(), recording,
+                EpsilonSchedule(eps0=0.0, gc=10, gmax=100), DEConfig(np_size=10),
+                sub_fes=40, seed=3,
+            )
+            runs.append((seen, pop))
+        (seen_k, pop_k), (seen_np, pop_np) = runs
+        assert len(seen_k) == 5 and seen_k == seen_np
+        assert pop_k.genes.tobytes() == pop_np.genes.tobytes()
+        assert pop_k.violation.tobytes() == pop_np.violation.tobytes()
+        np.testing.assert_allclose(pop_k.f, pop_np.f, rtol=1e-12, atol=0.0)
 
     @pytest.mark.parametrize("flags,machine,level", [
         (SKYLAKE_X, "x86_64", "v4"),

@@ -50,6 +50,11 @@ class TestGenerateBA:
         net = generate_ba(n, m0, m, seed)
         assert net.edge_count == m0 * (m0 - 1) // 2 + (n - m0) * m
 
+    def test_fewer_than_two_nodes_rejected(self):
+        for n in (0, 1):
+            with pytest.raises(ValueError, match="at least 2 nodes"):
+                generate_ba(n, 1, 1, seed=0)
+
     def test_reproducible(self):
         a = generate_ba(20, 5, 5, seed=123)
         b = generate_ba(20, 5, 5, seed=123)

@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -272,7 +273,15 @@ class TestScheduleCsv:
     def test_nan_weight_rejected(self, tmp_path):
         path = tmp_path / "sched.csv"
         path.write_text(self.full_schedule_text().replace("1,0,1,0.5", "1,0,1,nan"))
-        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:2: weight nan for t=1, i=0, j=1 "
+                                              r"outside \[0, 1\]$"):
+            read_schedule_csv(path, 4, 3)
+
+    def test_weight_above_one_rejected(self, tmp_path):
+        path = tmp_path / "sched.csv"
+        path.write_text(self.full_schedule_text().replace("1,0,2,0.5", "1,0,2,1.5"))
+        with pytest.raises(ConfigError, match=rf"^{re.escape(str(path))}:3: weight 1.5 for t=1, i=0, j=2 "
+                                              r"outside \[0, 1\]$"):
             read_schedule_csv(path, 4, 3)
 
     def test_node_ids_bounds_checked(self, tmp_path):
