@@ -8,9 +8,7 @@
  * dynamics._advance_unit step by step; only the mat-vec adds its terms in
  * j order where BLAS uses its own order, so results agree with the numpy
  * loop to round-off. Before integrating, it also writes each candidate's
- * squared deviation sum_e (x_e - x0_e)^2 to g; that sum mirrors the loop of
- * numpy's einsum on its x86-64 baseline, so its bytes equal the numpy
- * loop's (see sq_dev).
+ * squared deviation sum_e (x_e - x0_e)^2 to g, summed in gene order.
  *
  * x holds B rows of T1 * m genes, m = n * (n - 1). Gene e of an interval is
  * the weight w[i, j] with pos[e] = j * n + i, scaled by beta_off[e] = beta[j].
@@ -72,35 +70,20 @@ static void rhs(int64_t n, const double *restrict wb, const double *restrict gam
         rhs_rows(n, i0, 1, wb, gamma, v, out);
 }
 
-/* g[l] = sum_e (rows[l][e] - x0[e])^2 over D genes for each lane's row, in
- * the order of numpy's einsum ('ij,ij->i') for a contiguous float64 row on
- * its x86-64 baseline (SSE2, 2 f64 lanes, multiply and add rounded apart):
- * a0 sums the even genes and a1 the odd ones; each full block of 8 adds its
- * products last pair first, the rest go in pairs in order, and the result
- * is a0 + a1. D = T1 * n * (n - 1) is even, so the pairs cover every gene.
- * Each row keeps its own two sums, so running the rows side by side changes
- * no byte. The violation decides selection, so these bytes must not move. */
+/* g[l] = sum_e (rows[l][e] - x0[e])^2 over D genes for each lane's row,
+ * added one gene at a time from 0 in gene order, as the numpy loop and
+ * dynamics.constraint_value sum it. The violation decides selection, so
+ * this order must not change. */
 static void sq_dev(int64_t D, const double *const *rows, const double *restrict x0,
                    double *restrict g)
 {
-    double a0[LANES] = {0.0}, a1[LANES] = {0.0};
-    int64_t j = 0;
-    for (; j + 8 <= D; j += 8)
-        for (int q = 6; q >= 0; q -= 2)
-            for (int l = 0; l < LANES; ++l) {
-                const double d0 = rows[l][j + q] - x0[j + q];
-                const double d1 = rows[l][j + q + 1] - x0[j + q + 1];
-                a0[l] += d0 * d0;
-                a1[l] += d1 * d1;
-            }
-    for (; j < D; j += 2)
-        for (int l = 0; l < LANES; ++l) {
-            const double d0 = rows[l][j] - x0[j], d1 = rows[l][j + 1] - x0[j + 1];
-            a0[l] += d0 * d0;
-            a1[l] += d1 * d1;
-        }
     for (int l = 0; l < LANES; ++l)
-        g[l] = a0[l] + a1[l];
+        g[l] = 0.0;
+    for (int64_t e = 0; e < D; ++e)
+        for (int l = 0; l < LANES; ++l) {
+            const double d = rows[l][e] - x0[e];
+            g[l] += d * d;
+        }
 }
 
 static void sqrt_sum(int64_t n, const double *restrict p, double *restrict s)

@@ -24,9 +24,6 @@ import numpy as np
 from . import dynamics
 from .eps_constraint import better_mask
 
-# Rows per block where a generation would otherwise make an (NP, D) temporary.
-_ROW_BLOCK = 32
-
 
 def unpooled_empty(shape: tuple[int, ...]) -> np.ndarray:
     """An uninitialised float array in a memory mapping of its own.
@@ -170,8 +167,8 @@ def build_trials(
     keep[np.arange(np_size), forced] = False
     np.subtract(best, genes, out=trials)
     # By row blocks, so the donor rows make no (NP, D) temporary.
-    for start in range(0, np_size, _ROW_BLOCK):
-        rows = slice(start, start + _ROW_BLOCK)
+    for start in range(0, np_size, dynamics._ROW_BLOCK):
+        rows = slice(start, start + dynamics._ROW_BLOCK)
         trials[rows] += genes[r1[rows]]
         trials[rows] -= genes[r2[rows]]
     trials *= f[:, None]

@@ -24,9 +24,8 @@ import numpy as np
 from .graph import Network
 
 BatchEvaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-# Candidates per block of the numpy loop's constraint sum, which thus makes
-# no (B, D) temporary (see de_core.unpooled_empty for why that matters). The
-# kernel sums in C and needs no blocks.
+# Rows per block where the numpy code would otherwise make a (B, D)
+# temporary (see de_core.unpooled_empty for why that matters).
 _ROW_BLOCK = 32
 # Classical RK4 is stable on the negative real axis for h * |lambda| < 2.785.
 _RK4_REAL_LIMIT = 2.785
@@ -244,12 +243,13 @@ def constraint_value(sched: WeightSchedule, net: Network, budget: float) -> floa
 
     Blocks are piecewise constant on unit intervals, so the time integral is
     the plain sum over blocks; [0, 1) contributes nothing because the weights
-    there equal w0.
+    there equal w0. The squares are added one at a time in gene order, as
+    :func:`make_batch_evaluator` adds them; the zero diagonals add exactly 0.
     """
     if sched.n != net.n:
         raise ValueError(f"schedule is for {sched.n} nodes, network has {net.n}")
     dev = sched.blocks - net.w0[None, :, :]
-    return float(np.sum(dev * dev) - budget)
+    return float(np.cumsum(dev * dev)[-1] - budget)
 
 
 _KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
@@ -394,9 +394,9 @@ def make_batch_evaluator(
     once up front. The re-planned intervals run in the compiled kernel of
     ``_rk4.c`` when it is available and in a numpy loop over
     :func:`_advance_unit` otherwise; the two agree to round-off in f. The
-    violation, max(0, sum of (x - x0)^2 - budget), comes from the same kernel
-    call; it decides selection, so the kernel sums in the order of the numpy
-    loop's ``einsum`` and both paths give the same bytes. This is the
+    violation is max(0, sum of (x - x0)^2 - budget); it decides selection,
+    so both paths add the squares one at a time in gene order, as
+    :func:`constraint_value` does, and give the same bytes. This is the
     hot path for population-based optimizers; :func:`integrate` with
     :func:`objective_value` is the single-schedule reference. Unstable
     ``substeps`` raise ValueError, as there.
@@ -429,10 +429,10 @@ def make_batch_evaluator(
                 raise IntegrationError("state became non-finite during integration")
             g -= budget
             return obj, np.maximum(0.0, g)
-        # einsum sums each row on its own, so blocks give a single call's bytes.
         for start in range(0, b, _ROW_BLOCK):
             diff = x[start:start + _ROW_BLOCK] - x0
-            g[start:start + _ROW_BLOCK] = np.einsum("ij,ij->i", diff, diff)
+            diff *= diff
+            g[start:start + _ROW_BLOCK] = np.cumsum(diff, axis=1, out=diff)[:, -1]
         g -= budget
         blocks = x.reshape(b, horizon - 1, n - 1, n)
         beta_rows = beta_off.reshape(n - 1, n)

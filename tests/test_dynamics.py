@@ -233,7 +233,7 @@ class TestEvaluateCandidate:
         for i in range(8):
             ref = evaluate_candidate(x[i], net20, params, 700.0)
             assert f_batch[i] == pytest.approx(ref.f, rel=1e-9)
-            assert viol_batch[i] == pytest.approx(ref.violation, rel=1e-9, abs=1e-9)
+            assert viol_batch[i].tobytes() == np.float64(ref.violation).tobytes()
 
     def test_batch_violation_bytes_do_not_depend_on_batch(self, net20):
         # 70 rows span several blocks of the constraint sum.
@@ -265,6 +265,14 @@ def kernel_evaluator(build, *args):
     with pytest.MonkeyPatch.context() as m:
         m.setattr(dynamics, "_kernel", lambda: build)
         return make_batch_evaluator(*args)
+
+
+def gene_order_sum(row, x0):
+    """The constraint sum as defined: each rounded square added in turn, from 0."""
+    acc = 0.0
+    for d in row - x0:
+        acc += d * d
+    return acc
 
 
 @st.composite
@@ -314,6 +322,12 @@ class TestKernel:
         assert f_k.shape == f_np.shape == (len(np.atleast_2d(x)),)
         np.testing.assert_allclose(f_k, f_np, rtol=1e-12, atol=0.0)
         assert viol_k.tobytes() == viol_np.tobytes()
+        x0 = encode_schedule(no_adaptation_schedule(net, params.horizon))
+        for row, viol in zip(np.atleast_2d(x), viol_np):
+            g = constraint_value(decode_candidate(row, net.n, params.horizon), net, budget)
+            assert np.float64(max(0.0, g)).tobytes() == viol.tobytes()
+            g = gene_order_sum(row, x0) - budget
+            assert np.float64(max(0.0, g)).tobytes() == viol.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(case=evaluator_cases())
@@ -327,17 +341,20 @@ class TestKernel:
 
     @pytest.mark.parametrize("batch", [1, 9, 350])
     def test_violation_bytes_at_workload_scale(self, level_builds, net20, batch):
-        # D = 3420 is 427 full blocks of 8 genes, then 2 pairs. Budget 0
-        # makes each violation the bare sum, so no bit of it is hidden.
+        # Budget 0 makes each violation the bare sum, so no bit of it is hidden.
         params = EpidemicParams(**REF_EPI, substeps=3)
         rng = np.random.default_rng(batch)
         x = rng.random((batch, 3420))
         x[rng.random(x.shape) < 0.1] = 1.0
         x[rng.random(x.shape) < 0.1] = 0.0
-        _, expected = kernel_evaluator(None, net20, params, 0.0)(x)
-        for level, build in level_builds.items():
+        x0 = encode_schedule(no_adaptation_schedule(net20, 10))
+        expected = np.array([gene_order_sum(row, x0) for row in x])
+        for level, build in {**level_builds, "numpy loop": None}.items():
             _, viol = kernel_evaluator(build, net20, params, 0.0)(x)
             assert viol.tobytes() == expected.tobytes(), level
+        for row, acc in zip(x, expected):
+            g = constraint_value(decode_candidate(row, 20, 10), net20, 0.0)
+            assert np.float64(max(0.0, g)).tobytes() == acc.tobytes()
 
     def test_c3_context_batches_give_numpy_loop_bytes(self, kernel, net20):
         # A visit to group 2 of 3 scores (NP, D) context batches in which only
