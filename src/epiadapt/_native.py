@@ -1,0 +1,154 @@
+"""The compiled kernels of ``_rk4.c`` and the arrays kept off the malloc heap.
+
+The package's one module that runs the compiler, reads /proc/cpuinfo, calls
+into C or maps memory. ``dynamics`` and ``de_core`` call ``kernel()`` here.
+"""
+from __future__ import annotations
+
+import ctypes
+import math
+import mmap
+import os
+import subprocess
+import tempfile
+import warnings
+from functools import lru_cache
+from pathlib import Path
+
+import numpy as np
+
+# Rows per block where numpy code would otherwise make a (B, D) temporary
+# (see unpooled_empty for why that matters).
+ROW_BLOCK = 32
+
+SOURCE = Path(__file__).with_name("_rk4.c")
+CPUINFO = Path("/proc/cpuinfo")
+# No -march=native, so a cached library stays valid on any host of its ISA
+# level. No contraction into FMAs, so each step rounds as numpy's does, also
+# where the level has FMA; no errno from sqrt, which only lets the compiler
+# vectorize it. Lanes never reassociate a sum, so every level's build gives
+# the same bytes.
+CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
+# x86-64 levels v2 and v3 as /proc/cpuinfo names them (abm is lzcnt, pni sse3).
+_V3_CPU_FLAGS = frozenset((
+    "cx16", "lahf_lm", "popcnt", "pni", "sse4_1", "sse4_2", "ssse3",
+    "avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",
+))
+# Builds of _rk4.c, widest first: name, the cpuinfo flags the host must
+# list, and the flags added to CFLAGS. The last needs nothing.
+LEVELS = (
+    ("v4", _V3_CPU_FLAGS | {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
+     ("-march=x86-64-v4", "-mprefer-vector-width=512", "-DLANES=8")),
+    ("v3", _V3_CPU_FLAGS, ("-march=x86-64-v3", "-DLANES=4")),
+    ("base", frozenset(), ()),
+)
+
+
+def unpooled_empty(shape: tuple[int, ...]) -> np.ndarray:
+    """An uninitialised float array in a memory mapping of its own.
+
+    The mapping goes back to the OS when the array is freed. An (NP, D)
+    array from malloc goes back to its heap instead, where smaller
+    allocations split the hole it leaves, so the peak RSS of identical runs
+    came to differ by whole arrays. An optimizer run maps its large arrays
+    here once per run or per visit and reuses them.
+    """
+    size = math.prod(shape)
+    buf = mmap.mmap(-1, max(8 * size, 1))
+    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
+
+
+def host_levels(cpuinfo: str, machine: str) -> list[str]:
+    """Names of the kernel builds this host can run, widest first.
+
+    ``cpuinfo`` is the text of /proc/cpuinfo; outside x86_64, or without a
+    ``flags`` line, only the builds that need no flag remain.
+    """
+    flags: set[str] = set()
+    if machine == "x86_64":
+        for line in cpuinfo.splitlines():
+            if line.startswith("flags"):
+                flags = set(line.partition(":")[2].split())
+                break
+    return [name for name, needs, _ in LEVELS if needs <= flags]
+
+
+def build(level: str) -> ctypes.CDLL:
+    """Load the ``level`` build of ``_rk4.c``, compiling it on first use.
+
+    It is cached as ``__pycache__/_rk4-<level>-<hash>.so`` next to the
+    source; one hash, over the source, every level's flags and the machine
+    type, names all levels' builds. A build goes to its own temporary file
+    and is renamed into place, so processes that build at once cannot tear
+    it; a fresh build then deletes the ``_rk4-*.so`` files under other
+    hashes. Raises OSError, with the compiler's last lines, on failure.
+    """
+    import hashlib  # here, so importing the package costs what it did before
+
+    machine = os.uname().machine
+    flags = " ".join(" ".join(CFLAGS + extra) for _, _, extra in LEVELS)
+    key = SOURCE.read_bytes() + f"{flags} {machine}".encode()
+    digest = hashlib.sha256(key).hexdigest()[:16]
+    cache = SOURCE.parent / "__pycache__"
+    lib = cache / f"_rk4-{level}-{digest}.so"
+    if not lib.exists():
+        cache.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        os.close(fd)
+        extra = next(extra for name, _, extra in LEVELS if name == level)
+        try:
+            cc = subprocess.run(["cc", *CFLAGS, *extra, "-o", tmp, str(SOURCE), "-lm"],
+                                capture_output=True, text=True, errors="replace")
+            if cc.returncode != 0:
+                tail = " | ".join(cc.stderr.strip().splitlines()[-3:])
+                raise OSError(f"cc exited with status {cc.returncode}: {tail}")
+            os.replace(tmp, lib)
+        finally:
+            if os.path.exists(tmp):
+                os.unlink(tmp)
+        # Builds of an earlier source or flags are never loaded again.
+        for stale in cache.glob("_rk4-*.so"):
+            if not stale.name.endswith(f"-{digest}.so"):
+                try:
+                    stale.unlink()
+                except OSError:  # another process may have removed it first
+                    pass
+    built = ctypes.CDLL(str(lib))
+    f64, i64, rows = (np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
+                      for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2)))
+    n, real = ctypes.c_int64, ctypes.c_double
+    built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, f64, f64, f64, real, f64, f64]
+    built.rk4_batch.restype = ctypes.c_int
+    built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, rows]
+    built.de_trials.restype = None
+    return built
+
+
+@lru_cache(maxsize=None)
+def kernel() -> ctypes.CDLL | None:
+    """The widest build of ``_rk4.c`` this host runs, or None.
+
+    It holds the RK4 batch kernel and the NSDE trial pass. The host's level
+    comes from /proc/cpuinfo, read here on first use and never at import:
+    x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then the baseline
+    build. A build that cannot be made or loaded passes to the next; past
+    the last, the evaluator and the DE operators run their numpy code.
+    Either fallback gives one RuntimeWarning per process.
+    """
+    try:
+        cpuinfo = CPUINFO.read_text()
+    except OSError:
+        cpuinfo = ""
+    failed, built = [], None
+    for level in host_levels(cpuinfo, os.uname().machine):
+        try:
+            built = build(level)
+            break
+        except OSError as exc:
+            failed.append(f"{level}: {exc}")
+    if failed:
+        outcome = (f"runs its {level} build" if built is not None else
+                   "unavailable, the evaluator and the DE operators run their numpy loops")
+        warnings.warn(f"RK4 kernel {outcome}: {'; '.join(failed)}",
+                      RuntimeWarning, stacklevel=3)
+    return built

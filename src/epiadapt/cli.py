@@ -1,20 +1,22 @@
-"""Command-line interface: network generation, simulation, optimization, stats."""
+"""Command-line interface: network generation, simulation, optimization, stats.
+
+It parses arguments and prints; every file is read and written by ``harness``.
+"""
 from __future__ import annotations
 
 import argparse
-import dataclasses
-import json
 import sys
 from pathlib import Path
 
 from .baselines import no_adaptation_schedule
 from .coevolve import grouping_probability
 from .dynamics import integrate, objective_value
-from .graph import Network, generate_ba
+from .graph import generate_ba
 from .harness import (
     ABORTED_FILE,
     ConfigError,
-    ExperimentConfig,
+    aborted_count,
+    load_config,
     load_network,
     normalize_algorithm,
     read_schedule_csv,
@@ -26,21 +28,6 @@ from .harness import (
 )
 
 
-def _load_config(path: str, net: Network, **overrides) -> ExperimentConfig:
-    try:
-        data = json.loads(Path(path).read_text())
-    except (OSError, json.JSONDecodeError) as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config {path} must hold a JSON object")
-    cfg = ExperimentConfig.from_dict({"n": net.n, **data})
-    if cfg.n != net.n:
-        raise ConfigError(f"config {path} sets n={cfg.n}, but the network has {net.n} nodes")
-    if overrides:
-        cfg = dataclasses.replace(cfg, **overrides)
-    return cfg
-
-
 def _cmd_gen_net(args: argparse.Namespace) -> int:
     net = generate_ba(args.n, args.m0, args.m, args.seed)
     save_network(net, args.out)
@@ -50,7 +37,7 @@ def _cmd_gen_net(args: argparse.Namespace) -> int:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     net = load_network(args.net)
-    cfg = _load_config(args.config, net)
+    cfg = load_config(args.config, net)
     params = cfg.epidemic_params()
     if args.schedule is None:
         sched = no_adaptation_schedule(net, cfg.horizon)
@@ -65,13 +52,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 def _cmd_optimize(args: argparse.Namespace) -> int:
     if args.workers < 1:
         raise ConfigError(f"--workers must be at least 1, got {args.workers}")
-    overrides: dict = {"algorithm": normalize_algorithm(args.algo)}
-    if args.runs is not None:
-        overrides["runs"] = args.runs
-    if args.seed is not None:
-        overrides["master_seed"] = args.seed
+    given = {"runs": args.runs, "master_seed": args.seed}
+    overrides = {key: value for key, value in given.items() if value is not None}
     net = load_network(args.net)
-    cfg = _load_config(args.config, net, **overrides)
+    cfg = load_config(args.config, net, algorithm=normalize_algorithm(args.algo), **overrides)
     records = run_experiment(cfg, net=net, outdir=args.outdir, workers=args.workers)
     for rec in records:
         print(
@@ -86,7 +70,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     net = load_network(args.net)
-    cfg = _load_config(args.config, net, algorithm=normalize_algorithm(args.mode))
+    cfg = load_config(args.config, net, algorithm=normalize_algorithm(args.mode))
     records = run_experiment(cfg, net=net, outdir=args.outdir)
     rec = records[0]
     print(f"{rec.algorithm}: ofv={rec.ofv:.6f} violation={rec.violation:.3g}")
@@ -95,13 +79,11 @@ def _cmd_baseline(args: argparse.Namespace) -> int:
 
 def _cmd_stats(args: argparse.Namespace) -> int:
     for indir in args.indir:
-        aborted = Path(indir) / ABORTED_FILE
-        if aborted.exists():
-            lost = len(aborted.read_text().splitlines())
-            print(f"{indir}: {lost} run(s) aborted, not in runs.csv (see {aborted})",
-                  file=sys.stderr)
+        if lost := aborted_count(indir):
+            print(f"{indir}: {lost} run(s) aborted, not in runs.csv "
+                  f"(see {Path(indir) / ABORTED_FILE})", file=sys.stderr)
     rows = summarize_run_dirs(args.indir, reference=args.ref)
-    write_summary_csv(rows, Path(args.out))
+    write_summary_csv(rows, args.out)
     for row in rows:
         p_text = "-" if row.p_value is None else f"{row.p_value:.4g}"
         flag = " *" if row.is_best else ""

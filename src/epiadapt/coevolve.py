@@ -18,13 +18,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._native import unpooled_empty
 from .de_core import (
     Candidate,
     DEConfig,
     Population,
     init_population,
     nsde_generation,
-    unpooled_empty,
 )
 from .eps_constraint import EpsilonSchedule, epsilon_at
 

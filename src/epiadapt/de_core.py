@@ -9,34 +9,18 @@ behavior.
 
 Every draw is a whole numpy array. The trials are then formed in one pass
 of ``de_trials`` in ``_rk4.c``, loaded with the RK4 kernel by
-``dynamics._kernel``; where no build loads, the numpy passes run instead.
+``_native.kernel``; where no build loads, the numpy passes run instead.
 The two give the same bytes: the pass keeps numpy's operation order, is
 built without FMA contraction and clamps as ``np.clip`` does, NaN included.
 """
 from __future__ import annotations
 
-import math
-import mmap
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import dynamics
+from . import _native
 from .eps_constraint import better_mask
-
-
-def unpooled_empty(shape: tuple[int, ...]) -> np.ndarray:
-    """An uninitialised float array in a memory mapping of its own.
-
-    The mapping goes back to the OS when the array is freed. An (NP, D)
-    array from malloc goes back to its heap instead, where smaller
-    allocations split the hole it leaves, so the peak RSS of identical runs
-    came to differ by whole arrays. An optimizer run maps its large arrays
-    here once per run or per visit and reuses them.
-    """
-    size = math.prod(shape)
-    buf = mmap.mmap(-1, max(8 * size, 1))
-    return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
 
 
 @dataclass(frozen=True)
@@ -102,7 +86,7 @@ def init_population(cfg: DEConfig, dim: int, rng: np.random.Generator) -> np.nda
     """Uniform-random genes of shape (NP, dim) in [0, 1)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return rng.random(out=unpooled_empty((cfg.np_size, dim)))
+    return rng.random(out=_native.unpooled_empty((cfg.np_size, dim)))
 
 
 def sample_scale_factors(fp: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -159,7 +143,7 @@ def build_trials(
     # The crossover draws pass through the trial buffer before the mutant fills it.
     trials = rng.random(out=np.empty_like(genes) if out is None else out)
     forced = rng.integers(dim, size=np_size)
-    built = dynamics._kernel()
+    built = _native.kernel()
     if built is not None:
         built.de_trials(np_size, dim, genes, best, r1, r2, f, forced, cfg.cr, trials)
         return trials
@@ -167,8 +151,8 @@ def build_trials(
     keep[np.arange(np_size), forced] = False
     np.subtract(best, genes, out=trials)
     # By row blocks, so the donor rows make no (NP, D) temporary.
-    for start in range(0, np_size, dynamics._ROW_BLOCK):
-        rows = slice(start, start + dynamics._ROW_BLOCK)
+    for start in range(0, np_size, _native.ROW_BLOCK):
+        rows = slice(start, start + _native.ROW_BLOCK)
         trials[rows] += genes[r1[rows]]
         trials[rows] -= genes[r2[rows]]
     trials *= f[:, None]
@@ -192,7 +176,7 @@ def nsde_generation(
     if pop.size != cfg.np_size:
         raise ValueError(f"population size {pop.size} != configured {cfg.np_size}")
     if pop.trials is None or pop.trials.shape != pop.genes.shape:
-        pop.trials = unpooled_empty(pop.genes.shape)
+        pop.trials = _native.unpooled_empty(pop.genes.shape)
     trials = build_trials(
         pop.genes, pop.genes[pop.eps_best_index(eps)], cfg, rng, out=pop.trials
     )

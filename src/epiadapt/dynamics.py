@@ -9,24 +9,16 @@ the total squared deviation of the schedule from the initial weights.
 """
 from __future__ import annotations
 
-import ctypes
-import os
-import subprocess
-import tempfile
-import warnings
 from dataclasses import dataclass, field
 from functools import lru_cache
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
+from . import _native
 from .graph import Network
 
 BatchEvaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
-# Rows per block where the numpy code would otherwise make a (B, D)
-# temporary (see de_core.unpooled_empty for why that matters).
-_ROW_BLOCK = 32
 # Classical RK4 is stable on the negative real axis for h * |lambda| < 2.785.
 _RK4_REAL_LIMIT = 2.785
 
@@ -252,139 +244,6 @@ def constraint_value(sched: WeightSchedule, net: Network, budget: float) -> floa
     return float(np.cumsum(dev * dev)[-1] - budget)
 
 
-_KERNEL_SOURCE = Path(__file__).with_name("_rk4.c")
-_CPUINFO = Path("/proc/cpuinfo")
-# No -march=native, so a cached library stays valid on any host of its ISA
-# level. No contraction into FMAs, so each step rounds as numpy's does, also
-# where the level has FMA; no errno from sqrt, which only lets the compiler
-# vectorize it. Lanes never reassociate a sum, so every level's build gives
-# the same bytes.
-_KERNEL_CFLAGS = ("-O3", "-shared", "-fPIC", "-ffp-contract=off", "-fno-math-errno")
-# x86-64 levels v2 and v3 as /proc/cpuinfo names them (abm is lzcnt, pni sse3).
-_V3_CPU_FLAGS = frozenset((
-    "cx16", "lahf_lm", "popcnt", "pni", "sse4_1", "sse4_2", "ssse3",
-    "avx", "avx2", "bmi1", "bmi2", "f16c", "fma", "abm", "movbe", "xsave",
-))
-# Builds of _rk4.c, widest first: name, the cpuinfo flags the host must
-# list, and the flags added to _KERNEL_CFLAGS. The last needs nothing.
-_KERNEL_LEVELS = (
-    ("v4", _V3_CPU_FLAGS | {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
-     ("-march=x86-64-v4", "-mprefer-vector-width=512", "-DLANES=8")),
-    ("v3", _V3_CPU_FLAGS, ("-march=x86-64-v3", "-DLANES=4")),
-    ("base", frozenset(), ()),
-)
-
-
-def _host_levels(cpuinfo: str, machine: str) -> list[str]:
-    """Names of the kernel builds this host can run, widest first.
-
-    ``cpuinfo`` is the text of /proc/cpuinfo; outside x86_64, or without a
-    ``flags`` line, only the builds that need no flag remain.
-    """
-    flags: set[str] = set()
-    if machine == "x86_64":
-        for line in cpuinfo.splitlines():
-            if line.startswith("flags"):
-                flags = set(line.partition(":")[2].split())
-                break
-    return [name for name, needs, _ in _KERNEL_LEVELS if needs <= flags]
-
-
-def _kernel_build(level: str) -> ctypes.CDLL:
-    """Load the ``level`` build of ``_rk4.c``, compiling it on first use.
-
-    The library is cached as ``__pycache__/_rk4-<level>-<hash>.so`` next to
-    the source, keyed by the source, the flags and the machine type. Each
-    build goes to its own temporary file and is renamed into place, so
-    processes that build at once cannot leave a torn file; a fresh build then
-    deletes the ``_rk4-*.so`` files beside it that no level would load now.
-    Raises OSError or CalledProcessError when the build cannot be made or
-    loaded.
-    """
-    import hashlib  # here, so importing the package costs what it did before
-
-    source = _KERNEL_SOURCE.read_bytes()
-    machine = os.uname().machine
-    cache = _KERNEL_SOURCE.parent / "__pycache__"
-    libs, cflags = {}, {}
-    for name, _, extra in _KERNEL_LEVELS:
-        cflags[name] = _KERNEL_CFLAGS + extra
-        key = source + " ".join(cflags[name] + (machine,)).encode()
-        libs[name] = cache / f"_rk4-{name}-{hashlib.sha256(key).hexdigest()[:16]}.so"
-    lib = libs[level]
-    if not lib.exists():
-        cache.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
-        os.close(fd)
-        try:
-            subprocess.run(
-                ["cc", *cflags[level], "-o", tmp, str(_KERNEL_SOURCE), "-lm"],
-                check=True, capture_output=True,
-            )
-            os.replace(tmp, lib)
-        finally:
-            if os.path.exists(tmp):
-                os.unlink(tmp)
-        # Builds of an earlier source or flags are never loaded again.
-        for stale in cache.glob("_rk4-*.so"):
-            if stale not in libs.values():
-                try:
-                    stale.unlink()
-                except OSError:  # another process may have removed it first
-                    pass
-    built = ctypes.CDLL(str(lib))
-    f64 = np.ctypeslib.ndpointer(np.float64, ndim=1, flags="C_CONTIGUOUS")
-    i64 = np.ctypeslib.ndpointer(np.int64, ndim=1, flags="C_CONTIGUOUS")
-    rows = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="C_CONTIGUOUS")
-    built.rk4_batch.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, ctypes.c_int64, ctypes.c_int64,
-        rows, f64, i64, f64, f64, f64, ctypes.c_double, f64, f64,
-    ]
-    built.rk4_batch.restype = ctypes.c_int
-    built.de_trials.argtypes = [
-        ctypes.c_int64, ctypes.c_int64, rows, f64, i64, i64, f64, i64,
-        ctypes.c_double, rows,
-    ]
-    built.de_trials.restype = None
-    return built
-
-
-@lru_cache(maxsize=None)
-def _kernel() -> ctypes.CDLL | None:
-    """The widest build of ``_rk4.c`` this host runs, or None.
-
-    It holds the RK4 batch kernel and the NSDE trial pass. The host's level
-    comes from /proc/cpuinfo, read here on first use and never at import:
-    x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then the baseline
-    build. A build that cannot be made or loaded passes to the next; past
-    the last, the evaluator and the DE operators run their numpy code.
-    Either fallback gives one RuntimeWarning per process.
-    """
-    try:
-        cpuinfo = _CPUINFO.read_text()
-    except OSError:
-        cpuinfo = ""
-    failed = []
-    for level in _host_levels(cpuinfo, os.uname().machine):
-        try:
-            built = _kernel_build(level)
-        except (OSError, subprocess.CalledProcessError) as exc:
-            failed.append(f"{level}: {exc}")
-            continue
-        if failed:
-            warnings.warn(
-                f"RK4 kernel runs its {level} build: {'; '.join(failed)}",
-                RuntimeWarning, stacklevel=3,
-            )
-        return built
-    warnings.warn(
-        "RK4 kernel unavailable, the evaluator and the DE operators run their "
-        f"numpy loops: {'; '.join(failed)}",
-        RuntimeWarning, stacklevel=3,
-    )
-    return None
-
-
 def make_batch_evaluator(
     net: Network, params: EpidemicParams, budget: float
 ) -> BatchEvaluator:
@@ -408,7 +267,7 @@ def make_batch_evaluator(
     x0 = np.tile(net.w0[rows, cols], horizon - 1)
     beta_off, gamma = beta[cols], np.ascontiguousarray(gamma)
     p_unit, obj_unit = _advance_unit(p0[None, :].copy(), (net.w0 * beta)[None], gamma, k)
-    kernel = _kernel()
+    kernel = _native.kernel()
     pos = (cols * n + rows).astype(np.int64)
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -429,10 +288,10 @@ def make_batch_evaluator(
                 raise IntegrationError("state became non-finite during integration")
             g -= budget
             return obj, np.maximum(0.0, g)
-        for start in range(0, b, _ROW_BLOCK):
-            diff = x[start:start + _ROW_BLOCK] - x0
+        for start in range(0, b, _native.ROW_BLOCK):
+            diff = x[start:start + _native.ROW_BLOCK] - x0
             diff *= diff
-            g[start:start + _ROW_BLOCK] = np.cumsum(diff, axis=1, out=diff)[:, -1]
+            g[start:start + _native.ROW_BLOCK] = np.cumsum(diff, axis=1, out=diff)[:, -1]
         g -= budget
         blocks = x.reshape(b, horizon - 1, n - 1, n)
         beta_rows = beta_off.reshape(n - 1, n)

@@ -6,19 +6,23 @@ and emits CSV artifacts (csv module dialect, numbers as ``.12g``). Run
 seeds derive from the master seed by a fixed split, so a campaign is
 reproducible byte for byte at any number of worker processes; wall times
 go to timing.txt to keep the CSVs deterministic. Runs lost to a diverged
-integration go to aborted.txt, which exists only then.
+integration go to aborted.txt, which exists only then. This module reads
+and writes every file of the package, the config JSON included.
 """
 from __future__ import annotations
 
 import csv
+import json
 import math
 import numbers
+import re
+import shutil
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -52,6 +56,12 @@ BASELINE_FEAS_ATOL = 1e-9
 
 # Lists a campaign's lost runs, one "run <id>: <message>" line each.
 ABORTED_FILE = "aborted.txt"
+
+# The checked CSV formats: each column's name and the kind its field holds.
+NETWORK_HEADER = {"i": int, "j": int, "w": float}
+SCHEDULE_HEADER = {"t": int, "i": int, "j": int, "w": float}
+RUNS_HEADER = {"algorithm": str, "run": int, "ofv": float, "violation": float,
+               "evaluations": int, "generations": int}
 
 
 class ConfigError(ValueError):
@@ -182,6 +192,20 @@ class ExperimentConfig:
             gc_fraction=self.gc_fraction,
             lam=self.lam,
         )
+
+
+def load_config(path: str | Path, net: Network, **overrides) -> ExperimentConfig:
+    """Read a JSON config for ``net``, whose node count is its ``n``, then apply ``overrides``."""
+    try:
+        data = json.loads(Path(path).read_text())
+    except (OSError, json.JSONDecodeError) as exc:
+        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(data, dict):
+        raise ConfigError(f"config {path} must hold a JSON object")
+    cfg = ExperimentConfig.from_dict({"n": net.n, **data})
+    if cfg.n != net.n:
+        raise ConfigError(f"config {path} sets n={cfg.n}, but the network has {net.n} nodes")
+    return replace(cfg, **overrides) if overrides else cfg
 
 
 @dataclass(frozen=True)
@@ -322,7 +346,7 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
-def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
+def _write_csv(path: str | Path, header: Iterable[str], rows) -> None:
     """Write ``header`` and then ``rows`` in the csv module's default dialect."""
     with Path(path).open("w", newline="") as fh:
         writer = csv.writer(fh)
@@ -330,15 +354,22 @@ def _write_csv(path: str | Path, header: Sequence[str], rows) -> None:
         writer.writerows(rows)
 
 
-def _read_rows(path: str | Path, header: list[str]):
-    """Yield ``(where, ints, number)`` per nonblank row of a CSV headed ``header``.
+def _read_rows(path: str | Path, columns: dict[str, type]):
+    """Yield ``(where, values)`` per nonblank row of a CSV headed by ``columns``.
 
-    All fields but the last are integers, the last a number. ``where`` is
-    ``path:line``; it starts every error raised here and the caller's own.
+    ``columns`` maps each column, in order, to the kind of its field: str,
+    int or float. ``where`` is ``path:line``; it starts every error raised
+    here and the caller's own. A file that cannot be read is a ConfigError.
     """
+    header = list(columns)
     width = f"{len(header)} fields {','.join(header)}"
-    kinds = f"{','.join(header[:-1])} must be integers, {header[-1]} a number"
-    with Path(path).open(newline="") as fh:
+    ints, reals = (",".join(name for name in header if columns[name] is k) for k in (int, float))
+    kinds = f"{ints} must be integers, {reals} {'numbers' if ',' in reals else 'a number'}"
+    try:
+        fh = Path(path).open(newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
+    with fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or [h.strip() for h in first] != header:
@@ -350,15 +381,15 @@ def _read_rows(path: str | Path, header: list[str]):
             if len(row) != len(header):
                 raise ConfigError(f"{where}: expected {width}, got {len(row)}")
             try:
-                ints, number = [int(v) for v in row[:-1]], float(row[-1])
+                values = [kind(v) for kind, v in zip(columns.values(), row)]
             except ValueError:
                 raise ConfigError(f"{where}: {kinds}") from None
-            yield where, ints, number
+            yield where, values
 
 
 def save_network(net: Network, path: str | Path) -> None:
     """Write the network as CSV rows ``i,j,w``, one per directed nonzero weight."""
-    _write_csv(path, ["i", "j", "w"],
+    _write_csv(path, NETWORK_HEADER,
                ([i, j, _fmt(w)] for (i, j), w in np.ndenumerate(net.w0) if w > 0.0))
 
 
@@ -368,7 +399,7 @@ def load_network(path: str | Path) -> Network:
     Node ids are nonnegative integers; the node count is the largest id + 1.
     """
     weights: dict[tuple[int, int], float] = {}
-    for where, (i, j), w in _read_rows(path, ["i", "j", "w"]):
+    for where, (i, j, w) in _read_rows(path, NETWORK_HEADER):
         if i < 0 or j < 0:
             raise ConfigError(f"{where}: node ids must be nonnegative")
         if i == j:
@@ -392,7 +423,7 @@ def load_network(path: str | Path) -> Network:
 
 def write_schedule_csv(sched: WeightSchedule, path: Path) -> None:
     """All off-diagonal weights of every block, rows ``t,i,j,w`` with t >= 1."""
-    _write_csv(path, ["t", "i", "j", "w"],
+    _write_csv(path, SCHEDULE_HEADER,
                ([t + 1, i, j, _fmt(w)]
                 for (t, i, j), w in np.ndenumerate(sched.blocks) if i != j))
 
@@ -405,7 +436,7 @@ def read_schedule_csv(path: str | Path, n: int, horizon: int) -> WeightSchedule:
     """
     blocks = np.zeros((horizon - 1, n, n))
     seen: set[tuple[int, int, int]] = set()
-    for where, (t, i, j), w in _read_rows(path, ["t", "i", "j", "w"]):
+    for where, (t, i, j, w) in _read_rows(path, SCHEDULE_HEADER):
         if not 1 <= t < horizon:
             raise ConfigError(f"{where}: block index {t} outside [1, {horizon})")
         if not (0 <= i < n and 0 <= j < n):
@@ -431,10 +462,16 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
 
 
 def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path) -> None:
-    """Write runs.csv plus per-run history, traces, schedule, and timing.txt."""
+    """Write runs.csv plus per-run history, traces, schedule, and timing.txt.
+
+    Deletes each ``run_<digits>`` directory of a run not in ``records``.
+    """
     outdir.mkdir(parents=True, exist_ok=True)
-    _write_csv(outdir / "runs.csv",
-               ["algorithm", "run", "ofv", "violation", "evaluations", "generations"],
+    keep = {f"run_{rec.run:02d}" for rec in records}
+    for old in outdir.iterdir():
+        if old.name not in keep and re.fullmatch(r"run_\d+", old.name) and old.is_dir():
+            shutil.rmtree(old)
+    _write_csv(outdir / "runs.csv", RUNS_HEADER,
                ([rec.algorithm, rec.run, _fmt(rec.ofv), _fmt(rec.violation),
                  rec.evaluations, rec.generations] for rec in records))
     for rec in records:
@@ -453,61 +490,41 @@ def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path)
         "".join(f"run {rec.run}: {rec.wall_time:.3f} s\n" for rec in records))
 
 
-def read_runs_csv(path: str | Path) -> list[dict]:
-    """Rows of a runs.csv as dicts with typed run/ofv/violation fields.
-
-    Every row must have every column, an integer run, finite ofv and
-    violation, and an (algorithm, run) pair of its own.
-    """
-    out: list[dict] = []
-    seen: set[tuple[str, int]] = set()
-    with Path(path).open(newline="") as fh:
-        reader = csv.DictReader(fh)
-        required = {"algorithm", "run", "ofv", "violation"}
-        if reader.fieldnames is None or not required <= set(reader.fieldnames):
-            raise ConfigError(f"{path}: missing columns {sorted(required)}")
-        for row in reader:
-            where = f"{path}:{reader.line_num}"
-            if None in row or None in row.values():
-                raise ConfigError(f"{where}: expected {len(reader.fieldnames)} fields")
-            try:
-                run = int(row["run"])
-                ofv, violation = float(row["ofv"]), float(row["violation"])
-            except ValueError:
-                raise ConfigError(f"{where}: run must be an integer, ofv and violation numbers") from None
-            if not (math.isfinite(ofv) and math.isfinite(violation)):
-                raise ConfigError(f"{where}: ofv and violation must be finite")
-            key = (row["algorithm"], run)
-            if key in seen:
-                raise ConfigError(f"{where}: duplicate run {run} of {row['algorithm']}")
-            seen.add(key)
-            out.append({"algorithm": row["algorithm"], "run": run, "ofv": ofv,
-                        "violation": violation})
-    if not out:
-        raise ConfigError(f"{path}: no run rows")
-    return out
+def aborted_count(indir: str | Path) -> int:
+    """How many runs the campaign in ``indir`` lost, as its aborted.txt lists them."""
+    aborted = Path(indir) / ABORTED_FILE
+    return len(aborted.read_text().splitlines()) if aborted.exists() else 0
 
 
 def summarize_run_dirs(
     indirs: Sequence[str | Path], reference: str
 ) -> list[AlgorithmSummary]:
-    """Aggregate runs.csv files from campaign directories into summary rows."""
+    """Aggregate the runs.csv files of campaign directories into summary rows.
+
+    Every row needs finite ofv and violation, every file a row, and every
+    (algorithm, run) pair one row among all the files.
+    """
     ofvs: dict[str, list[float]] = {}
     viols: dict[str, list[float]] = {}
-    source: dict[tuple[str, int], Path] = {}
+    first: dict[tuple[str, int], str] = {}
     for indir in indirs:
         path = Path(indir) / "runs.csv"
-        for row in read_runs_csv(path):
-            key = (row["algorithm"], row["run"])
-            if key in source:
-                raise ConfigError(f"{path}: run {key[1]} of {key[0]} is already in {source[key]}")
-            source[key] = path
-            ofvs.setdefault(row["algorithm"], []).append(row["ofv"])
-            viols.setdefault(row["algorithm"], []).append(row["violation"])
+        before = len(first)
+        for where, (algorithm, run, ofv, violation, _, _) in _read_rows(path, RUNS_HEADER):
+            if not (math.isfinite(ofv) and math.isfinite(violation)):
+                raise ConfigError(f"{where}: ofv and violation must be finite")
+            if (algorithm, run) in first:
+                raise ConfigError(f"{where}: duplicate run {run} of {algorithm}, "
+                                  f"first read at {first[algorithm, run]}")
+            first[algorithm, run] = where
+            ofvs.setdefault(algorithm, []).append(ofv)
+            viols.setdefault(algorithm, []).append(violation)
+        if len(first) == before:
+            raise ConfigError(f"{path}: no run rows")
     return summarize(ofvs, reference=normalize_algorithm(reference), violations=viols)
 
 
-def write_summary_csv(rows: Sequence[AlgorithmSummary], path: Path) -> None:
+def write_summary_csv(rows: Sequence[AlgorithmSummary], path: str | Path) -> None:
     _write_csv(path, ["algorithm", "mean_ofv", "std", "p_value", "best", "infeasible_runs"],
                ([row.algorithm, _fmt(row.mean_ofv), _fmt(row.std),
                  "-" if row.p_value is None else _fmt(row.p_value),

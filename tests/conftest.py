@@ -1,12 +1,11 @@
 """Fixtures over the builds of the compiled kernels in ``_rk4.c``."""
 import os
 import shutil
-import subprocess
 import warnings
 
 import pytest
 
-import epiadapt.dynamics as dynamics
+import epiadapt._native as native
 
 
 @pytest.fixture(scope="module")
@@ -14,7 +13,7 @@ def kernel():
     """The loaded kernel library; tests that need it skip when no compiler is found."""
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", RuntimeWarning)
-        built = dynamics._kernel()
+        built = native.kernel()
     if built is None:
         pytest.skip("the compiled kernels could not be built here")
     return built
@@ -23,10 +22,10 @@ def kernel():
 @pytest.fixture()
 def isolated_kernel(tmp_path, monkeypatch):
     """Point the kernel loader at a copy of the C source with an empty cache."""
-    loader = dynamics._kernel
+    loader = native.kernel
     source = tmp_path / "_rk4.c"
-    shutil.copy(dynamics._KERNEL_SOURCE, source)
-    monkeypatch.setattr(dynamics, "_KERNEL_SOURCE", source)
+    shutil.copy(native.SOURCE, source)
+    monkeypatch.setattr(native, "SOURCE", source)
     loader.cache_clear()
     yield tmp_path / "__pycache__"
     loader.cache_clear()
@@ -36,18 +35,18 @@ def isolated_kernel(tmp_path, monkeypatch):
 def level_builds(tmp_path_factory):
     """Every kernel build this host can make and run, by level, from a temporary cache."""
     source = tmp_path_factory.mktemp("levels") / "_rk4.c"
-    shutil.copy(dynamics._KERNEL_SOURCE, source)
+    shutil.copy(native.SOURCE, source)
     try:
-        cpuinfo = dynamics._CPUINFO.read_text()
+        cpuinfo = native.CPUINFO.read_text()
     except OSError:
         cpuinfo = ""
     builds = {}
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_KERNEL_SOURCE", source)
-        for level in dynamics._host_levels(cpuinfo, os.uname().machine):
+        m.setattr(native, "SOURCE", source)
+        for level in native.host_levels(cpuinfo, os.uname().machine):
             try:
-                builds[level] = dynamics._kernel_build(level)
-            except (OSError, subprocess.CalledProcessError):
+                builds[level] = native.build(level)
+            except OSError:
                 pass
     if "base" not in builds:
         pytest.skip("the baseline build of the kernels could not be built here")

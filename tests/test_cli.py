@@ -188,10 +188,18 @@ def test_single_node_network_exits_2(tmp_path, capsys):
     assert not out.exists()
 
 
-def test_missing_network_file_exits_3(workspace, tmp_path):
-    _, _, config = workspace
-    assert main(["simulate", "--net", str(tmp_path / "nope.csv"),
-                 "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 3
+@pytest.mark.parametrize("command,missing", [
+    (["simulate", "--net", "{tmp}/nope.csv", "--config", "{config}", "--out", "{tmp}/x.csv"],
+     "nope.csv"),
+    (["simulate", "--net", "{net}", "--config", "{config}", "--schedule", "{tmp}/nope.csv",
+      "--out", "{tmp}/x.csv"], "nope.csv"),
+    (["stats", "--indir", "{tmp}", "--out", "{tmp}/summary.csv"], "runs.csv"),
+], ids=["net", "schedule", "stats-indir"])
+def test_unreadable_input_exits_2(workspace, capsys, command, missing):
+    tmp_path, net, config = workspace
+    assert main([arg.format(tmp=tmp_path, net=net, config=config) for arg in command]) == 2
+    err = capsys.readouterr().err
+    assert f"cannot read {tmp_path / missing}: No such file or directory" in err
 
 
 def test_missing_subcommand_usage_error():
@@ -225,6 +233,20 @@ def test_aborted_run_exits_3_and_keeps_survivors(workspace, monkeypatch, capsys)
     runs = (outdir / "runs.csv").read_text().splitlines()[1:]
     assert [line.split(",")[1] for line in runs] == ["0", "2"]
     assert (outdir / "run_02" / "best_schedule.csv").exists()
+
+
+def test_rerun_deletes_run_dirs_of_an_earlier_campaign(workspace, monkeypatch, capsys):
+    # A run directory left over from an earlier campaign into the same
+    # --outdir could pass for the files of a run this one lost.
+    tmp_path, net, config = workspace
+    outdir = tmp_path / "opt"
+    assert main(["optimize", "--net", str(net), "--config", str(config),
+                 "--algo", "nsde", "--runs", "3", "--outdir", str(outdir)]) == 0
+    (outdir / "run_notes").mkdir()
+    fail_run_1(monkeypatch)
+    assert main(["optimize", "--net", str(net), "--config", str(config),
+                 "--algo", "nsde", "--runs", "2", "--outdir", str(outdir)]) == 3
+    assert sorted(p.name for p in outdir.glob("run_*")) == ["run_00", "run_notes"]
 
 
 def test_aborted_runs_recorded_and_reported_by_stats(workspace, monkeypatch, capsys):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import epiadapt
 import epiadapt.de_core as de_core
-import epiadapt.dynamics as dynamics
+import epiadapt._native as native
 from epiadapt.de_core import (
     Candidate,
     DEConfig,
@@ -213,7 +213,7 @@ class TestCrossover:
     @pytest.mark.parametrize("compiled", [True, False])
     def test_out_overlapping_genes_rejected(self, compiled, monkeypatch):
         if not compiled:
-            monkeypatch.setattr(dynamics, "_kernel", lambda: None)
+            monkeypatch.setattr(native, "kernel", lambda: None)
         genes = np.random.default_rng(1).random((6, 5))
         before = genes.copy()
         out = np.empty_like(genes)
@@ -253,7 +253,7 @@ def trial_cases(draw, nan=True):
 def trials_on(build, genes, best, cfg, seed):
     """Trials from one kernel build; None forces the numpy passes, as when no build loads."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_kernel", lambda: build)
+        m.setattr(native, "kernel", lambda: build)
         return build_trials(genes, best, cfg, np.random.default_rng(seed))
 
 
@@ -301,7 +301,7 @@ class TestCompiledTrials:
             pop = make_population(genes.copy(), toy_constrained)
             rng = np.random.default_rng(seed)
             with pytest.MonkeyPatch.context() as m:
-                m.setattr(dynamics, "_kernel", lambda: build)
+                m.setattr(native, "kernel", lambda: build)
                 for _ in range(5):
                     nsde_generation(pop, toy_constrained, 0.1, cfg, rng)
             runs.append([a.tobytes() for a in (pop.genes, pop.f, pop.violation)])
@@ -310,7 +310,7 @@ class TestCompiledTrials:
     @pytest.mark.parametrize("compiled", [True, False])
     def test_uniform_equal_to_cr_takes_mutant(self, compiled, monkeypatch):
         if not compiled:
-            monkeypatch.setattr(dynamics, "_kernel", lambda: None)
+            monkeypatch.setattr(native, "kernel", lambda: None)
         monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.5))
         genes = np.random.default_rng(1).random((10, 7))
         trials = build_trials(genes, genes[4], DEConfig(np_size=10, cr=0.5),
@@ -337,15 +337,15 @@ class TestCompiledTrials:
             evaluate = make_batch_evaluator(net, params, 700.0)
             fallback = run(evaluate)
         assert [w.category for w in caught] == [RuntimeWarning]
-        assert dynamics._kernel() is None
+        assert native.kernel() is None
         assert not list(isolated_kernel.glob("*"))
         # The same numpy-loop evaluator, now with the compiled trial pass.
-        monkeypatch.setattr(dynamics, "_kernel", lambda: kernel)
+        monkeypatch.setattr(native, "kernel", lambda: kernel)
         assert run(evaluate) == fallback
 
     def test_import_builds_nothing(self):
-        code = ("import epiadapt, epiadapt.dynamics as d; "
-                "assert d._kernel.cache_info().misses == 0")
+        code = ("import epiadapt, epiadapt._native as n; "
+                "assert n.kernel.cache_info().misses == 0")
         src = str(Path(epiadapt.__file__).parents[1])
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})

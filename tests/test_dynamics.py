@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-import epiadapt.dynamics as dynamics
+import epiadapt._native as native
 from epiadapt.baselines import constant_adaptation_schedule, no_adaptation_schedule
 from epiadapt.coevolve import optimize_subcomponent, random_grouping
 from epiadapt.de_core import DEConfig, Population
@@ -263,7 +263,7 @@ class TestEvaluateCandidate:
 def kernel_evaluator(build, *args):
     """A batch evaluator on one kernel build; None forces its numpy loop, as when no build loads."""
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(dynamics, "_kernel", lambda: build)
+        m.setattr(native, "kernel", lambda: build)
         return make_batch_evaluator(*args)
 
 
@@ -397,21 +397,21 @@ class TestKernel:
     ])
     def test_host_level_from_cpuinfo(self, flags, machine, level):
         cpuinfo = f"processor\t: 0\nvendor_id\t: GenuineIntel\nflags\t\t: {flags}\nbugs\t\t: spectre_v1\n"
-        assert dynamics._host_levels(cpuinfo, machine)[0] == level
-        assert dynamics._host_levels(cpuinfo, machine)[-1] == "base"
-        assert dynamics._host_levels("", machine) == ["base"]
+        assert native.host_levels(cpuinfo, machine)[0] == level
+        assert native.host_levels(cpuinfo, machine)[-1] == "base"
+        assert native.host_levels("", machine) == ["base"]
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_unreadable_cpuinfo_means_baseline_build(self, isolated_kernel, monkeypatch):
-        monkeypatch.setattr(dynamics, "_CPUINFO", isolated_kernel.parent / "no-cpuinfo")
-        assert dynamics._kernel() is not None
+        monkeypatch.setattr(native, "CPUINFO", isolated_kernel.parent / "no-cpuinfo")
+        assert native.kernel() is not None
         (lib,) = isolated_kernel.glob("*")
         assert lib.name.startswith("_rk4-base-")
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_failed_wide_build_falls_back_to_baseline(self, isolated_kernel, net20, monkeypatch):
-        base = dynamics._KERNEL_LEVELS[-1]
-        monkeypatch.setattr(dynamics, "_KERNEL_LEVELS",
+        base = native.LEVELS[-1]
+        monkeypatch.setattr(native, "LEVELS",
                             (("wide", frozenset(), ("-fno-such-option",)), base))
         params = EpidemicParams(**REF_EPI, substeps=4)
         with warnings.catch_warnings(record=True) as caught:
@@ -419,10 +419,12 @@ class TestKernel:
             evaluate = make_batch_evaluator(net20, params, 700.0)
         assert [w.category for w in caught] == [RuntimeWarning]
         assert "runs its base build" in str(caught[0].message)
+        # The compiler's own complaint about the flag, not just its exit status.
+        assert "error" in str(caught[0].message)
         (lib,) = isolated_kernel.glob("*")
         assert lib.name.startswith("_rk4-base-")
         x = np.random.default_rng(5).random((17, 3420))
-        expected = kernel_evaluator(dynamics._kernel_build("base"), net20, params, 700.0)(x)
+        expected = kernel_evaluator(native.build("base"), net20, params, 700.0)(x)
         assert evaluate(x)[0].tobytes() == expected[0].tobytes()
 
     def test_nan_gene_raises_on_both_paths(self, kernel, net20):
@@ -439,7 +441,7 @@ class TestKernel:
         params = EpidemicParams(**REF_EPI, substeps=4)
         with pytest.warns(RuntimeWarning, match="numpy loop"):
             evaluate = make_batch_evaluator(net20, params, 700.0)
-        assert dynamics._kernel() is None
+        assert native.kernel() is None
         x = np.random.default_rng(4).random((2, 3420))
         expected = [evaluate_candidate(row, net20, params, 700.0).f for row in x]
         np.testing.assert_allclose(evaluate(x)[0], expected, rtol=1e-12)
@@ -451,12 +453,12 @@ class TestKernel:
         (lib,) = isolated_kernel.glob("*")
         built = lib.stat().st_mtime_ns
         # A fresh process: no in-memory kernel, and no compiler to rebuild with.
-        dynamics._kernel.cache_clear()
+        native.kernel.cache_clear()
         monkeypatch.setenv("PATH", str(isolated_kernel.parent))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             make_batch_evaluator(net20, params, 700.0)
-            assert dynamics._kernel() is not None
+            assert native.kernel() is not None
         assert list(isolated_kernel.glob("*")) == [lib]
         assert lib.stat().st_mtime_ns == built
 
@@ -467,7 +469,7 @@ class TestKernel:
         stale.write_bytes(b"a build of an earlier source")
         unrelated = isolated_kernel / "module.cpython.pyc"
         unrelated.write_bytes(b"")
-        assert dynamics._kernel() is not None
+        assert native.kernel() is not None
         (lib,) = isolated_kernel.glob("_rk4-*.so")
         assert lib != stale and not stale.exists()
         assert unrelated.exists()

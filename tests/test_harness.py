@@ -22,7 +22,6 @@ from epiadapt.harness import (
     derive_run_seed,
     emit_run_artifacts,
     normalize_algorithm,
-    read_runs_csv,
     read_schedule_csv,
     run_experiment,
     save_network,
@@ -32,6 +31,8 @@ from epiadapt.harness import (
     write_trajectory_csv,
 )
 from epiadapt.stats import AlgorithmSummary
+
+RUNS_HEADER = "algorithm,run,ofv,violation,evaluations,generations"
 
 TINY = dict(
     np_size=10, total_fes=1200, sub_fes=40, substeps=5, runs=2, master_seed=3
@@ -308,17 +309,22 @@ class TestStatsPipeline:
         assert ",-," in lines[1]
 
     def test_runs_csv_reader_validates(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        path.write_text("foo,bar\n1,2\n")
-        with pytest.raises(ConfigError):
-            read_runs_csv(path)
-        path.write_text("algorithm,run,ofv,violation\n")
-        with pytest.raises(ConfigError):
-            read_runs_csv(path)
+        # A foreign header, no rows, the four scored columns alone, and the
+        # six columns in another order.
+        for text, message in [
+            ("foo,bar\n1,2\n", "expected header"),
+            (f"{RUNS_HEADER}\n", "no run rows"),
+            ("algorithm,run,ofv,violation\nnsde,0,2.5,0.0\n", "expected header"),
+            ("run,algorithm,ofv,violation,evaluations,generations\n0,nsde,2.5,0.0,40,1\n",
+             "expected header"),
+        ]:
+            (tmp_path / "runs.csv").write_text(text)
+            with pytest.raises(ConfigError, match=message):
+                summarize_run_dirs([tmp_path], "nsde")
 
+    # Each bad row's algorithm, run, ofv and violation; evaluations and
+    # generations are 40 and 1, as in the first row.
     @pytest.mark.parametrize("bad_row,message", [
-        ("nsde,1,2.5", "expected 4 fields"),
-        ("nsde,1,2.5,0.0,7", "expected 4 fields"),
         ("nsde,one,2.5,0.0", "integer"),
         ("nsde,1,low,0.0", "numbers"),
         ("nsde,1,nan,0.0", "finite"),
@@ -326,15 +332,32 @@ class TestStatsPipeline:
         ("nsde,0,3.5,0.0", "duplicate run 0 of nsde"),
     ])
     def test_runs_csv_rows_validated(self, tmp_path, bad_row, message):
-        path = tmp_path / "runs.csv"
-        path.write_text(f"algorithm,run,ofv,violation\nnsde,0,2.5,0.0\n{bad_row}\n")
+        (tmp_path / "runs.csv").write_text(f"{RUNS_HEADER}\nnsde,0,2.5,0.0,40,1\n{bad_row},40,1\n")
         with pytest.raises(ConfigError, match=rf"runs\.csv:3: .*{message}"):
-            read_runs_csv(path)
+            summarize_run_dirs([tmp_path], "nsde")
+
+    @pytest.mark.parametrize("bad_row", ["nsde,1,2.5,0.0,40", "nsde,1,2.5,0.0,40,1,7"])
+    def test_runs_csv_rows_have_six_fields(self, tmp_path, bad_row):
+        (tmp_path / "runs.csv").write_text(f"{RUNS_HEADER}\nnsde,0,2.5,0.0,40,1\n{bad_row}\n")
+        with pytest.raises(ConfigError, match=r"runs\.csv:3: expected 6 fields"):
+            summarize_run_dirs([tmp_path], "nsde")
+
+    def test_duplicate_run_names_both_rows(self, tmp_path):
+        dirs = [tmp_path / "a", tmp_path / "b"]
+        for indir, rows in zip(dirs, ("nsde,0,2.5,0.0,40,1\nnsde,1,2.6,0.0,40,1\n",
+                                      "none,0,3.0,0.0,1,0\nnsde,1,2.7,0.0,40,1\n")):
+            indir.mkdir()
+            (indir / "runs.csv").write_text(f"{RUNS_HEADER}\n{rows}")
+        first, again = dirs[0] / "runs.csv", dirs[1] / "runs.csv"
+        message = f"{again}:3: duplicate run 1 of nsde, first read at {first}:3"
+        with pytest.raises(ConfigError, match=re.escape(message)):
+            summarize_run_dirs(dirs, "nsde")
 
     def test_runs_csv_run_ids_are_per_algorithm(self, tmp_path):
-        path = tmp_path / "runs.csv"
-        path.write_text("algorithm,run,ofv,violation\nnsde,0,2.5,0.0\nnone,0,3.0,0.0\n")
-        assert [row["algorithm"] for row in read_runs_csv(path)] == ["nsde", "none"]
+        (tmp_path / "runs.csv").write_text(
+            f"{RUNS_HEADER}\nnsde,0,2.5,0.0,40,1\nnone,0,3.0,0.0,1,0\n")
+        rows = summarize_run_dirs([tmp_path], "nsde")
+        assert [(row.algorithm, row.n_runs) for row in rows] == [("nsde", 1), ("none", 1)]
 
 
 class TestArtifactBytes:

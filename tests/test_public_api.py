@@ -44,3 +44,48 @@ def test_error_types_are_exported():
 def test_traced_harness_names_exist(name):
     # The traced benchmark swaps these module attributes for wrappers.
     assert callable(getattr(harness, name))
+
+
+def module_sources() -> dict[str, str]:
+    return {path.stem: path.read_text() for path in (ROOT / "src" / "epiadapt").glob("*.py")}
+
+
+def imported_modules(source: str) -> set[str]:
+    """Modules a source imports, package modules by their bare name (``dynamics``)."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            if node.module is None:  # from . import name
+                out.update(alias.name for alias in node.names)
+            else:
+                out.add(node.module)
+    return {name.removeprefix("epiadapt.") for name in out}
+
+
+def called_names(source: str) -> set[str]:
+    """Names of the functions and methods a source calls."""
+    calls = [node.func for node in ast.walk(ast.parse(source)) if isinstance(node, ast.Call)]
+    return {getattr(func, "id", getattr(func, "attr", None)) for func in calls}
+
+
+FILE_CALLS = {"open", "read_text", "write_text", "read_bytes", "write_bytes", "mkdir",
+              "unlink", "rmtree", "iterdir", "glob"}
+
+
+def test_each_outside_resource_has_one_owner():
+    sources = module_sources()
+    assert {"harness", "_native", "cli", "dynamics", "de_core", "coevolve"} <= set(sources)
+    for name, source in sources.items():
+        imports = imported_modules(source)
+        if name != "harness":
+            assert not imports & {"csv", "json"}, name
+        if name != "_native":
+            assert not imports & {"ctypes", "subprocess", "tempfile", "mmap"}, name
+            assert "/proc" not in source, name
+        if name not in ("harness", "_native"):
+            assert not called_names(source) & FILE_CALLS, name
+    assert "dynamics" not in imported_modules(sources["de_core"])
+    assert "dynamics" not in imported_modules(sources["coevolve"])
+    assert "de_core" not in imported_modules(sources["dynamics"])
