@@ -6,9 +6,15 @@
  * trapezoid integral of sum_i sqrt(p_i) to obj_unit, the shared [0, 1)
  * contribution. Each candidate goes through the arithmetic of
  * dynamics._advance_unit step by step; only the mat-vec adds its terms in
- * j order where BLAS uses its own order, so results agree with the numpy
- * loop to round-off. Before integrating, it also writes each candidate's
- * squared deviation sum_e (x_e - x0_e)^2 to g, summed in gene order.
+ * j order and the sqrt sum in node order, where numpy uses BLAS and
+ * pairwise sums, so results agree with the numpy loop to round-off. Before
+ * integrating, it also writes each candidate's squared deviation
+ * sum_e (x_e - x0_e)^2 to g, summed in gene order.
+ *
+ * The sqrt sum s of each step's start state is taken in the epilogue of the
+ * step's first stage, which reads that state; after an interval's last step
+ * one sqrt_sum gives s_k. The trapezoid therefore still runs 0.5 * s_0,
+ * then + s_1 ... + s_k, then - 0.5 * s_k.
  *
  * x holds B rows of T1 * m genes, m = n * (n - 1). Gene e of an interval is
  * the weight w[i, j] with pos[e] = j * n + i, scaled by beta_off[e] = beta[j].
@@ -17,7 +23,8 @@
  * Candidates run LANES at a time, side by side: entry (i, lane) of a state
  * sits at i * LANES + lane, and w[i, j] * beta[j] of each lane at
  * (j * n + i) * LANES + lane, so every loop below is element-wise across
- * lanes and vectorizes without reassociating any sum. Spare lanes of the
+ * lanes and vectorizes without reassociating any sum. gamma is expanded the
+ * same way, once per call. Spare lanes of the
  * last group repeat its first candidate. LANES comes from the build (-D) to
  * match the host's vector width; every width gives the same bytes.
  *
@@ -39,11 +46,15 @@ static inline double clamp01(double v)
     return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
 }
 
-/* Rows i0 .. i0 + R - 1 of out = (1 - v) * (W v) - gamma * v. The R * LANES
- * sums stay in registers across the j loop. */
+/* Rows i0 .. i0 + R - 1 of out = (1 - v) * (W v) - gamma * v, with gl the
+ * lane-expanded gamma. The R * LANES sums stay in registers across the j
+ * loop. The epilogue reads gamma lane-wise, so it is one flat loop; a
+ * gamma[i] per row made the compiler vectorize it across rows, which
+ * transposes q and v. With s, sqrt(v) is added to s in ascending i. */
 static inline void rhs_rows(int64_t n, int64_t i0, const int R,
-                            const double *restrict wb, const double *restrict gamma,
-                            const double *restrict v, double *restrict out)
+                            const double *restrict wb, const double *restrict gl,
+                            const double *restrict v, double *restrict out,
+                            double *restrict s)
 {
     double q[ROWS * LANES] = {0.0};
     for (int64_t j = 0; j < n; ++j) {
@@ -53,21 +64,32 @@ static inline void rhs_rows(int64_t n, int64_t i0, const int R,
             for (int l = 0; l < LANES; ++l)
                 q[r * LANES + l] += col[r * LANES + l] * vj[l];
     }
-    for (int r = 0; r < R; ++r)
-        for (int l = 0; l < LANES; ++l) {
-            const int64_t a = (i0 + r) * LANES + l;
-            out[a] = (1.0 - v[a]) * q[r * LANES + l] - gamma[i0 + r] * v[a];
-        }
+    for (int c = 0; c < R * LANES; ++c) {
+        const int64_t a = i0 * LANES + c;
+        out[a] = (1.0 - v[a]) * q[c] - gl[a] * v[a];
+    }
+    if (s != NULL)
+        for (int r = 0; r < R; ++r)
+            for (int l = 0; l < LANES; ++l)
+                s[l] += sqrt(v[(i0 + r) * LANES + l]);
 }
 
-static void rhs(int64_t n, const double *restrict wb, const double *restrict gamma,
-                const double *restrict v, double *restrict out)
+/* out = the right-hand side at v; with s not NULL, also s = sum_i sqrt(v_i)
+ * per lane in node order. Inlined into rk4_batch's four stages, it made the
+ * v3 and base builds slower. */
+__attribute__((noinline)) static void rhs(int64_t n, const double *restrict wb,
+                                          const double *restrict gl,
+                                          const double *restrict v,
+                                          double *restrict out, double *restrict s)
 {
+    if (s != NULL)
+        for (int l = 0; l < LANES; ++l)
+            s[l] = 0.0;
     int64_t i0 = 0;
     for (; i0 + ROWS <= n; i0 += ROWS)
-        rhs_rows(n, i0, ROWS, wb, gamma, v, out);
+        rhs_rows(n, i0, ROWS, wb, gl, v, out, s);
     for (; i0 < n; ++i0)
-        rhs_rows(n, i0, 1, wb, gamma, v, out);
+        rhs_rows(n, i0, 1, wb, gl, v, out, s);
 }
 
 /* g[l] = sum_e (rows[l][e] - x0[e])^2 over D genes for each lane's row,
@@ -102,14 +124,18 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
 {
     const int64_t m = n * (n - 1), nl = n * LANES;
     const double h = 1.0 / (double)k, hh = 0.5 * h, h6 = h / 6.0;
-    double *wb = calloc((size_t)(n * nl + 6 * nl), sizeof(double));
+    double *wb = calloc((size_t)(n * nl + 7 * nl), sizeof(double));
     if (wb == NULL)
         return 2;
     double *p = wb + n * nl, *tmp = p + nl;
-    double *k1 = tmp + nl, *k2 = k1 + nl, *k3 = k2 + nl, *k4 = k3 + nl;
-    double s[LANES], acc[LANES], total[LANES], dev[LANES];
+    double *k1 = tmp + nl, *k2 = k1 + nl, *k3 = k2 + nl, *k4 = k3 + nl, *gl = k4 + nl;
+    double s[LANES], acc[LANES] = {0.0}, total[LANES], dev[LANES];
     const double *rows[LANES];
     int status = 0;
+
+    for (int64_t i = 0; i < n; ++i)
+        for (int l = 0; l < LANES; ++l)
+            gl[i * LANES + l] = gamma[i];
 
     for (int64_t b0 = 0; b0 < B && status == 0; b0 += LANES) {
         for (int l = 0; l < LANES; ++l) {
@@ -126,30 +152,28 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
             for (int64_t e = 0; e < m; ++e)
                 for (int l = 0; l < LANES; ++l)
                     wb[pos[e] * LANES + l] = rows[l][t * m + e] * beta_off[e];
-            sqrt_sum(n, p, s);
-            for (int l = 0; l < LANES; ++l)
-                acc[l] = 0.5 * s[l];
             for (int64_t step = 0; step < k; ++step) {
-                rhs(n, wb, gamma, p, k1);
+                rhs(n, wb, gl, p, k1, s);
+                for (int l = 0; l < LANES; ++l)
+                    acc[l] = step == 0 ? 0.5 * s[l] : acc[l] + s[l];
                 for (int64_t i = 0; i < nl; ++i)
                     tmp[i] = p[i] + hh * k1[i];
-                rhs(n, wb, gamma, tmp, k2);
+                rhs(n, wb, gl, tmp, k2, NULL);
                 for (int64_t i = 0; i < nl; ++i)
                     tmp[i] = p[i] + hh * k2[i];
-                rhs(n, wb, gamma, tmp, k3);
+                rhs(n, wb, gl, tmp, k3, NULL);
                 for (int64_t i = 0; i < nl; ++i)
                     tmp[i] = p[i] + h * k3[i];
-                rhs(n, wb, gamma, tmp, k4);
+                rhs(n, wb, gl, tmp, k4, NULL);
                 for (int64_t i = 0; i < nl; ++i) {
                     const double v =
                         p[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
                     p[i] = clamp01(v);
                 }
-                sqrt_sum(n, p, s);
-                for (int l = 0; l < LANES; ++l)
-                    acc[l] += s[l];
             }
+            sqrt_sum(n, p, s);
             for (int l = 0; l < LANES; ++l) {
+                acc[l] += s[l];
                 acc[l] -= 0.5 * s[l];
                 total[l] += h * acc[l];
             }

@@ -312,8 +312,11 @@ def run_experiment(
     CLI loads it from disk so every algorithm sees the same instance).
     Baselines produce a single deterministic record; optimizer campaigns
     produce ``cfg.runs`` records whose seeds derive from the master seed.
-    Records come back in run order regardless of ``workers``.
+    Records come back in run order regardless of ``workers``. ``outdir`` is
+    created before the first run, so a path that cannot hold it fails at once.
     """
+    if outdir is not None:
+        _make_dir(Path(outdir))
     if net is None:
         net = generate_ba(cfg.n, cfg.m0, cfg.m, cfg.net_seed)
     params = cfg.epidemic_params()
@@ -346,9 +349,23 @@ def _fmt(x: float) -> str:
     return f"{x:.12g}"
 
 
+def _make_dir(path: Path) -> None:
+    try:
+        path.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+
+
 def _write_csv(path: str | Path, header: Iterable[str], rows) -> None:
-    """Write ``header`` and then ``rows`` in the csv module's default dialect."""
-    with Path(path).open("w", newline="") as fh:
+    """Write ``header`` and then ``rows`` in the csv module's default dialect.
+
+    A file that cannot be opened for writing is a ConfigError.
+    """
+    try:
+        fh = Path(path).open("w", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
+    with fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -466,7 +483,7 @@ def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path)
 
     Deletes each ``run_<digits>`` directory of a run not in ``records``.
     """
-    outdir.mkdir(parents=True, exist_ok=True)
+    _make_dir(outdir)
     keep = {f"run_{rec.run:02d}" for rec in records}
     for old in outdir.iterdir():
         if old.name not in keep and re.fullmatch(r"run_\d+", old.name) and old.is_dir():

@@ -2,6 +2,7 @@
 and a meter of the memory a call allocates."""
 from __future__ import annotations
 
+import math
 import tracemalloc
 from dataclasses import dataclass
 from typing import Callable
@@ -12,6 +13,7 @@ from epiadapt.dynamics import (
     EpidemicParams,
     Trajectory,
     WeightSchedule,
+    _advance_unit,
     _offdiag_indices,
     constraint_value,
     decode_candidate,
@@ -38,6 +40,64 @@ def evaluate_candidate(
     f = objective_value(integrate(net, params, sched))
     g = constraint_value(sched, net, budget)
     return Evaluation(f=f, g=g, violation=max(0.0, g))
+
+
+def kernel_objective(x: np.ndarray, net: Network, params: EpidemicParams) -> float:
+    """f of one candidate as the compiled kernel defines it, one rounding per operation.
+
+    The shared [0, 1) interval comes from ``_advance_unit``, as the kernel
+    receives it. Each re-planned interval then runs in Python floats: the
+    mat-vec adds w[i, j] * beta[j] * v[j] over j in order from 0.0, zero
+    diagonal included; the stages combine as ((k1 + 2 k2) + 2 k3) + k4; the
+    clamp to [0, 1] keeps NaN; the sqrt sum runs in node order; and the
+    trapezoid runs 0.5 s_0, + s_1 ... + s_k, - 0.5 s_k.
+    """
+    n, k = net.n, params.substeps
+    beta, gamma, p0 = params.node_vectors(n)
+    p_unit, obj_unit = _advance_unit(p0[None, :].copy(), (net.w0 * beta)[None], gamma, k)
+    rows, cols = _offdiag_indices(n)
+    m = n * (n - 1)
+    genes, beta, gamma = np.asarray(x, dtype=float).tolist(), beta.tolist(), gamma.tolist()
+    h = 1.0 / k
+    hh, h6 = 0.5 * h, h / 6.0
+
+    def rhs(w: list[list[float]], v: list[float]) -> list[float]:
+        out = []
+        for i in range(n):
+            q = 0.0
+            for j in range(n):
+                q += w[i][j] * v[j]
+            out.append((1.0 - v[i]) * q - gamma[i] * v[i])
+        return out
+
+    def sqrt_sum(v: list[float]) -> float:
+        s = 0.0
+        for vi in v:
+            s += math.sqrt(vi)
+        return s
+
+    def clamp01(v: float) -> float:
+        return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
+
+    p, total = p_unit[0].tolist(), float(obj_unit[0])
+    for t in range(params.horizon - 1):
+        w = [[0.0] * n for _ in range(n)]
+        for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+            w[i][j] = genes[t * m + e] * beta[j]
+        s = sqrt_sum(p)
+        acc = 0.5 * s
+        for _ in range(k):
+            k1 = rhs(w, p)
+            k2 = rhs(w, [a + hh * b for a, b in zip(p, k1)])
+            k3 = rhs(w, [a + hh * b for a, b in zip(p, k2)])
+            k4 = rhs(w, [a + h * b for a, b in zip(p, k3)])
+            p = [clamp01(a + h6 * (b + 2.0 * c + 2.0 * d + e))
+                 for a, b, c, d, e in zip(p, k1, k2, k3, k4)]
+            s = sqrt_sum(p)
+            acc += s
+        acc -= 0.5 * s
+        total += h * acc
+    return total
 
 
 def encode_schedule(sched: WeightSchedule) -> np.ndarray:

@@ -202,6 +202,40 @@ def test_unreadable_input_exits_2(workspace, capsys, command, missing):
     assert f"cannot read {tmp_path / missing}: No such file or directory" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["optimize", "--net", "{net}", "--config", "{config}", "--algo", "nsde", "--outdir", "{out}"],
+    ["optimize", "--net", "{net}", "--config", "{config}", "--algo", "nsde-c3",
+     "--workers", "2", "--outdir", "{out}"],
+    ["baseline", "--net", "{net}", "--config", "{config}", "--mode", "constant",
+     "--outdir", "{out}"],
+], ids=["nsde", "nsde-c3-workers-2", "baseline"])
+def test_unwritable_outdir_exits_2_before_any_run(workspace, monkeypatch, capsys, command):
+    # A typo that puts --outdir under a file must not cost a whole campaign.
+    import epiadapt.harness as harness
+
+    tmp_path, net, config = workspace
+    started = []
+    for name in ("_optimizer_record", "_baseline_record"):
+        monkeypatch.setattr(harness, name, lambda *args, name=name: started.append(name))
+    out = net / "x"
+    assert main([arg.format(net=net, config=config, out=out) for arg in command]) == 2
+    assert f"cannot write {out}: Not a directory" in capsys.readouterr().err
+    assert started == []
+
+
+@pytest.mark.parametrize("out,reason", [
+    ("{tmp}/missing/summary.csv", "No such file or directory"),
+    ("{net}/summary.csv", "Not a directory"),
+], ids=["missing-dir", "under-a-file"])
+def test_stats_out_that_cannot_be_written_exits_2(workspace, capsys, out, reason):
+    tmp_path, net, _ = workspace
+    (tmp_path / "runs.csv").write_text(
+        "algorithm,run,ofv,violation,evaluations,generations\nnsde,0,180,0,1200,20\n")
+    out = out.format(tmp=tmp_path, net=net)
+    assert main(["stats", "--indir", str(tmp_path), "--ref", "nsde", "--out", out]) == 2
+    assert f"cannot write {out}: {reason}" in capsys.readouterr().err
+
+
 def test_missing_subcommand_usage_error():
     with pytest.raises(SystemExit) as excinfo:
         main([])

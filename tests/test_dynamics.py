@@ -1,6 +1,8 @@
 import functools
 import math
+import os
 import shutil
+import subprocess
 import warnings
 
 import numpy as np
@@ -31,6 +33,7 @@ from reference import (
     encode_schedule,
     evaluate_candidate,
     infected_level,
+    kernel_objective,
     total_weights,
     traced_peak,
 )
@@ -355,6 +358,39 @@ class TestKernel:
         for row, acc in zip(x, expected):
             g = constraint_value(decode_candidate(row, 20, 10), net20, 0.0)
             assert np.float64(max(0.0, g)).tobytes() == acc.tobytes()
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7, 20])
+    def test_every_level_gives_the_scalar_model_bytes(self, level_builds, net20, n):
+        # Batch 9 leaves spare lanes at every width. n = 20 is the reference
+        # network at the reference step; 2, 3, 5 and 7 leave rows past the
+        # last full block of rows, and carry per-node rates.
+        rng = np.random.default_rng(n)
+        if n == 20:
+            net, params = net20, EpidemicParams(**REF_EPI, substeps=20)
+        else:
+            w0 = np.minimum(rng.random((n, n)) + 0.01, 1.0)
+            np.fill_diagonal(w0, 0.0)
+            net = Network(w0)
+            params = EpidemicParams(beta=rng.random(n), gamma=rng.random(n),
+                                    p0=rng.random(n), horizon=3, substeps=7)
+        x = rng.random((9, decision_dimension(n, params.horizon)))
+        expected = np.array([kernel_objective(row, net, params) for row in x])
+        for level, build in level_builds.items():
+            f, _ = kernel_evaluator(build, net, params, 0.0)(x)
+            assert f.tobytes() == expected.tobytes(), level
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_every_host_level_builds_without_warnings(self, tmp_path):
+        try:
+            cpuinfo = native.CPUINFO.read_text()
+        except OSError:
+            cpuinfo = ""
+        for level in native.host_levels(cpuinfo, os.uname().machine):
+            extra = next(extra for name, _, extra in native.LEVELS if name == level)
+            cc = subprocess.run(["cc", *native.CFLAGS, *extra, "-Wall", "-Wextra", "-Werror",
+                                 "-o", str(tmp_path / f"{level}.so"), str(native.SOURCE), "-lm"],
+                                capture_output=True, text=True)
+            assert cc.returncode == 0, f"{level}: {cc.stderr}"
 
     def test_c3_context_batches_give_numpy_loop_bytes(self, kernel, net20):
         # A visit to group 2 of 3 scores (NP, D) context batches in which only
