@@ -114,26 +114,45 @@ def build(level: str) -> ctypes.CDLL:
                 except OSError:  # another process may have removed it first
                     pass
     built = ctypes.CDLL(str(lib))
-    f64, i64, rows = (np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
-                      for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2)))
+    f64, i64, rows, block = (
+        np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
+        for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2), (np.float64, None)))
     n, real = ctypes.c_int64, ctypes.c_double
     built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, f64, f64, f64, real, f64, f64]
     built.rk4_batch.restype = ctypes.c_int
     built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, rows]
     built.de_trials.restype = None
+    built.uniforms.argtypes = [*(ctypes.c_uint64,) * 4, n, block]
+    built.uniforms.restype = None
     return built
+
+
+def _fill_matches_numpy(built: ctypes.CDLL) -> bool:
+    """Whether ``uniforms`` gives ``Generator(PCG64).random``'s bytes.
+
+    One fixed state and 43 draws: five 8-lane blocks and a tail, or ten
+    4-lane blocks and a tail. A numpy that changes ``random()`` fails here.
+    """
+    bitgen = np.random.PCG64(20190101)
+    pcg = bitgen.state["state"]
+    out = np.empty(43)
+    built.uniforms(*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64),
+                   out.size, out)
+    return out.tobytes() == np.random.Generator(bitgen).random(out.size).tobytes()
 
 
 @lru_cache(maxsize=None)
 def kernel() -> ctypes.CDLL | None:
     """The widest build of ``_rk4.c`` this host runs, or None.
 
-    It holds the RK4 batch kernel and the NSDE trial pass. The host's level
-    comes from /proc/cpuinfo, read here on first use and never at import:
-    x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then the baseline
-    build. A build that cannot be made or loaded passes to the next; past
-    the last, the evaluator and the DE operators run their numpy code.
-    Either fallback gives one RuntimeWarning per process.
+    It holds the RK4 batch kernel, the NSDE trial pass and the PCG64 fill.
+    The host's level comes from /proc/cpuinfo, read here on first use and
+    never at import: x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then
+    the baseline build. A build that cannot be made or loaded passes to the
+    next; past the last, the evaluator and the DE operators run their numpy
+    code. A loaded build whose ``uniforms`` does not give numpy's PCG64
+    doubles has it set to None, so the DE operators draw their uniforms
+    with numpy. The fallbacks of one process give one RuntimeWarning.
     """
     try:
         cpuinfo = CPUINFO.read_text()
@@ -146,6 +165,10 @@ def kernel() -> ctypes.CDLL | None:
             break
         except OSError as exc:
             failed.append(f"{level}: {exc}")
+    if built is not None and not _fill_matches_numpy(built):
+        built.uniforms = None
+        failed.append("uniforms: the PCG64 fill differs from numpy's random(), "
+                      "which draws the uniforms instead")
     if failed:
         outcome = (f"runs its {level} build" if built is not None else
                    "unavailable, the evaluator and the DE operators run their numpy loops")

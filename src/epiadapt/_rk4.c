@@ -1,5 +1,7 @@
-/* Compiled kernels: rk4_batch for the batch evaluator in dynamics.py and
- * de_trials for the NSDE operators in de_core.py (see there).
+/* Compiled kernels: rk4_batch for the batch evaluator in dynamics.py, and
+ * for the NSDE operators in de_core.py de_trials, the trial pass, and
+ * uniforms, numpy's PCG64 Generator.random stream computed in jumped-ahead
+ * lanes (see there and below).
  *
  * rk4_batch advances B candidates from the state p_unit at t = 1 over the
  * T1 = horizon - 1 re-planned unit intervals, k RK4 steps each, and adds the
@@ -220,4 +222,85 @@ void de_trials(int64_t NP, int64_t D, const double *restrict x,
         const int64_t j = forced[i];
         t[j] = clamp01(mutant(best[j], xi[j], a[j], b[j], fi));
     }
+}
+
+/* numpy's PCG64 (PCG XSL RR 128/64): each step is state * M + inc, mod
+ * 2^128, and gives rotr64(hi ^ lo, hi >> 58) of the new state. */
+#define PCG_MULT_HI 0x2360ed051fc65da4ULL
+#define PCG_MULT_LO 0x4385df649fccf645ULL
+
+/* (hi, lo) = (hi, lo) * (ah, al) + (ch, cl) mod 2^128, in 64-bit halves: the
+ * high half of lo * al from 32-bit limbs, the cross terms as 64-bit low
+ * products. */
+static inline void lcg_step(uint64_t *restrict hi, uint64_t *restrict lo, uint64_t ah,
+                            uint64_t al, uint64_t ch, uint64_t cl)
+{
+    const uint64_t x = *lo, x0 = x & 0xffffffffu, x1 = x >> 32;
+    const uint64_t a0 = al & 0xffffffffu, a1 = al >> 32;
+    const uint64_t p00 = x0 * a0, p01 = x0 * a1, p10 = x1 * a0;
+    const uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
+    const uint64_t plo = (mid << 32) | (p00 & 0xffffffffu);
+    const uint64_t phi = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
+    const uint64_t nlo = plo + cl;
+    *hi = phi + x * ah + *hi * al + ch + (nlo < plo);
+    *lo = nlo;
+}
+
+/* numpy's Generator.random double from the output of state (hi, lo). */
+static inline double pcg_double(uint64_t hi, uint64_t lo)
+{
+    const uint64_t v = hi ^ lo;
+    const unsigned r = (unsigned)(hi >> 58);
+    const uint64_t u = (v >> r) | (v << ((64u - r) & 63u));
+    return (double)(int64_t)(u >> 11) * 0x1.0p-53;
+}
+
+/* uniforms writes the n doubles numpy's Generator.random draws from a PCG64
+ * at state (state_hi, state_lo) and increment (inc_hi, inc_lo); the caller
+ * moves the generator on. The stream runs in LANES jumped-ahead lanes: lane
+ * l starts l + 1 steps past the state and steps LANES at a time with
+ * A = M^LANES and C = inc * (M^(LANES-1) + ... + 1), so out[b + l] is lane
+ * l's output in block b and the chains are independent. */
+void uniforms(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi, uint64_t inc_lo,
+              int64_t n, double *restrict out)
+{
+    uint64_t hi[LANES], lo[LANES];
+    uint64_t ah = 0, al = 1, ch = 0, cl = 0;
+    for (int l = 0; l < LANES; ++l) {
+        lcg_step(&state_hi, &state_lo, PCG_MULT_HI, PCG_MULT_LO, inc_hi, inc_lo);
+        hi[l] = state_hi;
+        lo[l] = state_lo;
+        lcg_step(&ah, &al, PCG_MULT_HI, PCG_MULT_LO, 0, 0);
+        lcg_step(&ch, &cl, PCG_MULT_HI, PCG_MULT_LO, inc_hi, inc_lo);
+    }
+    int64_t b = 0;
+#if LANES >= 8 || !defined(__SIZEOF_INT128__)
+    /* 64-bit halves, which gcc vectorizes across the lanes. Only the LANES 8
+     * build (AVX-512) has vector 64-bit multiplies; a compiler without
+     * __int128 takes this form as well. */
+    for (; b + LANES <= n; b += LANES)
+        for (int l = 0; l < LANES; ++l) {
+            out[b + l] = pcg_double(hi[l], lo[l]);
+            lcg_step(&hi[l], &lo[l], ah, al, ch, cl);
+        }
+#else
+    /* One scalar 128-bit chain per lane: with emulated vector 64-bit
+     * multiplies the halves form ran slower than numpy. */
+    typedef unsigned __int128 u128;
+    const u128 a = (u128)ah << 64 | al, c = (u128)ch << 64 | cl;
+    u128 s[LANES];
+    for (int l = 0; l < LANES; ++l)
+        s[l] = (u128)hi[l] << 64 | lo[l];
+    for (; b + LANES <= n; b += LANES)
+        for (int l = 0; l < LANES; ++l) {
+            out[b + l] = pcg_double((uint64_t)(s[l] >> 64), (uint64_t)s[l]);
+            s[l] = s[l] * a + c;
+        }
+    for (int l = 0; l < LANES; ++l) {
+        hi[l] = (uint64_t)(s[l] >> 64);
+        lo[l] = (uint64_t)s[l];
+    }
+#endif
+    for (int l = 0; b + l < n; ++l)
+        out[b + l] = pcg_double(hi[l], lo[l]);
 }

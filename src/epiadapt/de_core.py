@@ -7,11 +7,17 @@ under the epsilon comparator. Heavy-tailed draws are used as-is (genes are
 weights, clamped into [0, 1]), which is what gives the operator its escape
 behavior.
 
-Every draw is a whole numpy array. The trials are then formed in one pass
-of ``de_trials`` in ``_rk4.c``, loaded with the RK4 kernel by
-``_native.kernel``; where no build loads, the numpy passes run instead.
-The two give the same bytes: the pass keeps numpy's operation order, is
-built without FMA contraction and clamps as ``np.clip`` does, NaN included.
+Every draw is a whole numpy array. The two (NP, D) blocks of uniforms, the
+initial population and each generation's crossover draw, are filled by
+``uniforms`` in ``_rk4.c`` when the generator is numpy's PCG64: it computes
+numpy's own stream in jumped-ahead lanes, and the generator is then left
+exactly where ``rng.random`` would leave it. The trials are formed in one
+pass of ``de_trials``, also in ``_rk4.c``. Both are loaded with the RK4
+kernel by ``_native.kernel``; where no build loads, numpy draws the
+uniforms and the numpy passes run instead, and any other generator draws
+its own. Each gives numpy's bytes: the pass keeps numpy's operation order,
+is built without FMA contraction and clamps as ``np.clip`` does, NaN
+included.
 """
 from __future__ import annotations
 
@@ -82,11 +88,35 @@ class Population:
         return Candidate(self.genes[i].copy(), float(self.f[i]), float(self.violation[i]))
 
 
+def _uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``rng.random(out=out)``, its bytes and the state it leaves ``rng`` in.
+
+    ``out`` must be a C-contiguous float64 array. For numpy's PCG64 the
+    kernel's ``uniforms`` computes the doubles from the state and ``advance``
+    moves the generator past them. ``advance`` also drops the buffered half
+    of a 32-bit draw, which the next ``rng.integers`` would read, so it is
+    put back.
+    """
+    built = _native.kernel()
+    bitgen = getattr(rng, "bit_generator", None)
+    if built is None or built.uniforms is None or type(bitgen) is not np.random.PCG64:
+        return rng.random(out=out)
+    state = bitgen.state
+    pcg = state["state"]
+    built.uniforms(*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64),
+                   out.size, out)
+    bitgen.advance(out.size)
+    if state["has_uint32"]:
+        state["state"] = bitgen.state["state"]
+        bitgen.state = state
+    return out
+
+
 def init_population(cfg: DEConfig, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform-random genes of shape (NP, dim) in [0, 1)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return rng.random(out=_native.unpooled_empty((cfg.np_size, dim)))
+    return _uniforms(rng, _native.unpooled_empty((cfg.np_size, dim)))
 
 
 def sample_scale_factors(fp: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -141,7 +171,7 @@ def build_trials(
     f = sample_scale_factors(cfg.fp, np_size, rng)
     r1, r2 = donor_indices(np_size, rng)
     # The crossover draws pass through the trial buffer before the mutant fills it.
-    trials = rng.random(out=np.empty_like(genes) if out is None else out)
+    trials = _uniforms(rng, np.empty_like(genes) if out is None else out)
     forced = rng.integers(dim, size=np_size)
     built = _native.kernel()
     if built is not None:

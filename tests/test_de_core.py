@@ -1,4 +1,5 @@
 import os
+import shutil
 import subprocess
 import sys
 import warnings
@@ -349,6 +350,91 @@ class TestCompiledTrials:
         src = str(Path(epiadapt.__file__).parents[1])
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
+
+
+def generator_at(seed, buffered):
+    """A PCG64 generator from ``seed`` and an independent copy of it.
+
+    With ``buffered``, one 32-bit ``integers`` draw first leaves the other
+    half of its 64-bit output buffered (``has_uint32`` = 1).
+    """
+    rng = np.random.default_rng(seed)
+    if buffered:
+        rng.integers(7)
+    twin = np.random.default_rng()
+    twin.bit_generator.state = rng.bit_generator.state
+    return rng, twin
+
+
+# 0, 1, LANES - 1 and LANES + 1 at 4 and at 8 lanes, seven intervals of the
+# reference problem's genes, and an odd NP * D.
+FILL_SIZES = (0, 1, 3, 5, 7, 9, 3420 * 7, 35 * 99)
+
+
+class TestUniformFill:
+    @settings(max_examples=30, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from(FILL_SIZES),
+           buffered=st.booleans())
+    def test_every_level_gives_numpy_bytes_and_state(self, level_builds, seed, n, buffered):
+        for level, build in level_builds.items():
+            rng, twin = generator_at(seed, buffered)
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(native, "kernel", lambda: build)
+                filled = de_core._uniforms(rng, np.empty(n))
+            assert filled.tobytes() == twin.random(n).tobytes(), level
+            assert rng.bit_generator.state == twin.bit_generator.state, level
+
+    @settings(max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans())
+    def test_odd_population_trials_give_numpy_bytes(self, level_builds, seed, buffered):
+        # The donors draw 2 * NP 32-bit halves, plus any rejections. After an
+        # odd count in all (here one earlier draw), the forced genes start
+        # from the half left buffered across the fill.
+        genes = np.random.default_rng(seed).random((35, 99))
+        cfg = DEConfig(np_size=35)
+        for level, build in level_builds.items():
+            rng, twin = generator_at(seed, buffered)
+            runs = []
+            for uniforms_from, gen in ((build, rng), (None, twin)):
+                with pytest.MonkeyPatch.context() as m:
+                    m.setattr(native, "kernel", lambda: uniforms_from)
+                    runs.append(build_trials(genes, genes[3], cfg, gen).tobytes())
+            assert runs[0] == runs[1], level
+            assert rng.bit_generator.state == twin.bit_generator.state, level
+
+    def test_other_generators_draw_with_numpy(self, kernel):
+        genes = np.random.default_rng(1).random((11, 40))
+        cfg = DEConfig(np_size=11)
+        runs = []
+        for build in (kernel, None):
+            rng = np.random.Generator(np.random.Philox(9))
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(native, "kernel", lambda: build)
+                pop = init_population(cfg, 40, rng)
+                trials = build_trials(genes, genes[0], cfg, rng)
+            after = rng.integers(1 << 40, size=3)
+            runs.append([a.tobytes() for a in (pop, trials, after)])
+        assert runs[0] == runs[1]
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_fill_unlike_numpy_is_refused_with_one_warning(self, isolated_kernel):
+        source = native.SOURCE.read_text()
+        assert source.count("0x4385df649fccf645ULL") == 1
+        native.SOURCE.write_text(source.replace("0x4385df649fccf645ULL",
+                                                "0x4385df649fccf647ULL"))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            built = native.kernel()
+        assert [w.category for w in caught] == [RuntimeWarning]
+        assert "uniforms" in str(caught[0].message)
+        assert built is not None and built.uniforms is None
+        genes = np.random.default_rng(2).random((9, 30))
+        cfg = DEConfig(np_size=9)
+        rng, twin = generator_at(4, True)
+        assert init_population(cfg, 30, rng).tobytes() == twin.random((9, 30)).tobytes()
+        assert rng.bit_generator.state == twin.bit_generator.state
+        expected = trials_on(None, genes, genes[1], cfg, 4)
+        assert trials_on(built, genes, genes[1], cfg, 4).tobytes() == expected.tobytes()
 
 
 class TestNsdeGeneration:
