@@ -117,12 +117,13 @@ def build(level: str) -> ctypes.CDLL:
     f64, i64, rows, block = (
         np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
         for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2), (np.float64, None)))
-    n, real = ctypes.c_int64, ctypes.c_double
+    n, real, words = ctypes.c_int64, ctypes.c_double, (ctypes.c_uint64,) * 4
     built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, f64, f64, f64, real, f64, f64]
     built.rk4_batch.restype = ctypes.c_int
-    built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, rows]
+    built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, ctypes.c_int,
+                                *words, rows]
     built.de_trials.restype = None
-    built.uniforms.argtypes = [*(ctypes.c_uint64,) * 4, n, block]
+    built.uniforms.argtypes = [*words, n, block]
     built.uniforms.restype = None
     return built
 
@@ -132,6 +133,8 @@ def _fill_matches_numpy(built: ctypes.CDLL) -> bool:
 
     One fixed state and 43 draws: five 8-lane blocks and a tail, or ten
     4-lane blocks and a tail. A numpy that changes ``random()`` fails here.
+    ``de_trials`` draws the crossover uniforms with the same fill, so this
+    covers it too.
     """
     bitgen = np.random.PCG64(20190101)
     pcg = bitgen.state["state"]

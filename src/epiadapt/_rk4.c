@@ -1,7 +1,8 @@
 /* Compiled kernels: rk4_batch for the batch evaluator in dynamics.py, and
- * for the NSDE operators in de_core.py de_trials, the trial pass, and
- * uniforms, numpy's PCG64 Generator.random stream computed in jumped-ahead
- * lanes (see there and below).
+ * for the NSDE operators in de_core.py uniforms, numpy's PCG64
+ * Generator.random stream computed in jumped-ahead lanes, and de_trials,
+ * the trial pass, which draws its crossover uniforms from the same fill
+ * (see there and below).
  *
  * rk4_batch advances B candidates from the state p_unit at t = 1 over the
  * T1 = horizon - 1 re-planned unit intervals, k RK4 steps each, and adds the
@@ -192,38 +193,6 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
     return status;
 }
 
-/* ((((best - x_i) + x_r1) - x_r2) * f_i) + x_i, in de_core's numpy order. */
-static inline double mutant(double best, double xi, double a, double b, double f)
-{
-    return (((best - xi) + a) - b) * f + xi;
-}
-
-/* de_trials builds the NP current-to-best/1 trials of de_core.build_trials
- * in one pass over each row. trial holds the crossover uniforms on entry:
- * gene j of row i keeps x[i, j] where its uniform exceeds cr, unless j is
- * the row's forced gene, and takes the mutant otherwise; every gene is then
- * clamped to [0, 1]. x holds the NP rows of D genes; trial must not overlap
- * x or best. */
-void de_trials(int64_t NP, int64_t D, const double *restrict x,
-               const double *restrict best, const int64_t *restrict r1,
-               const int64_t *restrict r2, const double *restrict f,
-               const int64_t *restrict forced, double cr, double *restrict trial)
-{
-    for (int64_t i = 0; i < NP; ++i) {
-        const double *xi = x + i * D, *a = x + r1[i] * D, *b = x + r2[i] * D;
-        double *t = trial + i * D;
-        const double fi = f[i];
-        /* Clamping both sides before the pick gives the same bytes as
-         * clamping the pick, and only this form vectorizes below v4. */
-        for (int64_t j = 0; j < D; ++j) {
-            const double v = clamp01(mutant(best[j], xi[j], a[j], b[j], fi));
-            t[j] = t[j] > cr ? clamp01(xi[j]) : v;
-        }
-        const int64_t j = forced[i];
-        t[j] = clamp01(mutant(best[j], xi[j], a[j], b[j], fi));
-    }
-}
-
 /* numpy's PCG64 (PCG XSL RR 128/64): each step is state * M + inc, mod
  * 2^128, and gives rotr64(hi ^ lo, hi >> 58) of the new state. */
 #define PCG_MULT_HI 0x2360ed051fc65da4ULL
@@ -255,52 +224,169 @@ static inline double pcg_double(uint64_t hi, uint64_t lo)
     return (double)(int64_t)(u >> 11) * 0x1.0p-53;
 }
 
-/* uniforms writes the n doubles numpy's Generator.random draws from a PCG64
- * at state (state_hi, state_lo) and increment (inc_hi, inc_lo); the caller
- * moves the generator on. The stream runs in LANES jumped-ahead lanes: lane
- * l starts l + 1 steps past the state and steps LANES at a time with
- * A = M^LANES and C = inc * (M^(LANES-1) + ... + 1), so out[b + l] is lane
- * l's output in block b and the chains are independent. */
-void uniforms(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi, uint64_t inc_lo,
-              int64_t n, double *restrict out)
-{
+/* The stream of a PCG64 at some state, in LANES jumped-ahead lanes: lane l
+ * starts l + 1 steps past the state and steps LANES at a time with
+ * A = M^LANES and C = inc * (M^(LANES-1) + ... + 1), so block b of LANES
+ * doubles holds lane l's output at b * LANES + l and the chains are
+ * independent. hi, lo hold each lane's next state. */
+typedef struct {
     uint64_t hi[LANES], lo[LANES];
-    uint64_t ah = 0, al = 1, ch = 0, cl = 0;
+    uint64_t ah, al, ch, cl;
+} pcg_lanes;
+
+static void pcg_start(pcg_lanes *g, uint64_t state_hi, uint64_t state_lo,
+                      uint64_t inc_hi, uint64_t inc_lo)
+{
+    g->ah = 0, g->al = 1, g->ch = 0, g->cl = 0;
     for (int l = 0; l < LANES; ++l) {
         lcg_step(&state_hi, &state_lo, PCG_MULT_HI, PCG_MULT_LO, inc_hi, inc_lo);
-        hi[l] = state_hi;
-        lo[l] = state_lo;
-        lcg_step(&ah, &al, PCG_MULT_HI, PCG_MULT_LO, 0, 0);
-        lcg_step(&ch, &cl, PCG_MULT_HI, PCG_MULT_LO, inc_hi, inc_lo);
+        g->hi[l] = state_hi;
+        g->lo[l] = state_lo;
+        lcg_step(&g->ah, &g->al, PCG_MULT_HI, PCG_MULT_LO, 0, 0);
+        lcg_step(&g->ch, &g->cl, PCG_MULT_HI, PCG_MULT_LO, inc_hi, inc_lo);
     }
+}
+
+/* pcg_blocks writes the whole blocks of the next n doubles and steps the
+ * lanes past them; it returns the count written. */
+#if defined(__AVX512DQ__) && LANES == 8
+#include <immintrin.h>
+/* One zmm per state half. lo * al takes four 1-uop vpmuludq limb products;
+ * only the two cross terms need vpmullq. */
+static int64_t pcg_blocks(pcg_lanes *restrict g, int64_t n, double *restrict out)
+{
+    const __m512i low = _mm512_set1_epi64(0xffffffff), one = _mm512_set1_epi64(1);
+    const __m512i ah = _mm512_set1_epi64((long long)g->ah);
+    const __m512i al = _mm512_set1_epi64((long long)g->al);
+    const __m512i a1 = _mm512_srli_epi64(al, 32);
+    const __m512i ch = _mm512_set1_epi64((long long)g->ch);
+    const __m512i cl = _mm512_set1_epi64((long long)g->cl);
+    const __m512d ulp = _mm512_set1_pd(0x1.0p-53);
+    __m512i hi = _mm512_loadu_si512(g->hi), lo = _mm512_loadu_si512(g->lo);
     int64_t b = 0;
-#if LANES >= 8 || !defined(__SIZEOF_INT128__)
-    /* 64-bit halves, which gcc vectorizes across the lanes. Only the LANES 8
-     * build (AVX-512) has vector 64-bit multiplies; a compiler without
-     * __int128 takes this form as well. */
-    for (; b + LANES <= n; b += LANES)
-        for (int l = 0; l < LANES; ++l) {
-            out[b + l] = pcg_double(hi[l], lo[l]);
-            lcg_step(&hi[l], &lo[l], ah, al, ch, cl);
-        }
-#else
-    /* One scalar 128-bit chain per lane: with emulated vector 64-bit
-     * multiplies the halves form ran slower than numpy. */
+    for (; b + LANES <= n; b += LANES) {
+        const __m512i u = _mm512_rorv_epi64(_mm512_xor_si512(hi, lo), _mm512_srli_epi64(hi, 58));
+        _mm512_storeu_pd(out + b,
+                         _mm512_mul_pd(_mm512_cvtepi64_pd(_mm512_srli_epi64(u, 11)), ulp));
+        const __m512i x1 = _mm512_srli_epi64(lo, 32);
+        const __m512i p00 = _mm512_mul_epu32(lo, al), p01 = _mm512_mul_epu32(lo, a1);
+        const __m512i p10 = _mm512_mul_epu32(x1, al), p11 = _mm512_mul_epu32(x1, a1);
+        const __m512i mid = _mm512_add_epi64(
+            _mm512_add_epi64(_mm512_srli_epi64(p00, 32), _mm512_and_si512(p01, low)),
+            _mm512_and_si512(p10, low));
+        const __m512i plo = _mm512_or_si512(_mm512_slli_epi64(mid, 32), _mm512_and_si512(p00, low));
+        const __m512i nlo = _mm512_add_epi64(plo, cl);
+        __m512i nhi = _mm512_add_epi64(p11, _mm512_srli_epi64(p01, 32));
+        nhi = _mm512_add_epi64(nhi, _mm512_add_epi64(_mm512_srli_epi64(p10, 32),
+                                                     _mm512_srli_epi64(mid, 32)));
+        nhi = _mm512_add_epi64(nhi, _mm512_add_epi64(_mm512_mullo_epi64(lo, ah),
+                                                     _mm512_mullo_epi64(hi, al)));
+        nhi = _mm512_add_epi64(nhi, ch);
+        hi = _mm512_mask_add_epi64(nhi, _mm512_cmplt_epu64_mask(nlo, plo), nhi, one);
+        lo = nlo;
+    }
+    _mm512_storeu_si512(g->hi, hi);
+    _mm512_storeu_si512(g->lo, lo);
+    return b;
+}
+#elif defined(__SIZEOF_INT128__)
+/* One scalar 128-bit chain per lane: without vector 64-bit multiplies a
+ * halves form ran slower than numpy. */
+static int64_t pcg_blocks(pcg_lanes *restrict g, int64_t n, double *restrict out)
+{
     typedef unsigned __int128 u128;
-    const u128 a = (u128)ah << 64 | al, c = (u128)ch << 64 | cl;
+    const u128 a = (u128)g->ah << 64 | g->al, c = (u128)g->ch << 64 | g->cl;
     u128 s[LANES];
     for (int l = 0; l < LANES; ++l)
-        s[l] = (u128)hi[l] << 64 | lo[l];
+        s[l] = (u128)g->hi[l] << 64 | g->lo[l];
+    int64_t b = 0;
     for (; b + LANES <= n; b += LANES)
         for (int l = 0; l < LANES; ++l) {
             out[b + l] = pcg_double((uint64_t)(s[l] >> 64), (uint64_t)s[l]);
             s[l] = s[l] * a + c;
         }
     for (int l = 0; l < LANES; ++l) {
-        hi[l] = (uint64_t)(s[l] >> 64);
-        lo[l] = (uint64_t)s[l];
+        g->hi[l] = (uint64_t)(s[l] >> 64);
+        g->lo[l] = (uint64_t)s[l];
     }
+    return b;
+}
+#else
+/* A compiler without __int128 steps each lane in 64-bit halves. */
+static int64_t pcg_blocks(pcg_lanes *restrict g, int64_t n, double *restrict out)
+{
+    int64_t b = 0;
+    for (; b + LANES <= n; b += LANES)
+        for (int l = 0; l < LANES; ++l) {
+            out[b + l] = pcg_double(g->hi[l], g->lo[l]);
+            lcg_step(&g->hi[l], &g->lo[l], g->ah, g->al, g->ch, g->cl);
+        }
+    return b;
+}
 #endif
+
+/* The next n doubles of the stream. A tail shorter than LANES comes from
+ * the lanes' next states without stepping them, so only the last fill of a
+ * stream may have n that is not a multiple of LANES. */
+static void pcg_fill(pcg_lanes *restrict g, int64_t n, double *restrict out)
+{
+    const int64_t b = pcg_blocks(g, n, out);
     for (int l = 0; b + l < n; ++l)
-        out[b + l] = pcg_double(hi[l], lo[l]);
+        out[b + l] = pcg_double(g->hi[l], g->lo[l]);
+}
+
+/* uniforms writes the n doubles numpy's Generator.random draws from a PCG64
+ * at state (state_hi, state_lo) and increment (inc_hi, inc_lo); the caller
+ * moves the generator on. */
+void uniforms(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi, uint64_t inc_lo,
+              int64_t n, double *restrict out)
+{
+    pcg_lanes g;
+    pcg_start(&g, state_hi, state_lo, inc_hi, inc_lo);
+    pcg_fill(&g, n, out);
+}
+
+/* ((((best - x_i) + x_r1) - x_r2) * f_i) + x_i, in de_core's numpy order. */
+static inline double mutant(double best, double xi, double a, double b, double f)
+{
+    return (((best - xi) + a) - b) * f + xi;
+}
+
+/* de_trials builds the NP current-to-best/1 trials of de_core.build_trials
+ * in one pass over each row: gene j of row i keeps x[i, j] where its
+ * crossover uniform exceeds cr, unless j is the row's forced gene, and
+ * takes the mutant otherwise; every gene is then clamped to [0, 1]. x holds
+ * the NP rows of D genes; trial must not overlap x or best.
+ *
+ * With draw, the uniforms are numpy's Generator.random stream of the PCG64
+ * at the four state words, as uniforms fills it: LANES rows at a time are
+ * filled and then crossed while they are still in cache. LANES * D doubles
+ * are whole blocks, so the lanes carry from chunk to chunk. Without draw,
+ * trial holds the uniforms on entry. */
+void de_trials(int64_t NP, int64_t D, const double *restrict x,
+               const double *restrict best, const int64_t *restrict r1,
+               const int64_t *restrict r2, const double *restrict f,
+               const int64_t *restrict forced, double cr, int draw, uint64_t state_hi,
+               uint64_t state_lo, uint64_t inc_hi, uint64_t inc_lo, double *restrict trial)
+{
+    pcg_lanes g;
+    pcg_start(&g, state_hi, state_lo, inc_hi, inc_lo);
+    for (int64_t i0 = 0; i0 < NP; i0 += LANES) {
+        const int64_t i1 = i0 + LANES < NP ? i0 + LANES : NP;
+        if (draw)
+            pcg_fill(&g, (i1 - i0) * D, trial + i0 * D);
+        for (int64_t i = i0; i < i1; ++i) {
+            const double *xi = x + i * D, *a = x + r1[i] * D, *b = x + r2[i] * D;
+            double *t = trial + i * D;
+            const double fi = f[i];
+            /* Clamping both sides before the pick gives the same bytes as
+             * clamping the pick, and only this form vectorizes below v4. */
+            for (int64_t j = 0; j < D; ++j) {
+                const double v = clamp01(mutant(best[j], xi[j], a[j], b[j], fi));
+                t[j] = t[j] > cr ? clamp01(xi[j]) : v;
+            }
+            const int64_t j = forced[i];
+            t[j] = clamp01(mutant(best[j], xi[j], a[j], b[j], fi));
+        }
+    }
 }

@@ -8,16 +8,19 @@ weights, clamped into [0, 1]), which is what gives the operator its escape
 behavior.
 
 Every draw is a whole numpy array. The two (NP, D) blocks of uniforms, the
-initial population and each generation's crossover draw, are filled by
-``uniforms`` in ``_rk4.c`` when the generator is numpy's PCG64: it computes
-numpy's own stream in jumped-ahead lanes, and the generator is then left
-exactly where ``rng.random`` would leave it. The trials are formed in one
-pass of ``de_trials``, also in ``_rk4.c``. Both are loaded with the RK4
-kernel by ``_native.kernel``; where no build loads, numpy draws the
-uniforms and the numpy passes run instead, and any other generator draws
-its own. Each gives numpy's bytes: the pass keeps numpy's operation order,
-is built without FMA contraction and clamps as ``np.clip`` does, NaN
-included.
+initial population and each generation's crossover draw, come from the
+kernels in ``_rk4.c`` when the generator is numpy's PCG64: they compute
+numpy's own stream in jumped-ahead lanes, and the generator is moved on
+with ``advance`` to exactly where ``rng.random`` would leave it.
+``uniforms`` fills the population; ``de_trials`` forms the trials in one
+pass per row and draws the crossover uniforms inside it, a few rows at a
+time, so they never pass through memory as one block. Both are loaded with
+the RK4 kernel by ``_native.kernel``. Where no build loads, numpy draws the
+uniforms and the numpy passes run instead; any other generator, or a fill
+``_native.kernel`` refused, draws with numpy into the trial buffer, which
+``de_trials`` then reads. Each gives numpy's bytes: the pass keeps numpy's
+operation order, is built without FMA contraction and clamps as
+``np.clip`` does, NaN included.
 """
 from __future__ import annotations
 
@@ -88,27 +91,40 @@ class Population:
         return Candidate(self.genes[i].copy(), float(self.f[i]), float(self.violation[i]))
 
 
-def _uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """``rng.random(out=out)``, its bytes and the state it leaves ``rng`` in.
+def _skip_uniforms(built, rng: np.random.Generator, n: int) -> tuple[int, ...] | None:
+    """Move ``rng`` past ``n`` ``random`` doubles for the kernel to compute.
 
-    ``out`` must be a C-contiguous float64 array. For numpy's PCG64 the
-    kernel's ``uniforms`` computes the doubles from the state and ``advance``
-    moves the generator past them. ``advance`` also drops the buffered half
-    of a 32-bit draw, which the next ``rng.integers`` would read, so it is
-    put back.
+    Returns the four 64-bit words (state high, low, increment high, low) of
+    the PCG64 state the doubles start from, or None, leaving ``rng`` as it
+    was, where the kernel's fill does not apply: no build, a fill refused
+    by ``_native.kernel`` or a generator other than numpy's PCG64.
+    ``advance`` moves the generator as ``rng.random(n)`` would, but also
+    drops the buffered half of a 32-bit draw, which the next
+    ``rng.integers`` would read, so that half is put back.
     """
-    built = _native.kernel()
     bitgen = getattr(rng, "bit_generator", None)
     if built is None or built.uniforms is None or type(bitgen) is not np.random.PCG64:
-        return rng.random(out=out)
+        return None
     state = bitgen.state
     pcg = state["state"]
-    built.uniforms(*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64),
-                   out.size, out)
-    bitgen.advance(out.size)
+    bitgen.advance(n)
     if state["has_uint32"]:
         state["state"] = bitgen.state["state"]
         bitgen.state = state
+    return (*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64))
+
+
+def _uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """``rng.random(out=out)``, its bytes and the state it leaves ``rng`` in.
+
+    ``out`` must be a C-contiguous float64 array; for numpy's PCG64 the
+    kernel's ``uniforms`` fills it.
+    """
+    built = _native.kernel()
+    words = _skip_uniforms(built, rng, out.size)
+    if words is None:
+        return rng.random(out=out)
+    built.uniforms(*words, out.size, out)
     return out
 
 
@@ -170,12 +186,17 @@ def build_trials(
             raise ValueError("out must not share memory with genes or best")
     f = sample_scale_factors(cfg.fp, np_size, rng)
     r1, r2 = donor_indices(np_size, rng)
-    # The crossover draws pass through the trial buffer before the mutant fills it.
-    trials = _uniforms(rng, np.empty_like(genes) if out is None else out)
-    forced = rng.integers(dim, size=np_size)
+    trials = np.empty_like(genes) if out is None else out
     built = _native.kernel()
+    # The kernel draws the crossover uniforms itself, as it forms the trials;
+    # otherwise they pass through the trial buffer before the mutant fills it.
+    words = _skip_uniforms(built, rng, trials.size)
+    if words is None:
+        rng.random(out=trials)
+    forced = rng.integers(dim, size=np_size)
     if built is not None:
-        built.de_trials(np_size, dim, genes, best, r1, r2, f, forced, cfg.cr, trials)
+        built.de_trials(np_size, dim, genes, best, r1, r2, f, forced, cfg.cr,
+                        words is not None, *(words or (0,) * 4), trials)
         return trials
     keep = trials > cfg.cr
     keep[np.arange(np_size), forced] = False

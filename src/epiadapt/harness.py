@@ -326,7 +326,8 @@ def run_experiment(
     else:
         payloads = [(cfg, net, r) for r in range(cfg.runs)]
         if workers > 1 and cfg.runs > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
+            # The pool forks all its workers at once, so no more than there are runs.
+            with ProcessPoolExecutor(max_workers=min(workers, cfg.runs)) as pool:
                 outcomes = list(pool.map(_run_one, payloads))
         else:
             outcomes = [_run_one(p) for p in payloads]

@@ -366,6 +366,20 @@ def generator_at(seed, buffered):
     return rng, twin
 
 
+def assert_trials_match_numpy(level_builds, genes, seed, buffered):
+    """Each build's trials, and the state they leave, equal the numpy passes'."""
+    cfg = DEConfig(np_size=genes.shape[0])
+    for level, build in level_builds.items():
+        rng, twin = generator_at(seed, buffered)
+        runs = []
+        for uniforms_from, gen in ((build, rng), (None, twin)):
+            with pytest.MonkeyPatch.context() as m:
+                m.setattr(native, "kernel", lambda: uniforms_from)
+                runs.append(build_trials(genes, genes[3], cfg, gen).tobytes())
+        assert runs[0] == runs[1], level
+        assert rng.bit_generator.state == twin.bit_generator.state, level
+
+
 # 0, 1, LANES - 1 and LANES + 1 at 4 and at 8 lanes, seven intervals of the
 # reference problem's genes, and an odd NP * D.
 FILL_SIZES = (0, 1, 3, 5, 7, 9, 3420 * 7, 35 * 99)
@@ -390,17 +404,18 @@ class TestUniformFill:
         # The donors draw 2 * NP 32-bit halves, plus any rejections. After an
         # odd count in all (here one earlier draw), the forced genes start
         # from the half left buffered across the fill.
-        genes = np.random.default_rng(seed).random((35, 99))
-        cfg = DEConfig(np_size=35)
-        for level, build in level_builds.items():
-            rng, twin = generator_at(seed, buffered)
-            runs = []
-            for uniforms_from, gen in ((build, rng), (None, twin)):
-                with pytest.MonkeyPatch.context() as m:
-                    m.setattr(native, "kernel", lambda: uniforms_from)
-                    runs.append(build_trials(genes, genes[3], cfg, gen).tobytes())
-            assert runs[0] == runs[1], level
-            assert rng.bit_generator.state == twin.bit_generator.state, level
+        assert_trials_match_numpy(level_builds, np.random.default_rng(seed).random((35, 99)),
+                                  seed, buffered)
+
+    @pytest.mark.parametrize("buffered", [False, True])
+    @pytest.mark.parametrize("np_size,dim", [(350, 3420), (5, 7)])
+    def test_trial_pass_draws_numpy_bytes_and_state(self, level_builds, np_size, dim,
+                                                    buffered):
+        # The reference size leaves a last chunk of 2 rows at 4 lanes and of 6
+        # at 8. 5 rows of 7 genes are fewer than the 8 lanes of v4, and at 4
+        # lanes their last chunk, one row, ends mid-block.
+        assert_trials_match_numpy(level_builds, np.random.default_rng(dim).random((np_size, dim)),
+                                  np_size + dim, buffered)
 
     def test_other_generators_draw_with_numpy(self, kernel):
         genes = np.random.default_rng(1).random((11, 40))

@@ -171,6 +171,30 @@ class TestRunExperiment:
         for x, y in zip(serial, pooled):
             assert x.run == y.run and x.ofv == y.ofv
 
+    def test_pool_has_no_more_workers_than_runs(self, monkeypatch):
+        import epiadapt.harness as harness
+
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        pooled = run_experiment(tiny_config(algorithm="nsde"), workers=64)
+        assert sizes == [2]
+        serial = run_experiment(tiny_config(algorithm="nsde"))
+        assert [(x.run, x.ofv) for x in pooled] == [(x.run, x.ofv) for x in serial]
+
     def test_artifact_layout(self, tmp_path):
         outdir = tmp_path / "campaign"
         run_experiment(tiny_config(algorithm="nsde"), outdir=outdir)
