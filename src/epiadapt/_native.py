@@ -114,16 +114,14 @@ def build(level: str) -> ctypes.CDLL:
                 except OSError:  # another process may have removed it first
                     pass
     built = ctypes.CDLL(str(lib))
-    f64, i64, rows, block = (
-        np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
-        for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2), (np.float64, None)))
+    f64, i64, rows = (np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
+                      for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2)))
     n, real, words = ctypes.c_int64, ctypes.c_double, (ctypes.c_uint64,) * 4
     built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, f64, f64, f64, real, f64, f64]
     built.rk4_batch.restype = ctypes.c_int
-    built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, ctypes.c_int,
-                                *words, rows]
+    built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, *words, rows]
     built.de_trials.restype = None
-    built.uniforms.argtypes = [*words, n, block]
+    built.uniforms.argtypes = [*words, n, f64]
     built.uniforms.restype = None
     return built
 
@@ -133,8 +131,8 @@ def _fill_matches_numpy(built: ctypes.CDLL) -> bool:
 
     One fixed state and 43 draws: five 8-lane blocks and a tail, or ten
     4-lane blocks and a tail. A numpy that changes ``random()`` fails here.
-    ``de_trials`` draws the crossover uniforms with the same fill, so this
-    covers it too.
+    ``de_trials`` draws the crossover uniforms with the same fill, which is
+    why the loader calls this.
     """
     bitgen = np.random.PCG64(20190101)
     pcg = bitgen.state["state"]
@@ -148,14 +146,14 @@ def _fill_matches_numpy(built: ctypes.CDLL) -> bool:
 def kernel() -> ctypes.CDLL | None:
     """The widest build of ``_rk4.c`` this host runs, or None.
 
-    It holds the RK4 batch kernel, the NSDE trial pass and the PCG64 fill.
-    The host's level comes from /proc/cpuinfo, read here on first use and
-    never at import: x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then
-    the baseline build. A build that cannot be made or loaded passes to the
-    next; past the last, the evaluator and the DE operators run their numpy
-    code. A loaded build whose ``uniforms`` does not give numpy's PCG64
-    doubles has it set to None, so the DE operators draw their uniforms
-    with numpy. The fallbacks of one process give one RuntimeWarning.
+    It holds the RK4 batch kernel and the NSDE trial pass. The host's level
+    comes from /proc/cpuinfo, read here on first use and never at import:
+    x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then the baseline build.
+    A build that cannot be made or loaded passes to the next; past the last,
+    the evaluator and the DE operators run their numpy code. A loaded build
+    whose PCG64 fill does not give numpy's doubles has ``de_trials`` set to
+    None: the DE operators run their numpy passes, the evaluator keeps
+    ``rk4_batch``. The fallbacks of one process give one RuntimeWarning.
     """
     try:
         cpuinfo = CPUINFO.read_text()
@@ -169,9 +167,9 @@ def kernel() -> ctypes.CDLL | None:
         except OSError as exc:
             failed.append(f"{level}: {exc}")
     if built is not None and not _fill_matches_numpy(built):
-        built.uniforms = None
-        failed.append("uniforms: the PCG64 fill differs from numpy's random(), "
-                      "which draws the uniforms instead")
+        built.de_trials = None
+        failed.append("de_trials: the PCG64 fill differs from numpy's random(), "
+                      "so the DE operators run their numpy passes")
     if failed:
         outcome = (f"runs its {level} build" if built is not None else
                    "unavailable, the evaluator and the DE operators run their numpy loops")

@@ -1,8 +1,8 @@
 /* Compiled kernels: rk4_batch for the batch evaluator in dynamics.py, and
- * for the NSDE operators in de_core.py uniforms, numpy's PCG64
- * Generator.random stream computed in jumped-ahead lanes, and de_trials,
- * the trial pass, which draws its crossover uniforms from the same fill
- * (see there and below).
+ * de_trials, the NSDE trial pass of de_core.py, which draws its crossover
+ * uniforms as numpy's PCG64 Generator.random stream computed in
+ * jumped-ahead lanes (see there and below). uniforms writes the same
+ * stream on its own; the loader in _native.py compares it with numpy's.
  *
  * rk4_batch advances B candidates from the state p_unit at t = 1 over the
  * T1 = horizon - 1 re-planned unit intervals, k RK4 steps each, and adds the
@@ -336,8 +336,8 @@ static void pcg_fill(pcg_lanes *restrict g, int64_t n, double *restrict out)
 }
 
 /* uniforms writes the n doubles numpy's Generator.random draws from a PCG64
- * at state (state_hi, state_lo) and increment (inc_hi, inc_lo); the caller
- * moves the generator on. */
+ * at state (state_hi, state_lo) and increment (inc_hi, inc_lo), through the
+ * fill de_trials draws with. */
 void uniforms(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi, uint64_t inc_lo,
               int64_t n, double *restrict out)
 {
@@ -358,23 +358,22 @@ static inline double mutant(double best, double xi, double a, double b, double f
  * takes the mutant otherwise; every gene is then clamped to [0, 1]. x holds
  * the NP rows of D genes; trial must not overlap x or best.
  *
- * With draw, the uniforms are numpy's Generator.random stream of the PCG64
- * at the four state words, as uniforms fills it: LANES rows at a time are
- * filled and then crossed while they are still in cache. LANES * D doubles
- * are whole blocks, so the lanes carry from chunk to chunk. Without draw,
- * trial holds the uniforms on entry. */
+ * The uniforms are numpy's Generator.random stream of the PCG64 at the four
+ * state words, as uniforms writes it: LANES rows at a time are filled and
+ * then crossed while they are still in cache; the caller moves the
+ * generator on. LANES * D doubles are whole blocks, so the lanes carry from
+ * chunk to chunk. */
 void de_trials(int64_t NP, int64_t D, const double *restrict x,
                const double *restrict best, const int64_t *restrict r1,
                const int64_t *restrict r2, const double *restrict f,
-               const int64_t *restrict forced, double cr, int draw, uint64_t state_hi,
-               uint64_t state_lo, uint64_t inc_hi, uint64_t inc_lo, double *restrict trial)
+               const int64_t *restrict forced, double cr, uint64_t state_hi, uint64_t state_lo,
+               uint64_t inc_hi, uint64_t inc_lo, double *restrict trial)
 {
     pcg_lanes g;
     pcg_start(&g, state_hi, state_lo, inc_hi, inc_lo);
     for (int64_t i0 = 0; i0 < NP; i0 += LANES) {
         const int64_t i1 = i0 + LANES < NP ? i0 + LANES : NP;
-        if (draw)
-            pcg_fill(&g, (i1 - i0) * D, trial + i0 * D);
+        pcg_fill(&g, (i1 - i0) * D, trial + i0 * D);
         for (int64_t i = i0; i < i1; ++i) {
             const double *xi = x + i * D, *a = x + r1[i] * D, *b = x + r2[i] * D;
             double *t = trial + i * D;

@@ -61,6 +61,27 @@ class C3Config:
         if not 0.0 < self.gc_fraction < 1.0:
             raise ValueError("gc_fraction must lie in (0, 1)")
 
+    def layout(self, dim: int, np_size: int) -> tuple[int, int, int]:
+        """Group count, visit budget and least visit cost of a run over ``dim`` genes.
+
+        Raises ValueError unless ``ds`` divides ``dim``, a visit funds the context
+        pass plus one generation, and the total budget the population plus one visit.
+        """
+        if dim % self.ds != 0:
+            raise ValueError(f"ds={self.ds} does not divide dim={dim}")
+        ns = dim // self.ds
+        sub_fes = self.sub_fes if self.sub_fes is not None else 10 * np_size
+        if sub_fes < 2 * np_size:
+            raise ValueError(f"sub_fes={sub_fes} must be at least 2*NP={2 * np_size}")
+        # A generation, plus the context pass and re-evaluation of several groups.
+        visit_min = np_size if ns == 1 else 3 * np_size
+        if self.total_budget < np_size + visit_min:
+            raise ValueError(
+                f"a total budget of {self.total_budget} cannot fund the initial "
+                f"population plus one subcomponent visit ({np_size + visit_min})"
+            )
+        return ns, sub_fes, visit_min
+
 
 @dataclass(frozen=True)
 class GenerationRecord:
@@ -220,19 +241,7 @@ def run_c3(
     per-generation history.
     """
     np_size = de_cfg.np_size
-    if dim % c3_cfg.ds != 0:
-        raise ValueError(f"ds={c3_cfg.ds} does not divide dim={dim}")
-    ns = dim // c3_cfg.ds
-    sub_fes = c3_cfg.sub_fes if c3_cfg.sub_fes is not None else 10 * np_size
-    if sub_fes < 2 * np_size:
-        raise ValueError(f"sub_fes={sub_fes} must be at least 2*NP={2 * np_size}")
-    # A generation, plus the context pass and re-evaluation of several groups.
-    visit_min = np_size if ns == 1 else 3 * np_size
-    if c3_cfg.total_budget < np_size + visit_min:
-        raise ValueError(
-            f"total_budget={c3_cfg.total_budget} cannot fund the initial "
-            f"population plus one subcomponent visit ({np_size + visit_min})"
-        )
+    ns, sub_fes, visit_min = c3_cfg.layout(dim, np_size)
 
     genes = init_population(de_cfg, dim, _keyed_rng(seed, _INIT))
     f, viol = evaluate(genes)

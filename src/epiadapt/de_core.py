@@ -7,20 +7,16 @@ under the epsilon comparator. Heavy-tailed draws are used as-is (genes are
 weights, clamped into [0, 1]), which is what gives the operator its escape
 behavior.
 
-Every draw is a whole numpy array. The two (NP, D) blocks of uniforms, the
-initial population and each generation's crossover draw, come from the
-kernels in ``_rk4.c`` when the generator is numpy's PCG64: they compute
-numpy's own stream in jumped-ahead lanes, and the generator is moved on
-with ``advance`` to exactly where ``rng.random`` would leave it.
-``uniforms`` fills the population; ``de_trials`` forms the trials in one
-pass per row and draws the crossover uniforms inside it, a few rows at a
-time, so they never pass through memory as one block. Both are loaded with
-the RK4 kernel by ``_native.kernel``. Where no build loads, numpy draws the
-uniforms and the numpy passes run instead; any other generator, or a fill
-``_native.kernel`` refused, draws with numpy into the trial buffer, which
-``de_trials`` then reads. Each gives numpy's bytes: the pass keeps numpy's
-operation order, is built without FMA contraction and clamps as
-``np.clip`` does, NaN included.
+Every draw is a whole numpy array. Where the generator is numpy's PCG64
+and ``_native.kernel`` loaded a build whose fill it accepted, the trials
+come from one C pass, ``de_trials`` in ``_rk4.c``: it forms them a few rows
+at a time and draws those rows' crossover uniforms inside the pass, as
+numpy's own stream computed in jumped-ahead lanes, so they never pass
+through memory as one block; the generator is moved on with ``advance`` to
+exactly where ``rng.random`` would leave it. Everywhere else the numpy
+passes run on ``rng.random``'s draw. Both give numpy's bytes: the C pass
+keeps numpy's operation order, is built without FMA contraction and clamps
+as ``np.clip`` does, NaN included.
 """
 from __future__ import annotations
 
@@ -92,18 +88,18 @@ class Population:
 
 
 def _skip_uniforms(built, rng: np.random.Generator, n: int) -> tuple[int, ...] | None:
-    """Move ``rng`` past ``n`` ``random`` doubles for the kernel to compute.
+    """Move ``rng`` past ``n`` ``random`` doubles for ``de_trials`` to draw.
 
     Returns the four 64-bit words (state high, low, increment high, low) of
     the PCG64 state the doubles start from, or None, leaving ``rng`` as it
-    was, where the kernel's fill does not apply: no build, a fill refused
-    by ``_native.kernel`` or a generator other than numpy's PCG64.
+    was, where the C pass does not apply: no build, a fill refused by
+    ``_native.kernel`` or a generator other than numpy's PCG64.
     ``advance`` moves the generator as ``rng.random(n)`` would, but also
     drops the buffered half of a 32-bit draw, which the next
     ``rng.integers`` would read, so that half is put back.
     """
-    bitgen = getattr(rng, "bit_generator", None)
-    if built is None or built.uniforms is None or type(bitgen) is not np.random.PCG64:
+    bitgen = rng.bit_generator
+    if built is None or built.de_trials is None or type(bitgen) is not np.random.PCG64:
         return None
     state = bitgen.state
     pcg = state["state"]
@@ -114,25 +110,11 @@ def _skip_uniforms(built, rng: np.random.Generator, n: int) -> tuple[int, ...] |
     return (*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64))
 
 
-def _uniforms(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
-    """``rng.random(out=out)``, its bytes and the state it leaves ``rng`` in.
-
-    ``out`` must be a C-contiguous float64 array; for numpy's PCG64 the
-    kernel's ``uniforms`` fills it.
-    """
-    built = _native.kernel()
-    words = _skip_uniforms(built, rng, out.size)
-    if words is None:
-        return rng.random(out=out)
-    built.uniforms(*words, out.size, out)
-    return out
-
-
 def init_population(cfg: DEConfig, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform-random genes of shape (NP, dim) in [0, 1)."""
     if dim < 1:
         raise ValueError("dimension must be positive")
-    return _uniforms(rng, _native.unpooled_empty((cfg.np_size, dim)))
+    return rng.random(out=_native.unpooled_empty((cfg.np_size, dim)))
 
 
 def sample_scale_factors(fp: float, size: int, rng: np.random.Generator) -> np.ndarray:
@@ -188,16 +170,15 @@ def build_trials(
     r1, r2 = donor_indices(np_size, rng)
     trials = np.empty_like(genes) if out is None else out
     built = _native.kernel()
-    # The kernel draws the crossover uniforms itself, as it forms the trials;
-    # otherwise they pass through the trial buffer before the mutant fills it.
+    # The C pass draws the crossover uniforms itself, as it forms the trials;
+    # the numpy passes take them through the trial buffer.
     words = _skip_uniforms(built, rng, trials.size)
-    if words is None:
-        rng.random(out=trials)
-    forced = rng.integers(dim, size=np_size)
-    if built is not None:
-        built.de_trials(np_size, dim, genes, best, r1, r2, f, forced, cfg.cr,
-                        words is not None, *(words or (0,) * 4), trials)
+    if words is not None:
+        forced = rng.integers(dim, size=np_size)
+        built.de_trials(np_size, dim, genes, best, r1, r2, f, forced, cfg.cr, *words, trials)
         return trials
+    rng.random(out=trials)
+    forced = rng.integers(dim, size=np_size)
     keep = trials > cfg.cr
     keep[np.arange(np_size), forced] = False
     np.subtract(best, genes, out=trials)

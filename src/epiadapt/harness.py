@@ -151,7 +151,13 @@ class ExperimentConfig:
         try:
             self.epidemic_params()
             self.de_config()
-            self.c3_config(self.n)
+            c3 = self.c3_config(self.n)
+            if self.algorithm in ("nsde", "nsde_c3"):
+                dim = decision_dimension(self.n, self.horizon)
+                # run_nsde evolves all genes as one group at the default visit budget.
+                if self.algorithm == "nsde":
+                    c3 = replace(c3, ds=dim, sub_fes=None)
+                c3.layout(dim, self.np_size)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
@@ -195,17 +201,17 @@ class ExperimentConfig:
 
 
 def load_config(path: str | Path, net: Network, **overrides) -> ExperimentConfig:
-    """Read a JSON config for ``net``, whose node count is its ``n``, then apply ``overrides``."""
+    """Read a JSON config for ``net``, whose node count is its ``n``, and set ``overrides``."""
     try:
         data = json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
-    cfg = ExperimentConfig.from_dict({"n": net.n, **data})
-    if cfg.n != net.n:
-        raise ConfigError(f"config {path} sets n={cfg.n}, but the network has {net.n} nodes")
-    return replace(cfg, **overrides) if overrides else cfg
+    # Before the layout checks, which would read a wrong n as a wrong dimension.
+    if data.get("n", net.n) != net.n:
+        raise ConfigError(f"config {path} sets n={data['n']}, but the network has {net.n} nodes")
+    return ExperimentConfig.from_dict({"n": net.n, **data, **overrides})
 
 
 @dataclass(frozen=True)
@@ -357,16 +363,21 @@ def _make_dir(path: Path) -> None:
         raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
 
 
+def _open(path: str | Path, mode: str = "r"):
+    """``path`` opened as text in ``mode``, newlines left to csv; failing that, a ConfigError."""
+    try:
+        return Path(path).open(mode, newline="")
+    except OSError as exc:
+        verb = "write" if "w" in mode else "read"
+        raise ConfigError(f"cannot {verb} {path}: {exc.strerror}") from None
+
+
 def _write_csv(path: str | Path, header: Iterable[str], rows) -> None:
     """Write ``header`` and then ``rows`` in the csv module's default dialect.
 
     A file that cannot be opened for writing is a ConfigError.
     """
-    try:
-        fh = Path(path).open("w", newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror}") from None
-    with fh:
+    with _open(path, "w") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -383,11 +394,7 @@ def _read_rows(path: str | Path, columns: dict[str, type]):
     width = f"{len(header)} fields {','.join(header)}"
     ints, reals = (",".join(name for name in header if columns[name] is k) for k in (int, float))
     kinds = f"{ints} must be integers, {reals} {'numbers' if ',' in reals else 'a number'}"
-    try:
-        fh = Path(path).open(newline="")
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc.strerror}") from None
-    with fh:
+    with _open(path) as fh:
         reader = csv.reader(fh)
         first = next(reader, None)
         if first is None or [h.strip() for h in first] != header:
@@ -511,7 +518,10 @@ def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path)
 def aborted_count(indir: str | Path) -> int:
     """How many runs the campaign in ``indir`` lost, as its aborted.txt lists them."""
     aborted = Path(indir) / ABORTED_FILE
-    return len(aborted.read_text().splitlines()) if aborted.exists() else 0
+    if not aborted.exists():
+        return 0
+    with _open(aborted) as fh:
+        return len(fh.read().splitlines())
 
 
 def summarize_run_dirs(

@@ -114,9 +114,10 @@ def test_optimize_rejects_fewer_than_one_worker(workspace, capsys, flag):
     ["baseline", "--mode", "none", "--outdir", "{tmp}/none"],
 ])
 def test_config_n_must_match_network(workspace, capsys, command):
+    # ds=380 divides the network's 3420 genes but not the 7830 of n=30.
     tmp_path, net, _ = workspace
     bad = tmp_path / "n30.json"
-    bad.write_text(json.dumps({**TINY_CONFIG, "n": 30}))
+    bad.write_text(json.dumps({**TINY_CONFIG, "n": 30, "ds": 380}))
     name, *rest = (arg.format(tmp=tmp_path) for arg in command)
     assert main([name, "--net", str(net), "--config", str(bad), *rest]) == 2
     assert "sets n=30, but the network has 20 nodes" in capsys.readouterr().err
@@ -158,6 +159,32 @@ def test_unstable_substeps_exits_2(workspace, tmp_path, capsys):
                  "--out", str(tmp_path / "x.csv")]) == 2
     assert "use substeps >= 3" in capsys.readouterr().err
     assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("override,message", [
+    ({"ds": 7}, "ds=7 does not divide dim=3420"),
+    ({"sub_fes": 15}, "sub_fes=15 must be at least 2*NP=20"),
+    ({"total_fes": 35}, "total budget of 35 cannot fund"),
+], ids=["ds", "sub_fes", "total_fes"])
+def test_c3_layout_exits_2_before_outdir(workspace, capsys, override, message):
+    # Checked with the config, not by run_c3 after the pool has started.
+    tmp_path, net, _ = workspace
+    bad = tmp_path / "layout.json"
+    bad.write_text(json.dumps({**TINY_CONFIG, **override}))
+    out = tmp_path / "opt"
+    assert main(["optimize", "--net", str(net), "--config", str(bad), "--algo", "nsde-c3",
+                 "--workers", "2", "--outdir", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unreadable_aborted_list_exits_2(tmp_path, capsys):
+    (tmp_path / "runs.csv").write_text(
+        "algorithm,run,ofv,violation,evaluations,generations\nnsde,0,180,0,1200,20\n")
+    (tmp_path / "aborted.txt").mkdir()
+    assert main(["stats", "--indir", str(tmp_path), "--ref", "nsde",
+                 "--out", str(tmp_path / "summary.csv")]) == 2
+    assert f"cannot read {tmp_path / 'aborted.txt'}: Is a directory" in capsys.readouterr().err
 
 
 def test_stats_rejects_run_seen_in_another_dir(workspace, capsys):

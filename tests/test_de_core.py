@@ -263,20 +263,6 @@ def toy_constrained(x):
     return ((x - 0.3) ** 2).sum(axis=1), np.maximum(0.0, x.mean(axis=1) - 0.5)
 
 
-class TiedCrossoverRng:
-    """A generator whose crossover uniforms all equal 0.5."""
-
-    def __init__(self, seed):
-        self._rng = np.random.default_rng(seed)
-
-    def random(self, out):
-        out.fill(0.5)
-        return out
-
-    def integers(self, high, size=None):
-        return self._rng.integers(high, size=size)
-
-
 class TestCompiledTrials:
     @settings(max_examples=150, deadline=None)
     @given(case=trial_cases())
@@ -309,15 +295,24 @@ class TestCompiledTrials:
         assert runs[0] == runs[1]
 
     @pytest.mark.parametrize("compiled", [True, False])
-    def test_uniform_equal_to_cr_takes_mutant(self, compiled, monkeypatch):
-        if not compiled:
-            monkeypatch.setattr(native, "kernel", lambda: None)
+    def test_uniform_equal_to_cr_takes_mutant(self, compiled, request, monkeypatch):
+        # cr is one of the generation's own crossover uniforms, replayed from
+        # a twin of its PCG64 stream, so the C pass meets the tie on the
+        # doubles it draws itself.
         monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.5))
         genes = np.random.default_rng(1).random((10, 7))
-        trials = build_trials(genes, genes[4], DEConfig(np_size=10, cr=0.5),
-                              TiedCrossoverRng(6))
-        expected = np.clip(expected_mutants(genes, genes[4], 0.5, 6), 0.0, 1.0)
-        np.testing.assert_allclose(trials, expected, rtol=0.0, atol=1e-15)
+        twin = np.random.default_rng(6)
+        donor_indices(10, twin)
+        uniforms = twin.random(genes.shape)
+        i = 4
+        j = (twin.integers(7, size=10)[i] + 1) % 7  # not the row's forced gene
+        cfg = DEConfig(np_size=10, cr=float(uniforms[i, j]))
+        build = request.getfixturevalue("kernel") if compiled else None
+        trials = trials_on(build, genes, genes[i], cfg, 6)
+        assert trials.tobytes() == trials_on(None, genes, genes[i], cfg, 6).tobytes()
+        mutant = np.clip(expected_mutants(genes, genes[i], 0.5, 6)[i, j], 0.0, 1.0)
+        assert mutant != genes[i, j]
+        np.testing.assert_allclose(trials[i, j], mutant, rtol=0.0, atol=1e-15)
 
     def test_no_compiler_runs_numpy_code_with_one_warning(self, kernel, isolated_kernel,
                                                            monkeypatch):
@@ -385,18 +380,40 @@ def assert_trials_match_numpy(level_builds, genes, seed, buffered):
 FILL_SIZES = (0, 1, 3, 5, 7, 9, 3420 * 7, 35 * 99)
 
 
+def assert_fill_matches_numpy(build, seed, n, level):
+    """``build``'s ``uniforms`` from a PCG64's state words gives its ``random(n)``."""
+    bitgen = np.random.PCG64(seed)
+    pcg = bitgen.state["state"]
+    filled = np.empty(n)
+    build.uniforms(*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64), n, filled)
+    assert filled.tobytes() == np.random.Generator(bitgen).random(n).tobytes(), level
+
+
 class TestUniformFill:
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from(FILL_SIZES),
-           buffered=st.booleans())
-    def test_every_level_gives_numpy_bytes_and_state(self, level_builds, seed, n, buffered):
+    @given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from(FILL_SIZES))
+    def test_every_level_gives_numpy_bytes_and_state(self, level_builds, seed, n):
         for level, build in level_builds.items():
-            rng, twin = generator_at(seed, buffered)
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(native, "kernel", lambda: build)
-                filled = de_core._uniforms(rng, np.empty(n))
-            assert filled.tobytes() == twin.random(n).tobytes(), level
-            assert rng.bit_generator.state == twin.bit_generator.state, level
+            assert_fill_matches_numpy(build, seed, n, level)
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_fill_without_int128_gives_numpy_bytes(self, tmp_path, monkeypatch):
+        # The v3 and base builds step their lanes in 64-bit halves when the
+        # compiler has no __int128; v4 uses its intrinsics either way.
+        shutil.copy(native.SOURCE, tmp_path / "_rk4.c")
+        monkeypatch.setattr(native, "SOURCE", tmp_path / "_rk4.c")
+        monkeypatch.setattr(native, "CFLAGS", (*native.CFLAGS, "-U__SIZEOF_INT128__",
+                                               "-Wall", "-Wextra", "-Werror"))
+        try:
+            cpuinfo = native.CPUINFO.read_text()
+        except OSError:
+            cpuinfo = ""
+        levels = [level for level in native.host_levels(cpuinfo, os.uname().machine)
+                  if level in ("v3", "base")]
+        for level in levels:
+            build = native.build(level)
+            for seed, n in enumerate(FILL_SIZES):
+                assert_fill_matches_numpy(build, 2**63 + seed, n, level)
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans())
@@ -432,7 +449,7 @@ class TestUniformFill:
         assert runs[0] == runs[1]
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-    def test_fill_unlike_numpy_is_refused_with_one_warning(self, isolated_kernel):
+    def test_fill_unlike_numpy_is_refused_with_one_warning(self, isolated_kernel, monkeypatch):
         source = native.SOURCE.read_text()
         assert source.count("0x4385df649fccf645ULL") == 1
         native.SOURCE.write_text(source.replace("0x4385df649fccf645ULL",
@@ -441,15 +458,20 @@ class TestUniformFill:
             warnings.simplefilter("always")
             built = native.kernel()
         assert [w.category for w in caught] == [RuntimeWarning]
-        assert "uniforms" in str(caught[0].message)
-        assert built is not None and built.uniforms is None
+        assert "de_trials" in str(caught[0].message)
+        assert built is not None and built.de_trials is None
         genes = np.random.default_rng(2).random((9, 30))
         cfg = DEConfig(np_size=9)
-        rng, twin = generator_at(4, True)
-        assert init_population(cfg, 30, rng).tobytes() == twin.random((9, 30)).tobytes()
-        assert rng.bit_generator.state == twin.bit_generator.state
         expected = trials_on(None, genes, genes[1], cfg, 4)
         assert trials_on(built, genes, genes[1], cfg, 4).tobytes() == expected.tobytes()
+        # The evaluator keeps the RK4 kernel.
+        calls = []
+        rk4_batch = built.rk4_batch
+        monkeypatch.setattr(built, "rk4_batch", lambda *args: calls.append(1) or rk4_batch(*args))
+        net = generate_ba(20, 5, 5, seed=1)
+        params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=3, substeps=4)
+        make_batch_evaluator(net, params, 700.0)(genes[:2, :20].repeat(38, axis=1))
+        assert calls == [1]
 
 
 class TestNsdeGeneration:

@@ -99,6 +99,21 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig(p0=1.2)
 
+    @pytest.mark.parametrize("data,message", [
+        ({"ds": 7}, "ds=7 does not divide dim=3420"),
+        ({"sub_fes": 100}, r"sub_fes=100 must be at least 2\*NP=700"),
+        ({"total_fes": 400}, "total budget of 400 cannot fund"),
+        ({"algorithm": "nsde", "total_fes": 600}, "total budget of 600 cannot fund"),
+    ], ids=["ds", "sub_fes", "total_fes", "nsde-total_fes"])
+    def test_layout_that_run_c3_rejects_is_refused(self, data, message):
+        with pytest.raises(ConfigError, match=message):
+            ExperimentConfig.from_dict(data)
+
+    def test_layout_checked_for_the_named_optimizer(self):
+        # Plain NSDE runs one group at its own visit budget; baselines run no optimizer.
+        assert ExperimentConfig(algorithm="nsde", ds=7, sub_fes=100).ds == 7
+        assert ExperimentConfig(algorithm="constant", total_fes=400).total_fes == 400
+
     def test_algorithm_spelling_normalized(self):
         assert ExperimentConfig(algorithm="NSDE-C3").algorithm == "nsde_c3"
         assert normalize_algorithm("nsde-c3") == "nsde_c3"
