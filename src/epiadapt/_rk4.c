@@ -8,9 +8,9 @@
  * T1 = horizon - 1 re-planned unit intervals, k RK4 steps each, and adds the
  * trapezoid integral of sum_i sqrt(p_i) to obj_unit, the shared [0, 1)
  * contribution. Each candidate goes through the arithmetic of
- * dynamics._advance_unit step by step; only the mat-vec adds its terms in
- * j order and the sqrt sum in node order, where numpy uses BLAS and
- * pairwise sums, so results agree with the numpy loop to round-off. Before
+ * dynamics._advance_unit operation by operation, in the same order: the
+ * mat-vec adds its terms in j order and the sqrt sum in node order, each
+ * from 0.0, so f has the numpy loop's bytes. Before
  * integrating, it also writes each candidate's squared deviation
  * sum_e (x_e - x0_e)^2 to g, summed in gene order.
  *

@@ -162,11 +162,6 @@ def decode_candidate(x: np.ndarray, n: int, horizon: int) -> WeightSchedule:
     return WeightSchedule(blocks=blocks)
 
 
-def _rhs(p: np.ndarray, wb: np.ndarray, gamma: np.ndarray) -> np.ndarray:
-    inflow = (wb @ p[..., None])[..., 0]
-    return (1.0 - p) * inflow - gamma * p
-
-
 def _advance_unit(
     p: np.ndarray,
     wb: np.ndarray,
@@ -174,25 +169,37 @@ def _advance_unit(
     substeps: int,
     record: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """RK4 over one unit interval with a fixed weight matrix.
+    """RK4 over one unit interval with a fixed weight matrix, in the kernel's order.
 
-    Returns the advanced state and this interval's trapezoid contribution to
-    the integral of sum_i sqrt(p_i). States are clamped to [0, 1] after every
-    substep to keep discretization error out of the sqrt.
+    ``p`` is (n, B), one column per candidate, and ``wb`` is (n, n, B) with
+    w[i, j] * beta[j] at [j, i], as in ``_rk4.c``. numpy adds the outer axis
+    of (n, n, B) one whole row after another, so the mat-vec sums over j in
+    order from 0.0. A lone axis, as (n, 1) is at B = 1, it sums pairwise, so
+    the sqrt sum is a cumsum over nodes (+ 0.0 makes it start from 0.0).
+    Returns the state, clamped to [0, 1] after every substep to keep
+    discretization error out of the sqrt (``record`` gets column 0 of each),
+    and this interval's trapezoid term of the integral of sum_i sqrt(p_i).
     """
     h = 1.0 / substeps
-    s = np.sqrt(p).sum(axis=-1)
+    gamma = gamma[:, None]
+    prod = np.empty(wb.shape)
+
+    def rhs(v: np.ndarray) -> np.ndarray:
+        q = np.add.reduce(np.multiply(wb, v[:, None, :], out=prod), axis=0, initial=0.0)
+        return (1.0 - v) * q - gamma * v
+
+    s = np.cumsum(np.sqrt(p), axis=0)[-1] + 0.0
     acc = 0.5 * s
     for _ in range(substeps):
-        k1 = _rhs(p, wb, gamma)
-        k2 = _rhs(p + (0.5 * h) * k1, wb, gamma)
-        k3 = _rhs(p + (0.5 * h) * k2, wb, gamma)
-        k4 = _rhs(p + h * k3, wb, gamma)
+        k1 = rhs(p)
+        k2 = rhs(p + (0.5 * h) * k1)
+        k3 = rhs(p + (0.5 * h) * k2)
+        k4 = rhs(p + h * k3)
         p = p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         np.clip(p, 0.0, 1.0, out=p)
         if record is not None:
-            record.append(p.copy())
-        s = np.sqrt(p).sum(axis=-1)
+            record.append(p[:, 0].copy())
+        s = np.cumsum(np.sqrt(p), axis=0)[-1] + 0.0
         acc += s
     acc -= 0.5 * s
     if not np.all(np.isfinite(p)):
@@ -214,14 +221,13 @@ def integrate(net: Network, params: EpidemicParams, sched: WeightSchedule) -> Tr
         )
     beta, gamma, p0 = params.node_vectors(net.n)
     k = params.substeps
-    p = p0[None, :].copy()
-    states: list[np.ndarray] = []
+    p = p0[:, None].copy()
+    states = [p0]
     for t in range(params.horizon):
         w = net.w0 if t == 0 else sched.blocks[t - 1]
-        p, _ = _advance_unit(p, (w * beta)[None, :, :], gamma, k, record=states)
+        p, _ = _advance_unit(p, (w * beta).T[:, :, None], gamma, k, record=states)
     times = np.arange(params.horizon * k + 1) / k
-    traj = np.vstack([p0[None, :]] + [s[0][None, :] for s in states])
-    return Trajectory(times=times, p=traj)
+    return Trajectory(times=times, p=np.vstack(states))
 
 
 def objective_value(traj: Trajectory) -> float:
@@ -252,13 +258,13 @@ def make_batch_evaluator(
     The shared [0, 1) interval (identical for every candidate) is integrated
     once up front. The re-planned intervals run in the compiled kernel of
     ``_rk4.c`` when it is available and in a numpy loop over
-    :func:`_advance_unit` otherwise; the two agree to round-off in f. The
-    violation is max(0, sum of (x - x0)^2 - budget); it decides selection,
-    so both paths add the squares one at a time in gene order, as
-    :func:`constraint_value` does, and give the same bytes. This is the
-    hot path for population-based optimizers; :func:`integrate` with
-    :func:`objective_value` is the single-schedule reference. Unstable
-    ``substeps`` raise ValueError, as there.
+    :func:`_advance_unit` otherwise. f and the violation decide selection,
+    so both paths give the same bytes of each: the loop rounds as the kernel
+    does, in its order, and the violation max(0, sum of (x - x0)^2 - budget)
+    adds the squares one at a time in gene order, as :func:`constraint_value`
+    does. This is the hot path for population-based optimizers;
+    :func:`integrate` with :func:`objective_value` is the single-schedule
+    reference. Unstable ``substeps`` raise ValueError, as there.
     """
     n, horizon, k = net.n, params.horizon, params.substeps
     beta, gamma, p0 = params.node_vectors(n)
@@ -266,9 +272,9 @@ def make_batch_evaluator(
     dim = decision_dimension(n, horizon)
     x0 = np.tile(net.w0[rows, cols], horizon - 1)
     beta_off, gamma = beta[cols], np.ascontiguousarray(gamma)
-    p_unit, obj_unit = _advance_unit(p0[None, :].copy(), (net.w0 * beta)[None], gamma, k)
+    p_unit, obj_unit = _advance_unit(p0[:, None].copy(), (net.w0 * beta).T[:, :, None], gamma, k)
     kernel = _native.kernel()
-    pos = (cols * n + rows).astype(np.int64)
+    pos, m = (cols * n + rows).astype(np.int64), n * (n - 1)
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -281,7 +287,7 @@ def make_batch_evaluator(
         if kernel is not None:
             obj = np.empty(b)
             status = kernel.rk4_batch(b, n, horizon - 1, k, np.ascontiguousarray(x), x0,
-                                      pos, beta_off, gamma, p_unit[0], obj_unit[0], obj, g)
+                                      pos, beta_off, gamma, p_unit[:, 0], obj_unit[0], obj, g)
             if status == 2:
                 raise MemoryError("RK4 kernel could not allocate its scratch buffer")
             if status != 0:
@@ -293,18 +299,12 @@ def make_batch_evaluator(
             diff *= diff
             g[start:start + _native.ROW_BLOCK] = np.cumsum(diff, axis=1, out=diff)[:, -1]
         g -= budget
-        blocks = x.reshape(b, horizon - 1, n - 1, n)
-        beta_rows = beta_off.reshape(n - 1, n)
-        # One (B, n*n) buffer serves every interval. Past its leading
-        # diagonal slot, each run of n+1 flat entries is n off-diagonals
-        # (row-major) then a diagonal, so this view never touches the zeros.
-        wb = np.zeros((b, n * n))
-        offdiag = wb[:, 1:].reshape(b, n - 1, n + 1)[:, :, :n]
-        p = np.repeat(p_unit, b, axis=0)
+        wb = np.zeros((n * n, b))
+        p = np.repeat(p_unit, b, axis=1)
         obj = np.full(b, obj_unit[0])
         for t in range(horizon - 1):
-            np.multiply(blocks[:, t], beta_rows, out=offdiag)
-            p, contrib = _advance_unit(p, wb.reshape(b, n, n), gamma, k)
+            wb[pos] = (x[:, t * m:(t + 1) * m] * beta_off).T
+            p, contrib = _advance_unit(p, wb.reshape(n, n, b), gamma, k)
             obj += contrib
         return obj, np.maximum(0.0, g)
 

@@ -149,9 +149,9 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(message)
         try:
-            self.epidemic_params()
+            self.epidemic_params().node_vectors(self.n)
             self.de_config()
-            c3 = self.c3_config(self.n)
+            c3 = self.c3_config()
             if self.algorithm in ("nsde", "nsde_c3"):
                 dim = decision_dimension(self.n, self.horizon)
                 # run_nsde evolves all genes as one group at the default visit budget.
@@ -189,10 +189,10 @@ class ExperimentConfig:
     def de_config(self) -> DEConfig:
         return DEConfig(np_size=self.np_size, cr=self.cr, fp=self.fp)
 
-    def c3_config(self, n: int) -> C3Config:
-        """Coevolution layout for an n-node network; ``ds`` of None is n(n-1)."""
+    def c3_config(self) -> C3Config:
+        """Coevolution layout for the config's n nodes; ``ds`` of None is n(n-1)."""
         return C3Config(
-            ds=self.ds if self.ds is not None else n * (n - 1),
+            ds=self.ds if self.ds is not None else self.n * (self.n - 1),
             total_budget=self.total_fes,
             sub_fes=self.sub_fes,
             gc_fraction=self.gc_fraction,
@@ -245,7 +245,7 @@ def _optimizer_record(
     de_cfg = cfg.de_config()
     seed = derive_run_seed(cfg.master_seed, run_index)
     if cfg.algorithm == "nsde_c3":
-        result = run_c3(evaluate, dim, cfg.c3_config(net.n), de_cfg, seed)
+        result = run_c3(evaluate, dim, cfg.c3_config(), de_cfg, seed)
     else:
         result = run_nsde(
             evaluate, dim, cfg.total_fes, de_cfg, seed,
@@ -318,13 +318,16 @@ def run_experiment(
     CLI loads it from disk so every algorithm sees the same instance).
     Baselines produce a single deterministic record; optimizer campaigns
     produce ``cfg.runs`` records whose seeds derive from the master seed.
-    Records come back in run order regardless of ``workers``. ``outdir`` is
-    created before the first run, so a path that cannot hold it fails at once.
+    Records come back in run order regardless of ``workers``. A network
+    that is not ``cfg.n`` nodes is a ConfigError. ``outdir`` is created
+    before the first run, so a path that cannot hold it fails at once.
     """
-    if outdir is not None:
-        _make_dir(Path(outdir))
     if net is None:
         net = generate_ba(cfg.n, cfg.m0, cfg.m, cfg.net_seed)
+    elif net.n != cfg.n:
+        raise ConfigError(f"the config is for n={cfg.n} nodes, but the network has {net.n}")
+    if outdir is not None:
+        _make_dir(Path(outdir))
     params = cfg.epidemic_params()
     failures: list[RunFailure] = []
     if cfg.algorithm in ("none", "constant"):

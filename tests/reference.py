@@ -13,7 +13,6 @@ from epiadapt.dynamics import (
     EpidemicParams,
     Trajectory,
     WeightSchedule,
-    _advance_unit,
     _offdiag_indices,
     constraint_value,
     decode_candidate,
@@ -45,19 +44,18 @@ def evaluate_candidate(
 def kernel_objective(x: np.ndarray, net: Network, params: EpidemicParams) -> float:
     """f of one candidate as the compiled kernel defines it, one rounding per operation.
 
-    The shared [0, 1) interval comes from ``_advance_unit``, as the kernel
-    receives it. Each re-planned interval then runs in Python floats: the
-    mat-vec adds w[i, j] * beta[j] * v[j] over j in order from 0.0, zero
+    Every interval runs in Python floats, the shared [0, 1) one on w0 included:
+    the mat-vec adds w[i, j] * beta[j] * v[j] over j in order from 0.0, zero
     diagonal included; the stages combine as ((k1 + 2 k2) + 2 k3) + k4; the
-    clamp to [0, 1] keeps NaN; the sqrt sum runs in node order; and the
-    trapezoid runs 0.5 s_0, + s_1 ... + s_k, - 0.5 s_k.
+    clamp to [0, 1] keeps NaN; the sqrt sum runs in node order; the trapezoid
+    runs 0.5 s_0, + s_1 ... + s_k, - 0.5 s_k; and f adds each interval's h * acc
+    in turn from 0.0.
     """
     n, k = net.n, params.substeps
-    beta, gamma, p0 = params.node_vectors(n)
-    p_unit, obj_unit = _advance_unit(p0[None, :].copy(), (net.w0 * beta)[None], gamma, k)
+    beta, gamma, p0 = (v.tolist() for v in params.node_vectors(n))
     rows, cols = _offdiag_indices(n)
     m = n * (n - 1)
-    genes, beta, gamma = np.asarray(x, dtype=float).tolist(), beta.tolist(), gamma.tolist()
+    genes, w0 = np.asarray(x, dtype=float).tolist(), net.w0.tolist()
     h = 1.0 / k
     hh, h6 = 0.5 * h, h / 6.0
 
@@ -79,11 +77,14 @@ def kernel_objective(x: np.ndarray, net: Network, params: EpidemicParams) -> flo
     def clamp01(v: float) -> float:
         return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
-    p, total = p_unit[0].tolist(), float(obj_unit[0])
-    for t in range(params.horizon - 1):
-        w = [[0.0] * n for _ in range(n)]
-        for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-            w[i][j] = genes[t * m + e] * beta[j]
+    p, total = p0, 0.0
+    for t in range(params.horizon):
+        if t == 0:
+            w = [[w0[i][j] * beta[j] for j in range(n)] for i in range(n)]
+        else:
+            w = [[0.0] * n for _ in range(n)]
+            for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
+                w[i][j] = genes[(t - 1) * m + e] * beta[j]
         s = sqrt_sum(p)
         acc = 0.5 * s
         for _ in range(k):

@@ -151,14 +151,19 @@ def test_stats_on_malformed_runs_csv_exits_2(tmp_path, capsys, bad_row):
 
 def test_unstable_substeps_exits_2(workspace, tmp_path, capsys):
     # RK4 at substeps 1 leaves [0, 1] on this network; the clip used to hide
-    # that and report an objective 17% low with exit 0.
+    # that and report an objective 17% low with exit 0. The config refuses
+    # it, so no command makes its output first.
     _, net, _ = workspace
     coarse = tmp_path / "coarse.json"
     coarse.write_text(json.dumps({"substeps": 1}))
-    assert main(["simulate", "--net", str(net), "--config", str(coarse),
-                 "--out", str(tmp_path / "x.csv")]) == 2
-    assert "use substeps >= 3" in capsys.readouterr().err
-    assert not (tmp_path / "x.csv").exists()
+    out = tmp_path / "x"
+    for command in (["simulate", "--out", str(out)],
+                    ["optimize", "--algo", "nsde-c3", "--outdir", str(out)],
+                    ["baseline", "--mode", "none", "--outdir", str(out)]):
+        name, *rest = command
+        assert main([name, "--net", str(net), "--config", str(coarse), *rest]) == 2, name
+        assert "use substeps >= 3" in capsys.readouterr().err, name
+        assert not out.exists(), name
 
 
 @pytest.mark.parametrize("override,message", [

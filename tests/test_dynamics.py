@@ -323,7 +323,9 @@ class TestKernel:
         f_np, viol_np = kernel_evaluator(None, net, params, budget)(x)
         f_k, viol_k = make_batch_evaluator(net, params, budget)(x)
         assert f_k.shape == f_np.shape == (len(np.atleast_2d(x)),)
-        np.testing.assert_allclose(f_k, f_np, rtol=1e-12, atol=0.0)
+        expected = np.array([kernel_objective(row, net, params) for row in np.atleast_2d(x)])
+        assert f_np.tobytes() == expected.tobytes()
+        assert f_k.tobytes() == f_np.tobytes()
         assert viol_k.tobytes() == viol_np.tobytes()
         x0 = encode_schedule(no_adaptation_schedule(net, params.horizon))
         for row, viol in zip(np.atleast_2d(x), viol_np):
@@ -361,9 +363,11 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 20])
     def test_every_level_gives_the_scalar_model_bytes(self, level_builds, net20, n):
-        # Batch 9 leaves spare lanes at every width. n = 20 is the reference
-        # network at the reference step; 2, 3, 5 and 7 leave rows past the
-        # last full block of rows, and carry per-node rates.
+        # Batch 9 leaves spare lanes at every width; one row at a time is the
+        # numpy loop at B = 1, where numpy would sum the lone node axis
+        # pairwise. n = 20 is the reference network at the reference step;
+        # 2, 3, 5 and 7 leave rows past the last full block of rows, and
+        # carry per-node rates.
         rng = np.random.default_rng(n)
         if n == 20:
             net, params = net20, EpidemicParams(**REF_EPI, substeps=20)
@@ -375,9 +379,11 @@ class TestKernel:
                                     p0=rng.random(n), horizon=3, substeps=7)
         x = rng.random((9, decision_dimension(n, params.horizon)))
         expected = np.array([kernel_objective(row, net, params) for row in x])
-        for level, build in level_builds.items():
-            f, _ = kernel_evaluator(build, net, params, 0.0)(x)
-            assert f.tobytes() == expected.tobytes(), level
+        for level, build in {**level_builds, "numpy loop": None}.items():
+            evaluate = kernel_evaluator(build, net, params, 0.0)
+            assert evaluate(x)[0].tobytes() == expected.tobytes(), level
+            rows = np.concatenate([evaluate(row)[0] for row in x])
+            assert rows.tobytes() == expected.tobytes(), level
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_every_host_level_builds_without_warnings(self, tmp_path):
@@ -422,7 +428,21 @@ class TestKernel:
         assert len(seen_k) == 5 and seen_k == seen_np
         assert pop_k.genes.tobytes() == pop_np.genes.tobytes()
         assert pop_k.violation.tobytes() == pop_np.violation.tobytes()
-        np.testing.assert_allclose(pop_k.f, pop_np.f, rtol=1e-12, atol=0.0)
+        assert pop_k.f.tobytes() == pop_np.f.tobytes()
+
+    def test_outer_axis_sums_run_in_order(self):
+        # Each column is 1.0 then halves of its ulp: added in order, every
+        # term rounds away, while a pairwise sum adds the small ones first.
+        n = 20
+        col = np.array([1.0] + [2.0 ** -53] * (n - 1))
+        assert 1.0 + sum(col[:0:-1]) > 1.0
+        message = ("numpy no longer adds an outer axis one row after another; "
+                   "the numpy loop's f bytes depend on that order")
+        for b in (1, 3):
+            a = np.broadcast_to(col[:, None, None], (n, n, b)).copy()
+            # The mat-vec of dynamics._advance_unit, and its sqrt sum.
+            assert np.all(np.add.reduce(a, axis=0, initial=0.0) == 1.0), message
+            assert np.all(np.cumsum(a[:, 0], axis=0)[-1] + 0.0 == 1.0), message
 
     @pytest.mark.parametrize("flags,machine,level", [
         (SKYLAKE_X, "x86_64", "v4"),
@@ -479,8 +499,8 @@ class TestKernel:
             evaluate = make_batch_evaluator(net20, params, 700.0)
         assert native.kernel() is None
         x = np.random.default_rng(4).random((2, 3420))
-        expected = [evaluate_candidate(row, net20, params, 700.0).f for row in x]
-        np.testing.assert_allclose(evaluate(x)[0], expected, rtol=1e-12)
+        expected = np.array([kernel_objective(row, net20, params) for row in x])
+        assert evaluate(x)[0].tobytes() == expected.tobytes()
         assert not list(isolated_kernel.glob("*"))
 
     def test_cached_library_is_reused(self, isolated_kernel, net20, monkeypatch):

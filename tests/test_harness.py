@@ -157,6 +157,17 @@ class TestRunExperiment:
         assert all(rec.evaluations <= 1200 for rec in records)
         assert all(len(rec.history) == rec.generations for rec in records)
 
+    @pytest.mark.parametrize("algorithm", ["nsde_c3", "none"])
+    def test_network_of_another_size_is_refused(self, tmp_path, algorithm):
+        # Unchecked, ds of None would fit itself to the 12 nodes and run, and
+        # ds=380 would fail late, inside run_c3, on their 1188 genes.
+        net = generate_ba(12, 5, 5, seed=1)
+        for ds in (None, 380):
+            outdir = tmp_path / f"out_{ds}"
+            with pytest.raises(ConfigError, match="n=20 nodes, but the network has 12"):
+                run_experiment(tiny_config(algorithm=algorithm, ds=ds), net=net, outdir=outdir)
+            assert not outdir.exists()
+
     def test_campaign_reproducible(self):
         a = run_experiment(tiny_config(algorithm="nsde_c3"))
         b = run_experiment(tiny_config(algorithm="nsde_c3"))
