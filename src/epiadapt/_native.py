@@ -38,8 +38,8 @@ _V3_CPU_FLAGS = frozenset((
 # list, and the flags added to CFLAGS. The last needs nothing.
 LEVELS = (
     ("v4", _V3_CPU_FLAGS | {"avx512f", "avx512bw", "avx512cd", "avx512dq", "avx512vl"},
-     ("-march=x86-64-v4", "-mprefer-vector-width=512", "-DLANES=8")),
-    ("v3", _V3_CPU_FLAGS, ("-march=x86-64-v3", "-DLANES=4")),
+     ("-march=x86-64-v4", "-mprefer-vector-width=512")),
+    ("v3", _V3_CPU_FLAGS, ("-march=x86-64-v3",)),
     ("base", frozenset(), ()),
 )
 
@@ -129,10 +129,9 @@ def build(level: str) -> ctypes.CDLL:
 def _fill_matches_numpy(built: ctypes.CDLL) -> bool:
     """Whether ``uniforms`` gives ``Generator(PCG64).random``'s bytes.
 
-    One fixed state and 43 draws: five 8-lane blocks and a tail, or ten
-    4-lane blocks and a tail. A numpy that changes ``random()`` fails here.
-    ``de_trials`` draws the crossover uniforms with the same fill, which is
-    why the loader calls this.
+    One fixed state and 43 draws: five 8-lane blocks and a tail. A numpy
+    that changes ``random()`` fails here. ``de_trials`` draws the crossover
+    uniforms with the same fill, which is why the loader calls this.
     """
     bitgen = np.random.PCG64(20190101)
     pcg = bitgen.state["state"]
@@ -148,7 +147,7 @@ def kernel() -> ctypes.CDLL | None:
 
     It holds the RK4 batch kernel and the NSDE trial pass. The host's level
     comes from /proc/cpuinfo, read here on first use and never at import:
-    x86-64-v4 (8 lanes of AVX-512), then v3 (AVX2), then the baseline build.
+    x86-64-v4 (AVX-512), then v3 (AVX2), then the baseline build.
     A build that cannot be made or loaded passes to the next; past the last,
     the evaluator and the DE operators run their numpy code. A loaded build
     whose PCG64 fill does not give numpy's doubles has ``de_trials`` set to

@@ -27,9 +27,8 @@
  * sits at i * LANES + lane, and w[i, j] * beta[j] of each lane at
  * (j * n + i) * LANES + lane, so every loop below is element-wise across
  * lanes and vectorizes without reassociating any sum. gamma is expanded the
- * same way, once per call. Spare lanes of the
- * last group repeat its first candidate. LANES comes from the build (-D) to
- * match the host's vector width; every width gives the same bytes.
+ * same way, once per call. Spare lanes of the last group repeat its first
+ * candidate. LANES is 8 in every build, the doubles of one AVX-512 vector.
  *
  * Returns 0 on success, 1 when a state became non-finite, 2 when the
  * scratch memory could not be allocated.
@@ -38,9 +37,7 @@
 #include <stdint.h>
 #include <stdlib.h>
 
-#ifndef LANES
-#define LANES 4
-#endif
+#define LANES 8
 #define ROWS 4
 
 /* Not fmin/fmax: those would turn a NaN into a bound, where np.clip keeps it. */
@@ -249,7 +246,7 @@ static void pcg_start(pcg_lanes *g, uint64_t state_hi, uint64_t state_lo,
 
 /* pcg_blocks writes the whole blocks of the next n doubles and steps the
  * lanes past them; it returns the count written. */
-#if defined(__AVX512DQ__) && LANES == 8
+#if defined(__AVX512DQ__)
 #include <immintrin.h>
 /* One zmm per state half. lo * al takes four 1-uop vpmuludq limb products;
  * only the two cross terms need vpmullq. */

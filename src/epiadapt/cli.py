@@ -71,8 +71,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 def _cmd_baseline(args: argparse.Namespace) -> int:
     net = load_network(args.net)
     cfg = load_config(args.config, net, algorithm=normalize_algorithm(args.mode))
-    records = run_experiment(cfg, net=net, outdir=args.outdir)
-    rec = records[0]
+    (rec,) = run_experiment(cfg, net=net, outdir=args.outdir)
     print(f"{rec.algorithm}: ofv={rec.ofv:.6f} violation={rec.violation:.3g}")
     return 0
 

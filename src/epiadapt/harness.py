@@ -268,13 +268,9 @@ def _optimizer_record(
 
 
 def _baseline_record(
-    cfg: ExperimentConfig, net: Network, params: EpidemicParams
+    cfg: ExperimentConfig, net: Network, params: EpidemicParams, schedule: WeightSchedule
 ) -> RunRecord:
     start = time.perf_counter()
-    if cfg.algorithm == "none":
-        schedule = no_adaptation_schedule(net, cfg.horizon)
-    else:
-        schedule = constant_adaptation_schedule(net, cfg.horizon, cfg.budget)
     trajectory = integrate(net, params, schedule)
     g = constraint_value(schedule, net, cfg.budget)
     violation = 0.0 if g <= BASELINE_FEAS_ATOL else g
@@ -319,19 +315,24 @@ def run_experiment(
     Baselines produce a single deterministic record; optimizer campaigns
     produce ``cfg.runs`` records whose seeds derive from the master seed.
     Records come back in run order regardless of ``workers``. A network
-    that is not ``cfg.n`` nodes is a ConfigError. ``outdir`` is created
-    before the first run, so a path that cannot hold it fails at once.
+    that is not ``cfg.n`` nodes (ConfigError) or a budget above the constant
+    baseline's cap (ValueError) fails before ``outdir`` is created, which
+    comes before the first run, so a path that cannot hold it fails at once.
     """
     if net is None:
         net = generate_ba(cfg.n, cfg.m0, cfg.m, cfg.net_seed)
     elif net.n != cfg.n:
         raise ConfigError(f"the config is for n={cfg.n} nodes, but the network has {net.n}")
+    if cfg.algorithm == "none":
+        baseline = no_adaptation_schedule(net, cfg.horizon)
+    elif cfg.algorithm == "constant":  # before outdir: its budget cap depends on the network
+        baseline = constant_adaptation_schedule(net, cfg.horizon, cfg.budget)
     if outdir is not None:
         _make_dir(Path(outdir))
     params = cfg.epidemic_params()
     failures: list[RunFailure] = []
     if cfg.algorithm in ("none", "constant"):
-        records = [_baseline_record(cfg, net, params)]
+        records = [_baseline_record(cfg, net, params, baseline)]
     else:
         payloads = [(cfg, net, r) for r in range(cfg.runs)]
         if workers > 1 and cfg.runs > 1:

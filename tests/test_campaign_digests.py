@@ -4,8 +4,10 @@ Selection compares f, so every file a campaign writes depends on f's bytes.
 The compiled kernel and the numpy loop define f alike, so both paths, at 1
 and at 2 workers, must write the files whose SHA-256 digests
 ``campaign_digests.json`` holds; ``timing.txt`` holds wall times and is left
-out. numpy's normal and Cauchy streams may change between numpy versions, so
-the digests name the version they were recorded under.
+out. The files print ``.12g``, so the same file also holds ``float.hex`` of
+each optimizer run's ofv and violation, from ``run_experiment`` in process:
+those see f's last bits. numpy's normal and Cauchy streams may change between
+numpy versions, so the digests name the version they were recorded under.
 
 A change meant to move the bytes records new digests with
 
@@ -22,6 +24,7 @@ import pytest
 
 import epiadapt._native as native
 from epiadapt.cli import main
+from epiadapt.harness import load_config, load_network, run_experiment
 
 DIGESTS = Path(__file__).with_name("campaign_digests.json")
 # NP=8 at substeps 4; 56 evaluations fund two C3 visits and six NSDE generations.
@@ -33,8 +36,13 @@ CONFIG = {
 }
 
 
-def run_campaign(root: Path, workers: int) -> dict[str, str]:
-    """Run every CLI command into ``root / "out"``; the SHA-256 of each file it writes."""
+def run_campaign(root: Path, workers: int) -> tuple[dict[str, str], dict[str, list[str]]]:
+    """Run every CLI command into ``root / "out"``.
+
+    Returns the SHA-256 of each file it writes, and ``float.hex`` of the ofv
+    and violation of each optimizer run, from ``run_experiment`` on the
+    written network at the same ``workers``.
+    """
     config = root / "exp.json"
     config.write_text(json.dumps(CONFIG))
     out = root / "out"
@@ -56,9 +64,20 @@ def run_campaign(root: Path, workers: int) -> dict[str, str]:
     ]
     for argv in steps:
         assert main(argv) == 0, argv
-    return {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
-            for path in sorted(out.rglob("*"))
-            if path.is_file() and path.name != "timing.txt"}
+    digests = {path.relative_to(out).as_posix(): hashlib.sha256(path.read_bytes()).hexdigest()
+               for path in sorted(out.rglob("*"))
+               if path.is_file() and path.name != "timing.txt"}
+    network = load_network(net)
+    bits = {f"{rec.algorithm}/run_{rec.run:02d}": [rec.ofv.hex(), rec.violation.hex()]
+            for algorithm in ("nsde_c3", "nsde")
+            for rec in run_experiment(load_config(config, network, algorithm=algorithm),
+                                      net=network, workers=workers)}
+    return digests, bits
+
+
+def differing(recorded: dict, got: dict) -> list[str]:
+    return sorted(name for name in recorded.keys() | got.keys()
+                  if recorded.get(name) != got.get(name))
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -67,9 +86,8 @@ def test_campaign_bytes(tmp_path, monkeypatch, path, workers):
     if path == "numpy loop":
         monkeypatch.setattr(native, "kernel", lambda: None)
     recorded = json.loads(DIGESTS.read_text())
-    got = run_campaign(tmp_path, workers)
-    moved = sorted(name for name in recorded["sha256"].keys() | got.keys()
-                   if recorded["sha256"].get(name) != got.get(name))
+    digests, bits = run_campaign(tmp_path, workers)
+    moved = differing(recorded["sha256"], digests) + differing(recorded["float_hex"], bits)
     assert not moved, (
         f"{path} at workers={workers}: {moved} differ from the digests recorded under "
         f"numpy {recorded['numpy']} (this is numpy {np.__version__}; its random "
@@ -79,7 +97,8 @@ def test_campaign_bytes(tmp_path, monkeypatch, path, workers):
 
 if __name__ == "__main__":
     with tempfile.TemporaryDirectory() as tmp:
-        digests = run_campaign(Path(tmp), workers=1)
-    DIGESTS.write_text(json.dumps({"numpy": np.__version__, "sha256": digests},
-                                  indent=1, sort_keys=True) + "\n")
-    print(f"wrote {len(digests)} digests to {DIGESTS}", file=sys.stderr)
+        digests, bits = run_campaign(Path(tmp), workers=1)
+    DIGESTS.write_text(json.dumps({"numpy": np.__version__, "sha256": digests,
+                                   "float_hex": bits}, indent=1, sort_keys=True) + "\n")
+    print(f"wrote {len(digests)} digests and {len(bits)} runs' float.hex to {DIGESTS}",
+          file=sys.stderr)

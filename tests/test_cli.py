@@ -183,6 +183,56 @@ def test_c3_layout_exits_2_before_outdir(workspace, capsys, override, message):
     assert not out.exists()
 
 
+def test_over_budget_constant_baseline_exits_2_before_outdir(workspace, capsys):
+    # The cap, (horizon - 1) * sum(w0^2), depends on the network, so only
+    # run_experiment can check it.
+    tmp_path, net, _ = workspace
+    rich = tmp_path / "rich.json"
+    rich.write_text(json.dumps({**TINY_CONFIG, "budget": 1e9}))
+    out = tmp_path / "const"
+    assert main(["baseline", "--net", str(net), "--config", str(rich), "--mode", "constant",
+                 "--outdir", str(out)]) == 2
+    assert "budget 1000000000.0 exceeds the spendable maximum" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("which,text,message", [
+    ("config", None, "cannot read config {path}: [Errno 2] No such file or directory"),
+    ("config", "{", "cannot read config {path}: Expecting property name"),
+    ("config", "[20]", "config {path} must hold a JSON object"),
+    ("config", '{"substeps": 0}', "substeps must be at least 1"),
+    ("net", "i,j,w\n", "{path}: no weight rows"),
+    # Blank rows are skipped but counted, so the self-loop is on line 3.
+    ("net", "i,j,w\n\n0,0,0.5\n", "{path}:3: self-loop at node 0"),
+], ids=["missing-config", "non-json-config", "array-config", "zero-substeps",
+        "header-only-net", "blank-row-net"])
+def test_bad_config_or_network_exits_2(workspace, capsys, which, text, message):
+    tmp_path, net, config = workspace
+    path = tmp_path / ("bad.json" if which == "config" else "bad.csv")
+    if text is not None:
+        path.write_text(text)
+    files = {"net": net, "config": config, which: path}
+    out = tmp_path / "x.csv"
+    assert main(["simulate", "--net", str(files["net"]), "--config", str(files["config"]),
+                 "--out", str(out)]) == 2
+    assert message.format(path=path) in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_unexpected_error_exits_3(workspace, monkeypatch, capsys):
+    import epiadapt.cli as cli
+
+    tmp_path, net, config = workspace
+
+    def broken(*args):
+        raise RuntimeError("disk on fire")
+
+    monkeypatch.setattr(cli, "integrate", broken)
+    assert main(["simulate", "--net", str(net), "--config", str(config),
+                 "--out", str(tmp_path / "x.csv")]) == 3
+    assert capsys.readouterr().err == "error: disk on fire\n"
+
+
 def test_unreadable_aborted_list_exits_2(tmp_path, capsys):
     (tmp_path / "runs.csv").write_text(
         "algorithm,run,ofv,violation,evaluations,generations\nnsde,0,180,0,1200,20\n")

@@ -375,8 +375,8 @@ def assert_trials_match_numpy(level_builds, genes, seed, buffered):
         assert rng.bit_generator.state == twin.bit_generator.state, level
 
 
-# 0, 1, LANES - 1 and LANES + 1 at 4 and at 8 lanes, seven intervals of the
-# reference problem's genes, and an odd NP * D.
+# 0; 1, 3, 5 and LANES - 1, a tail alone; LANES + 1; seven intervals of the
+# reference problem's genes; and an odd NP * D.
 FILL_SIZES = (0, 1, 3, 5, 7, 9, 3420 * 7, 35 * 99)
 
 
@@ -428,9 +428,8 @@ class TestUniformFill:
     @pytest.mark.parametrize("np_size,dim", [(350, 3420), (5, 7)])
     def test_trial_pass_draws_numpy_bytes_and_state(self, level_builds, np_size, dim,
                                                     buffered):
-        # The reference size leaves a last chunk of 2 rows at 4 lanes and of 6
-        # at 8. 5 rows of 7 genes are fewer than the 8 lanes of v4, and at 4
-        # lanes their last chunk, one row, ends mid-block.
+        # The reference size leaves a last chunk of 6 rows. 5 rows of 7 genes
+        # are fewer than the 8 lanes, so their one chunk ends mid-block.
         assert_trials_match_numpy(level_builds, np.random.default_rng(dim).random((np_size, dim)),
                                   np_size + dim, buffered)
 

@@ -363,11 +363,11 @@ class TestKernel:
 
     @pytest.mark.parametrize("n", [2, 3, 5, 7, 20])
     def test_every_level_gives_the_scalar_model_bytes(self, level_builds, net20, n):
-        # Batch 9 leaves spare lanes at every width; one row at a time is the
-        # numpy loop at B = 1, where numpy would sum the lone node axis
-        # pairwise. n = 20 is the reference network at the reference step;
-        # 2, 3, 5 and 7 leave rows past the last full block of rows, and
-        # carry per-node rates.
+        # Batch 9 leaves 7 spare lanes in its last group; one row at a time
+        # is the numpy loop at B = 1, where numpy would sum the lone node
+        # axis pairwise. n = 20 is the reference network at the reference
+        # step; 2, 3, 5 and 7 leave rows past the last full block of rows,
+        # and carry per-node rates.
         rng = np.random.default_rng(n)
         if n == 20:
             net, params = net20, EpidemicParams(**REF_EPI, substeps=20)
@@ -386,13 +386,13 @@ class TestKernel:
             assert rows.tobytes() == expected.tobytes(), level
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-    def test_every_host_level_builds_without_warnings(self, tmp_path):
-        try:
-            cpuinfo = native.CPUINFO.read_text()
-        except OSError:
-            cpuinfo = ""
-        for level in native.host_levels(cpuinfo, os.uname().machine):
-            extra = next(extra for name, _, extra in native.LEVELS if name == level)
+    def test_every_level_builds_without_warnings(self, tmp_path):
+        # Compile only: an x86_64 compiler builds every level, so the AVX-512
+        # fill is checked on hosts below v4 too. Elsewhere only base builds.
+        machine = os.uname().machine
+        for level, _, extra in native.LEVELS:
+            if machine != "x86_64" and level not in native.host_levels("", machine):
+                continue
             cc = subprocess.run(["cc", *native.CFLAGS, *extra, "-Wall", "-Wextra", "-Werror",
                                  "-o", str(tmp_path / f"{level}.so"), str(native.SOURCE), "-lm"],
                                 capture_output=True, text=True)
