@@ -195,12 +195,18 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
 #define PCG_MULT_HI 0x2360ed051fc65da4ULL
 #define PCG_MULT_LO 0x4385df649fccf645ULL
 
-/* (hi, lo) = (hi, lo) * (ah, al) + (ch, cl) mod 2^128, in 64-bit halves: the
- * high half of lo * al from 32-bit limbs, the cross terms as 64-bit low
- * products. */
+/* (hi, lo) = (hi, lo) * (ah, al) + (ch, cl) mod 2^128, the one scalar step.
+ * Without __int128 it runs in 64-bit halves: the high half of lo * al from
+ * 32-bit limbs, the cross terms as 64-bit low products. */
 static inline void lcg_step(uint64_t *restrict hi, uint64_t *restrict lo, uint64_t ah,
                             uint64_t al, uint64_t ch, uint64_t cl)
 {
+#if defined(__SIZEOF_INT128__)
+    typedef unsigned __int128 u128;
+    const u128 s = ((u128)*hi << 64 | *lo) * ((u128)ah << 64 | al) + ((u128)ch << 64 | cl);
+    *hi = (uint64_t)(s >> 64);
+    *lo = (uint64_t)s;
+#else
     const uint64_t x = *lo, x0 = x & 0xffffffffu, x1 = x >> 32;
     const uint64_t a0 = al & 0xffffffffu, a1 = al >> 32;
     const uint64_t p00 = x0 * a0, p01 = x0 * a1, p10 = x1 * a0;
@@ -210,6 +216,7 @@ static inline void lcg_step(uint64_t *restrict hi, uint64_t *restrict lo, uint64
     const uint64_t nlo = plo + cl;
     *hi = phi + x * ah + *hi * al + ch + (nlo < plo);
     *lo = nlo;
+#endif
 }
 
 /* numpy's Generator.random double from the output of state (hi, lo). */
@@ -248,8 +255,8 @@ static void pcg_start(pcg_lanes *g, uint64_t state_hi, uint64_t state_lo,
  * lanes past them; it returns the count written. */
 #if defined(__AVX512DQ__)
 #include <immintrin.h>
-/* One zmm per state half. lo * al takes four 1-uop vpmuludq limb products;
- * only the two cross terms need vpmullq. */
+/* lcg_step on one zmm per state half. lo * al takes four 1-uop vpmuludq limb
+ * products; only the two cross terms need vpmullq. */
 static int64_t pcg_blocks(pcg_lanes *restrict g, int64_t n, double *restrict out)
 {
     const __m512i low = _mm512_set1_epi64(0xffffffff), one = _mm512_set1_epi64(1);
@@ -286,38 +293,19 @@ static int64_t pcg_blocks(pcg_lanes *restrict g, int64_t n, double *restrict out
     _mm512_storeu_si512(g->lo, lo);
     return b;
 }
-#elif defined(__SIZEOF_INT128__)
-/* One scalar 128-bit chain per lane: without vector 64-bit multiplies a
- * halves form ran slower than numpy. */
-static int64_t pcg_blocks(pcg_lanes *restrict g, int64_t n, double *restrict out)
-{
-    typedef unsigned __int128 u128;
-    const u128 a = (u128)g->ah << 64 | g->al, c = (u128)g->ch << 64 | g->cl;
-    u128 s[LANES];
-    for (int l = 0; l < LANES; ++l)
-        s[l] = (u128)g->hi[l] << 64 | g->lo[l];
-    int64_t b = 0;
-    for (; b + LANES <= n; b += LANES)
-        for (int l = 0; l < LANES; ++l) {
-            out[b + l] = pcg_double((uint64_t)(s[l] >> 64), (uint64_t)s[l]);
-            s[l] = s[l] * a + c;
-        }
-    for (int l = 0; l < LANES; ++l) {
-        g->hi[l] = (uint64_t)(s[l] >> 64);
-        g->lo[l] = (uint64_t)s[l];
-    }
-    return b;
-}
 #else
-/* A compiler without __int128 steps each lane in 64-bit halves. */
+/* One scalar chain per lane through lcg_step, on a local copy of the lanes:
+ * stepping g's lanes in place made the v3 and base fills 9-13% slower. */
 static int64_t pcg_blocks(pcg_lanes *restrict g, int64_t n, double *restrict out)
 {
+    pcg_lanes s = *g;
     int64_t b = 0;
     for (; b + LANES <= n; b += LANES)
         for (int l = 0; l < LANES; ++l) {
-            out[b + l] = pcg_double(g->hi[l], g->lo[l]);
-            lcg_step(&g->hi[l], &g->lo[l], g->ah, g->al, g->ch, g->cl);
+            out[b + l] = pcg_double(s.hi[l], s.lo[l]);
+            lcg_step(&s.hi[l], &s.lo[l], s.ah, s.al, s.ch, s.cl);
         }
+    *g = s;
     return b;
 }
 #endif

@@ -18,7 +18,6 @@ from .harness import (
     aborted_count,
     load_config,
     load_network,
-    normalize_algorithm,
     read_schedule_csv,
     run_experiment,
     save_network,
@@ -55,7 +54,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     given = {"runs": args.runs, "master_seed": args.seed}
     overrides = {key: value for key, value in given.items() if value is not None}
     net = load_network(args.net)
-    cfg = load_config(args.config, net, algorithm=normalize_algorithm(args.algo), **overrides)
+    cfg = load_config(args.config, net, algorithm=args.algo, **overrides)
     records = run_experiment(cfg, net=net, outdir=args.outdir, workers=args.workers)
     for rec in records:
         print(
@@ -70,7 +69,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
 
 def _cmd_baseline(args: argparse.Namespace) -> int:
     net = load_network(args.net)
-    cfg = load_config(args.config, net, algorithm=normalize_algorithm(args.mode))
+    cfg = load_config(args.config, net, algorithm=args.mode)
     (rec,) = run_experiment(cfg, net=net, outdir=args.outdir)
     print(f"{rec.algorithm}: ofv={rec.ofv:.6f} violation={rec.violation:.3g}")
     return 0

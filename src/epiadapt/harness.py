@@ -141,6 +141,7 @@ class ExperimentConfig:
             (1 <= self.m <= self.m0 <= self.n, "need 1 <= m <= m0 <= n"),
             (self.net_seed >= 0, "net_seed must be nonnegative"),
             (self.budget >= 0.0, "budget must be nonnegative"),
+            (self.total_fes >= 1, "total_fes must be positive"),
             (self.sub_fes is None or self.sub_fes >= 1, "sub_fes must be positive"),
             (self.runs >= 1, "runs must be at least 1"),
             (self.master_seed >= 0, "master_seed must be nonnegative"),
@@ -209,8 +210,8 @@ def load_config(path: str | Path, net: Network, **overrides) -> ExperimentConfig
     if not isinstance(data, dict):
         raise ConfigError(f"config {path} must hold a JSON object")
     # Before the layout checks, which would read a wrong n as a wrong dimension.
-    if data.get("n", net.n) != net.n:
-        raise ConfigError(f"config {path} sets n={data['n']}, but the network has {net.n} nodes")
+    if _has_field_type(n := data.get("n", net.n), "int") and n != net.n:
+        raise ConfigError(f"config {path} sets n={n}, but the network has {net.n} nodes")
     return ExperimentConfig.from_dict({"n": net.n, **data, **overrides})
 
 

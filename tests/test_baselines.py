@@ -85,6 +85,12 @@ class TestConstantRatio:
         cap = 9 * float(np.sum(net20.w0**2))
         with pytest.raises(ValueError):
             constant_adaptation_ratio(net20, 10, cap + 1.0)
+        with pytest.raises(ValueError, match="nonnegative"):
+            constant_adaptation_ratio(net20, 10, -1.0)
+        with pytest.raises(ValueError, match="horizon"):
+            constant_adaptation_ratio(net20, 1, 0.0)
+        with pytest.raises(ValueError, match="horizon"):
+            no_adaptation_schedule(net20, 1)
 
     def test_weightless_network_rejected(self):
         net = Network(np.zeros((3, 3)))

@@ -201,11 +201,16 @@ def test_over_budget_constant_baseline_exits_2_before_outdir(workspace, capsys):
     ("config", "{", "cannot read config {path}: Expecting property name"),
     ("config", "[20]", "config {path} must hold a JSON object"),
     ("config", '{"substeps": 0}', "substeps must be at least 1"),
+    # A string or a bool is no node count, so it fails the type check.
+    ("config", '{"n": "20"}', "n must be an integer, got '20'"),
+    ("config", '{"n": true}', "n must be an integer, got True"),
+    ("config", '{"total_fes": 0}', "total_fes must be positive"),
     ("net", "i,j,w\n", "{path}: no weight rows"),
     # Blank rows are skipped but counted, so the self-loop is on line 3.
     ("net", "i,j,w\n\n0,0,0.5\n", "{path}:3: self-loop at node 0"),
 ], ids=["missing-config", "non-json-config", "array-config", "zero-substeps",
-        "header-only-net", "blank-row-net"])
+        "string-n-config", "bool-n-config", "zero-total-fes-config", "header-only-net",
+        "blank-row-net"])
 def test_bad_config_or_network_exits_2(workspace, capsys, which, text, message):
     tmp_path, net, config = workspace
     path = tmp_path / ("bad.json" if which == "config" else "bad.csv")
@@ -257,9 +262,13 @@ def test_stats_rejects_run_seen_in_another_dir(workspace, capsys):
     assert str(dirs[0] / "runs.csv") in err and str(dirs[1] / "runs.csv") in err
 
 
-def test_invalid_parameter_exits_2(tmp_path):
+def test_invalid_parameter_exits_2(tmp_path, capsys):
     assert main(["gen-net", "--n", "3", "--m0", "5", "--m", "5",
                  "--seed", "0", "--out", str(tmp_path / "net.csv")]) == 2
+    assert main(["gen-net", "--n", "3", "--m0", "2", "--m", "0",
+                 "--seed", "0", "--out", str(tmp_path / "net.csv")]) == 2
+    assert "m and m0 must be positive" in capsys.readouterr().err
+    assert not (tmp_path / "net.csv").exists()
 
 
 def test_single_node_network_exits_2(tmp_path, capsys):

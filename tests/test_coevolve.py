@@ -230,6 +230,8 @@ class TestRunC3:
         with pytest.raises(ValueError):
             C3Config(ds=0, total_budget=100)
         with pytest.raises(ValueError):
+            C3Config(ds=5, total_budget=0)
+        with pytest.raises(ValueError):
             C3Config(ds=5, total_budget=100, gc_fraction=1.5)
 
 

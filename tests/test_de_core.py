@@ -87,6 +87,10 @@ class TestInitPopulation:
             DEConfig(np_size=3)
         with pytest.raises(ValueError):
             DEConfig(np_size=10, cr=1.5)
+        with pytest.raises(ValueError):
+            DEConfig(np_size=10, fp=-0.1)
+        with pytest.raises(ValueError):
+            init_population(DEConfig(np_size=10), 0, np.random.default_rng(0))
 
 
 class TestScaleFactor:
@@ -398,8 +402,9 @@ class TestUniformFill:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_fill_without_int128_gives_numpy_bytes(self, tmp_path, monkeypatch):
-        # The v3 and base builds step their lanes in 64-bit halves when the
-        # compiler has no __int128; v4 uses its intrinsics either way.
+        # Without __int128, lcg_step works in 64-bit halves: in the v3 and
+        # base builds it starts the lanes and steps them, both for uniforms
+        # and for the trial pass. v4 steps them with its intrinsics either way.
         shutil.copy(native.SOURCE, tmp_path / "_rk4.c")
         monkeypatch.setattr(native, "SOURCE", tmp_path / "_rk4.c")
         monkeypatch.setattr(native, "CFLAGS", (*native.CFLAGS, "-U__SIZEOF_INT128__",
@@ -410,10 +415,13 @@ class TestUniformFill:
             cpuinfo = ""
         levels = [level for level in native.host_levels(cpuinfo, os.uname().machine)
                   if level in ("v3", "base")]
-        for level in levels:
-            build = native.build(level)
+        builds = {level: native.build(level) for level in levels}
+        for level, build in builds.items():
             for seed, n in enumerate(FILL_SIZES):
                 assert_fill_matches_numpy(build, 2**63 + seed, n, level)
+        for seed, shape in enumerate([(5, 7), (35, 99)]):
+            assert_trials_match_numpy(builds, np.random.default_rng(seed).random(shape),
+                                      seed, buffered=bool(seed))
 
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans())

@@ -149,6 +149,8 @@ class TestIntegrate:
             integrate(net20, params, WeightSchedule(blocks=np.zeros((9, 4, 4))))
         with pytest.raises(ValueError):
             integrate(net20, params, WeightSchedule(blocks=np.zeros((4, 20, 20))))
+        with pytest.raises(ValueError):
+            constraint_value(WeightSchedule(blocks=np.zeros((9, 4, 4))), net20, 700.0)
 
     def test_step_halving_objective_stable(self, net20):
         sched = no_adaptation_schedule(net20, 10)
@@ -622,6 +624,8 @@ class TestParamValidation:
     def test_negative_rate_rejected(self):
         with pytest.raises(ValueError):
             EpidemicParams(beta=-0.1, gamma=0.3, p0=0.1, horizon=5)
+        with pytest.raises(ValueError):
+            EpidemicParams(beta=0.1, gamma=np.nan, p0=0.1, horizon=5)
 
     def test_p0_above_one_rejected(self):
         with pytest.raises(ValueError):
@@ -671,6 +675,8 @@ class TestParamValidation:
     def test_schedule_validation(self):
         with pytest.raises(ValueError):
             WeightSchedule(blocks=np.full((2, 3, 3), 1.5))
+        with pytest.raises(ValueError):
+            WeightSchedule(blocks=np.zeros((3, 3)))
         bad = np.zeros((2, 3, 3))
         bad[0, 1, 1] = 0.2
         with pytest.raises(ValueError):

@@ -137,6 +137,8 @@ class TestSpectralRadius:
     def test_negative_entries_rejected(self):
         with pytest.raises(ValueError):
             spectral_radius(np.array([[0.0, -1.0], [1.0, 0.0]]))
+        with pytest.raises(ValueError, match="square"):
+            spectral_radius(np.zeros((2, 3)))
 
     def test_imprimitive_cycle(self):
         # Weighted 3-cycle: all eigenvalues share one modulus, so a power
@@ -175,6 +177,8 @@ class TestNetworkValidation:
         w0 = np.eye(3)
         with pytest.raises(ValueError, match="diagonal"):
             Network(w0)
+        with pytest.raises(ValueError, match="square"):
+            Network(np.zeros((2, 3)))
 
     def test_asymmetric_support_rejected(self):
         w0 = np.zeros((3, 3))
