@@ -1,7 +1,8 @@
-"""The compiled kernels of ``_rk4.c`` and the arrays kept off the malloc heap.
+"""The compiled kernels of ``_rk4.c``, their threads and the arrays kept off the malloc heap.
 
 The package's one module that runs the compiler, reads /proc/cpuinfo, calls
-into C or maps memory. ``dynamics`` and ``de_core`` call ``kernel()`` here.
+into C, starts threads or maps memory. ``dynamics`` and ``de_core`` call
+``kernel()`` here.
 """
 from __future__ import annotations
 
@@ -11,7 +12,9 @@ import mmap
 import os
 import subprocess
 import tempfile
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor, wait
 from functools import lru_cache
 from pathlib import Path
 
@@ -20,6 +23,8 @@ import numpy as np
 # Rows per block where numpy code would otherwise make a (B, D) temporary
 # (see unpooled_empty for why that matters).
 ROW_BLOCK = 32
+# Candidates rk4_batch runs side by side (LANES in _rk4.c).
+LANES = 8
 
 SOURCE = Path(__file__).with_name("_rk4.c")
 CPUINFO = Path("/proc/cpuinfo")
@@ -56,6 +61,51 @@ def unpooled_empty(shape: tuple[int, ...]) -> np.ndarray:
     size = math.prod(shape)
     buf = mmap.mmap(-1, max(8 * size, 1))
     return np.frombuffer(buf, dtype=np.float64, count=size).reshape(shape)
+
+
+def usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask, or the host's count without one."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no sched_getaffinity outside Linux
+        return os.cpu_count() or 1
+
+
+# (pid, pool) of the process's helper threads, made on first use.
+_helpers: tuple[int, ThreadPoolExecutor] | None = None
+_helpers_lock = threading.Lock()
+
+
+def _helper_pool() -> ThreadPoolExecutor:
+    """This process's pool of helper threads.
+
+    A pool inherited through fork has no threads, and work submitted to it
+    would never run, so a process uses only a pool it made itself. The pool
+    starts a thread only when none of its threads is idle.
+    """
+    global _helpers
+    with _helpers_lock:
+        if _helpers is None or _helpers[0] != os.getpid():
+            _helpers = (os.getpid(), ThreadPoolExecutor(thread_name_prefix="rk4"))
+        return _helpers[1]
+
+
+def call_split(func, calls: list[tuple]) -> list:
+    """``func(*call)`` for every call, the first on this thread and the rest on helpers.
+
+    ``func`` is a kernel entry: ctypes releases the interpreter lock while
+    it runs, so the calls run at once. Returns their results in order once
+    all have finished, even when one raises; the first exception of a
+    helper is raised then.
+    """
+    helpers = _helper_pool() if len(calls) > 1 else None
+    futures = [helpers.submit(func, *call) for call in calls[1:]]
+    try:
+        first = func(*calls[0])
+    finally:
+        # The calls write into the caller's arrays: none may outlive this one.
+        wait(futures)
+    return [first] + [future.result() for future in futures]
 
 
 def host_levels(cpuinfo: str, machine: str) -> list[str]:

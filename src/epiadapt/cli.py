@@ -55,7 +55,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
     overrides = {key: value for key, value in given.items() if value is not None}
     net = load_network(args.net)
     cfg = load_config(args.config, net, algorithm=args.algo, **overrides)
-    records = run_experiment(cfg, net=net, outdir=args.outdir, workers=args.workers)
+    records = run_experiment(cfg, net=net, outdir=args.outdir, workers=args.workers,
+                             first_run=args.first_run)
     for rec in records:
         print(
             f"run {rec.run}: ofv={rec.ofv:.6f} violation={rec.violation:.3g} "
@@ -128,6 +129,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int)
     p.add_argument("--outdir", required=True)
     p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--first-run", type=int, default=0,
+                   help="id of the first run; runs K..K+runs-1 keep their seeds")
     p.set_defaults(func=_cmd_optimize)
 
     p = sub.add_parser("baseline", help="evaluate a reference strategy")

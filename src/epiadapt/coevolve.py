@@ -84,6 +84,26 @@ class C3Config:
 
 
 @dataclass(frozen=True)
+class VisitArrays:
+    """The arrays that the subcomponent visits of one run share.
+
+    ``context`` is the (NP, D) batch of the context best with one group's
+    genes spliced in; ``genes`` and ``trials`` are the (NP, ds) genes and
+    trial buffer of the group's sub-population. A run maps them once (see
+    ``_native.unpooled_empty``).
+    """
+
+    context: np.ndarray
+    genes: np.ndarray
+    trials: np.ndarray
+
+    @classmethod
+    def allocate(cls, np_size: int, dim: int, ds: int) -> "VisitArrays":
+        return cls(unpooled_empty((np_size, dim)), unpooled_empty((np_size, ds)),
+                   unpooled_empty((np_size, ds)))
+
+
+@dataclass(frozen=True)
 class GenerationRecord:
     """One history row: population best after a completed generation."""
 
@@ -148,6 +168,7 @@ def optimize_subcomponent(
     gen_start: int = 0,
     cycle: int = 1,
     max_fes: int | None = None,
+    arrays: VisitArrays | None = None,
 ) -> tuple[int, int, list[GenerationRecord]]:
     """Optimize one group's columns in the context of the global best.
 
@@ -159,7 +180,8 @@ def optimize_subcomponent(
     caches match the genes again. A single group owns every index, so
     there the population itself evolves under ``evaluate``, with no
     context pass and no re-evaluation, and its history rows are labelled
-    cycle 0, group 0 like plain NSDE's. Returns the evaluations charged,
+    cycle 0, group 0 like plain NSDE's. A visit works in ``arrays``, which
+    it maps itself when none are given. Returns the evaluations charged,
     the generations run, and their history rows.
     """
     np_size = pop.size
@@ -172,20 +194,28 @@ def optimize_subcomponent(
         sub, sub_evaluate, used, reeval_cost = pop, evaluate, 0, 0
         cycle = group = 0
     else:
+        if arrays is None:
+            arrays = VisitArrays.allocate(np_size, best_genes.size, idx.size)
         # One context batch serves the whole visit: only the group's columns
         # change between calls, and evaluate must copy any rows it keeps.
-        context = unpooled_empty((np_size, best_genes.size))
+        # The group's genes move by flat position, which numpy indexes
+        # faster than a row slice paired with a column list.
+        context = arrays.context
         context[:] = best_genes
+        flat = np.arange(0, context.size, best_genes.size)[:, None] + idx
 
         def sub_evaluate(sub_genes: np.ndarray):
-            context[:, idx] = sub_genes
+            np.put(context, flat, sub_genes)
             return evaluate(context)
 
-        sub_f, sub_viol = sub_evaluate(pop.genes[:, idx])
+        # The positions are in range; "clip" skips the copy "raise" makes of out.
+        np.take(pop.genes, flat, out=arrays.genes, mode="clip")
+        sub_f, sub_viol = sub_evaluate(arrays.genes)
         sub = Population(
-            genes=pop.genes[:, idx].copy(),
+            genes=arrays.genes,
             f=np.asarray(sub_f, dtype=float),
             violation=np.asarray(sub_viol, dtype=float),
+            trials=arrays.trials,
         )
         used, reeval_cost = np_size, np_size
     gens = 0
@@ -211,7 +241,7 @@ def optimize_subcomponent(
             )
         )
     if len(plan) > 1:
-        pop.genes[:, idx] = sub.genes
+        np.put(pop.genes, flat, sub.genes)
         full_f, full_viol = evaluate(pop.genes)
         pop.f = np.asarray(full_f, dtype=float)
         pop.violation = np.asarray(full_viol, dtype=float)
@@ -254,6 +284,7 @@ def run_c3(
     gen = 0
     history: list[GenerationRecord] = []
     best_genes = pop.genes[pop.eps_best_index(epsilon_at(sched, 0))].copy()
+    arrays = VisitArrays.allocate(np_size, dim, c3_cfg.ds) if ns > 1 else None
 
     cycle = 0
     while fes + visit_min <= c3_cfg.total_budget:
@@ -265,7 +296,7 @@ def run_c3(
             used, gens, rows = optimize_subcomponent(
                 pop, plan, group, best_genes, evaluate, sched, de_cfg, sub_fes,
                 seed, gen_start=gen, cycle=cycle,
-                max_fes=c3_cfg.total_budget - fes,
+                max_fes=c3_cfg.total_budget - fes, arrays=arrays,
             )
             fes += used
             gen += gens

@@ -251,7 +251,7 @@ def constraint_value(sched: WeightSchedule, net: Network, budget: float) -> floa
 
 
 def make_batch_evaluator(
-    net: Network, params: EpidemicParams, budget: float
+    net: Network, params: EpidemicParams, budget: float, threads: int | None = None
 ) -> BatchEvaluator:
     """Vectorized evaluator mapping (B, D) candidates to (f, violation) arrays.
 
@@ -265,7 +265,20 @@ def make_batch_evaluator(
     does. This is the hot path for population-based optimizers;
     :func:`integrate` with :func:`objective_value` is the single-schedule
     reference. Unstable ``substeps`` raise ValueError, as there.
+
+    Each kernel call runs on up to ``threads`` threads, by default as many
+    as the CPUs this process may use. The batch splits into that many
+    contiguous chunks of whole 8-row lane groups, but never more chunks
+    than groups, so a batch of at most 8 rows stays on the calling thread.
+    The calling thread integrates the first chunk, and a pool of this
+    process's helper threads the others. A row's f and violation do not
+    depend on the rows beside it, so their bytes are the same at any
+    thread count. The numpy loop always runs on the calling thread.
     """
+    if threads is None:
+        threads = _native.usable_cpus()
+    elif threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     n, horizon, k = net.n, params.horizon, params.substeps
     beta, gamma, p0 = params.node_vectors(n)
     rows, cols = _offdiag_indices(n)
@@ -275,6 +288,7 @@ def make_batch_evaluator(
     p_unit, obj_unit = _advance_unit(p0[:, None].copy(), (net.w0 * beta).T[:, :, None], gamma, k)
     kernel = _native.kernel()
     pos, m = (cols * n + rows).astype(np.int64), n * (n - 1)
+    shared = (x0, pos, beta_off, gamma, np.ascontiguousarray(p_unit[:, 0]), obj_unit[0])
 
     def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         x = np.asarray(x, dtype=float)
@@ -285,12 +299,17 @@ def make_batch_evaluator(
         b = x.shape[0]
         g = np.empty(b)
         if kernel is not None:
-            obj = np.empty(b)
-            status = kernel.rk4_batch(b, n, horizon - 1, k, np.ascontiguousarray(x), x0,
-                                      pos, beta_off, gamma, p_unit[:, 0], obj_unit[0], obj, g)
-            if status == 2:
+            x, obj = np.ascontiguousarray(x), np.empty(b)
+            groups = -(-b // _native.LANES)
+            parts = max(1, min(threads, groups))
+            cuts = [min(b, _native.LANES * (groups * i // parts)) for i in range(parts + 1)]
+            statuses = _native.call_split(kernel.rk4_batch, [
+                (hi - lo, n, horizon - 1, k, x[lo:hi], *shared, obj[lo:hi], g[lo:hi])
+                for lo, hi in zip(cuts, cuts[1:])
+            ])
+            if 2 in statuses:
                 raise MemoryError("RK4 kernel could not allocate its scratch buffer")
-            if status != 0:
+            if any(statuses):
                 raise IntegrationError("state became non-finite during integration")
             g -= budget
             return obj, np.maximum(0.0, g)

@@ -26,6 +26,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from . import _native
 from .baselines import (
     constant_adaptation_schedule,
     no_adaptation_schedule,
@@ -238,11 +239,11 @@ def derive_run_seed(master_seed: int, run_index: int) -> int:
 
 
 def _optimizer_record(
-    cfg: ExperimentConfig, net: Network, params: EpidemicParams, run_index: int
+    cfg: ExperimentConfig, net: Network, params: EpidemicParams, run_index: int, threads: int
 ) -> RunRecord:
     start = time.perf_counter()
     dim = decision_dimension(net.n, cfg.horizon)
-    evaluate = make_batch_evaluator(net, params, cfg.budget)
+    evaluate = make_batch_evaluator(net, params, cfg.budget, threads=threads)
     de_cfg = cfg.de_config()
     seed = derive_run_seed(cfg.master_seed, run_index)
     if cfg.algorithm == "nsde_c3":
@@ -295,10 +296,10 @@ class RunFailure:
     message: str
 
 
-def _run_one(payload: tuple[ExperimentConfig, Network, int]) -> RunRecord | RunFailure:
-    cfg, net, run_index = payload
+def _run_one(payload: tuple[ExperimentConfig, Network, int, int]) -> RunRecord | RunFailure:
+    cfg, net, run_index, threads = payload
     try:
-        return _optimizer_record(cfg, net, cfg.epidemic_params(), run_index)
+        return _optimizer_record(cfg, net, cfg.epidemic_params(), run_index, threads)
     except IntegrationError as exc:
         return RunFailure(run=run_index, message=str(exc))
 
@@ -308,18 +309,25 @@ def run_experiment(
     net: Network | None = None,
     outdir: str | Path | None = None,
     workers: int = 1,
+    first_run: int = 0,
 ) -> list[RunRecord]:
     """Execute one campaign and optionally emit its CSV artifacts.
 
     The network is generated from ``net_seed`` unless one is supplied (the
     CLI loads it from disk so every algorithm sees the same instance).
     Baselines produce a single deterministic record; optimizer campaigns
-    produce ``cfg.runs`` records whose seeds derive from the master seed.
-    Records come back in run order regardless of ``workers``. A network
+    produce ``cfg.runs`` records, runs ``first_run`` onwards, whose seeds
+    derive from the master seed and the run's id. So a campaign run in
+    slices of ids gives the runs of one campaign run whole. Records come
+    back in run order regardless of ``workers``. Each of the processes that
+    run at once splits its evaluator's batches over an equal share of the
+    usable CPUs, at least one. A network
     that is not ``cfg.n`` nodes (ConfigError) or a budget above the constant
     baseline's cap (ValueError) fails before ``outdir`` is created, which
     comes before the first run, so a path that cannot hold it fails at once.
     """
+    if first_run < 0:
+        raise ConfigError(f"the first run id must be nonnegative, got {first_run}")
     if net is None:
         net = generate_ba(cfg.n, cfg.m0, cfg.m, cfg.net_seed)
     elif net.n != cfg.n:
@@ -335,10 +343,12 @@ def run_experiment(
     if cfg.algorithm in ("none", "constant"):
         records = [_baseline_record(cfg, net, params, baseline)]
     else:
-        payloads = [(cfg, net, r) for r in range(cfg.runs)]
-        if workers > 1 and cfg.runs > 1:
-            # The pool forks all its workers at once, so no more than there are runs.
-            with ProcessPoolExecutor(max_workers=min(workers, cfg.runs)) as pool:
+        # The pool forks all its workers at once, so no more than there are runs.
+        procs = max(1, min(workers, cfg.runs))
+        threads = max(1, _native.usable_cpus() // procs)
+        payloads = [(cfg, net, r, threads) for r in range(first_run, first_run + cfg.runs)]
+        if procs > 1:
+            with ProcessPoolExecutor(max_workers=procs) as pool:
                 outcomes = list(pool.map(_run_one, payloads))
         else:
             outcomes = [_run_one(p) for p in payloads]

@@ -108,6 +108,42 @@ def test_optimize_rejects_fewer_than_one_worker(workspace, capsys, flag):
     assert not (tmp_path / "opt").exists()
 
 
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_run_slices_write_the_whole_campaign(workspace, workers):
+    # Slices of run ids, as a long campaign is run, against the campaign run whole.
+    tmp_path, net, config = workspace
+    for outdir, runs, first in (("whole", 4, []), ("first", 2, ["--first-run", "0"]),
+                                ("second", 2, ["--first-run", "2"])):
+        assert main(["optimize", "--net", str(net), "--config", str(config),
+                     "--algo", "nsde-c3", "--runs", str(runs), "--workers", workers, *first,
+                     "--outdir", str(tmp_path / outdir)]) == 0
+    assert main(["baseline", "--net", str(net), "--config", str(config),
+                 "--mode", "none", "--outdir", str(tmp_path / "none")]) == 0
+    rows = {name: (tmp_path / name / "runs.csv").read_text().splitlines()
+            for name in ("whole", "first", "second")}
+    assert rows["whole"] == rows["first"] + rows["second"][1:]
+    for run in range(4):
+        whole = tmp_path / "whole" / f"run_{run:02d}"
+        part = tmp_path / ("first" if run < 2 else "second") / whole.name
+        files = sorted(path.name for path in whole.iterdir())
+        assert sorted(path.name for path in part.iterdir()) == files
+        for name in files:
+            assert (part / name).read_bytes() == (whole / name).read_bytes(), (run, name)
+    for name, indirs in (("whole", ["whole"]), ("slices", ["first", "second"])):
+        assert main(["stats", "--indir", *(str(tmp_path / d) for d in [*indirs, "none"]),
+                     "--out", str(tmp_path / f"summary_{name}.csv")]) == 0
+    assert ((tmp_path / "summary_slices.csv").read_bytes()
+            == (tmp_path / "summary_whole.csv").read_bytes())
+
+
+def test_negative_first_run_exits_2_before_outdir(workspace, capsys):
+    tmp_path, net, config = workspace
+    assert main(["optimize", "--net", str(net), "--config", str(config), "--algo", "nsde",
+                 "--first-run", "-1", "--outdir", str(tmp_path / "opt")]) == 2
+    assert "first run id must be nonnegative" in capsys.readouterr().err
+    assert not (tmp_path / "opt").exists()
+
+
 @pytest.mark.parametrize("command", [
     ["simulate", "--out", "{tmp}/x.csv"],
     ["optimize", "--algo", "nsde", "--outdir", "{tmp}/opt"],
@@ -340,10 +376,10 @@ def fail_run_1(monkeypatch):
 
     real = harness._optimizer_record
 
-    def flaky(cfg, net, params, run_index):
+    def flaky(cfg, net, params, run_index, threads):
         if run_index == 1:
             raise IntegrationError("state became non-finite during integration")
-        return real(cfg, net, params, run_index)
+        return real(cfg, net, params, run_index, threads)
 
     monkeypatch.setattr(harness, "_optimizer_record", flaky)
 

@@ -1,8 +1,10 @@
 import functools
 import math
+import multiprocessing
 import os
 import shutil
 import subprocess
+import time
 import warnings
 
 import numpy as np
@@ -265,11 +267,11 @@ class TestEvaluateCandidate:
             evaluate(np.zeros((2, 100)))
 
 
-def kernel_evaluator(build, *args):
+def kernel_evaluator(build, *args, **kwargs):
     """A batch evaluator on one kernel build; None forces its numpy loop, as when no build loads."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(native, "kernel", lambda: build)
-        return make_batch_evaluator(*args)
+        return make_batch_evaluator(*args, **kwargs)
 
 
 def gene_order_sum(row, x0):
@@ -553,6 +555,92 @@ class TestKernel:
             f = evaluate(x)[0][0]
             assert f == pytest.approx(objective_value(traj), rel=1e-12)
             assert f == pytest.approx(closed, rel=1e-5)
+
+
+class TestThreadSplit:
+    """A kernel call split over threads gives the bytes of one thread."""
+
+    def test_every_level_gives_one_thread_bytes(self, level_builds, net20):
+        # 1, 7 and 8 rows fill at most one lane group and stay on one thread;
+        # 9 and 17 leave spare lanes in the last chunk. The C3 batch is a
+        # context batch, in which only one group's columns vary.
+        params = EpidemicParams(**REF_EPI, substeps=3)
+        rng = np.random.default_rng(21)
+        batches = {b: rng.random((b, 3420)) for b in (1, 7, 8, 9, 17, 60, 350)}
+        context = np.tile(rng.random(3420), (60, 1))
+        idx = random_grouping(3420, 9, rng)[4]
+        context[:, idx] = rng.random((60, idx.size))
+        batches["c3 context"] = context
+        for level, build in level_builds.items():
+            evaluators = {t: kernel_evaluator(build, net20, params, 0.0, threads=t)
+                          for t in (1, 2, 3)}
+            for name, x in batches.items():
+                f1, viol1 = evaluators[1](x)
+                for t in (2, 3):
+                    f, viol = evaluators[t](x)
+                    assert f.tobytes() == f1.tobytes(), (level, name, t)
+                    assert viol.tobytes() == viol1.tobytes(), (level, name, t)
+
+    def test_nan_gene_in_last_chunk_raises(self, kernel, net20):
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        x = np.full((350, 3420), 0.5)
+        x[349, 3419] = np.nan
+        for threads in (2, 3):
+            with pytest.raises(IntegrationError):
+                make_batch_evaluator(net20, params, 700.0, threads=threads)(x)
+
+    @pytest.mark.parametrize("failing,error", [
+        ({0: 1}, IntegrationError), ({64: 1}, IntegrationError),
+        ({32: 2}, MemoryError), ({0: 1, 64: 2}, MemoryError),
+        ({0: KeyboardInterrupt}, KeyboardInterrupt),
+    ])
+    def test_every_chunk_finishes_before_a_status_raises(self, net20, failing, error):
+        # A stand-in kernel whose chunk starting at row r returns, or raises,
+        # failing.get(r, 0); the chunks that succeed finish last.
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        finished = []
+
+        class Stub:
+            def rk4_batch(self, b, n, t1, k, x, *args):
+                first = round(x[0, 0] * 1000)
+                if first not in failing:
+                    time.sleep(0.1)
+                finished.append(first)
+                status = failing.get(first, 0)
+                if isinstance(status, type):
+                    raise status
+                return status
+
+        x = np.full((96, 3420), 0.5)
+        x[:, 0] = np.arange(96) / 1000
+        evaluate = kernel_evaluator(Stub(), net20, params, 700.0, threads=3)
+        with pytest.raises(error):
+            evaluate(x)
+        assert sorted(finished) == [0, 32, 64]
+
+    def test_evaluator_works_in_a_forked_child(self, kernel, net20):
+        # The parent's helper threads do not survive fork; the child must
+        # not wait on them.
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        evaluate = make_batch_evaluator(net20, params, 700.0, threads=2)
+        x = np.random.default_rng(8).random((60, 3420))
+        expected = b"".join(a.tobytes() for a in evaluate(x))
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(b"".join(a.tobytes() for a in evaluate(x))))
+        child.start()
+        try:
+            assert receive.poll(60), "the forked child's evaluator did not return"
+            assert receive.recv() == expected
+            child.join(10)
+            assert not child.is_alive()
+        finally:
+            child.kill()
+
+    def test_threads_must_be_positive(self, net20):
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        with pytest.raises(ValueError, match="threads"):
+            make_batch_evaluator(net20, params, 700.0, threads=0)
 
 
 class TestTraces:

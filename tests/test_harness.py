@@ -181,10 +181,10 @@ class TestRunExperiment:
 
         real = harness._optimizer_record
 
-        def flaky(cfg, net, params, run_index):
+        def flaky(cfg, net, params, run_index, threads):
             if run_index == 0:
                 raise IntegrationError("state became non-finite during integration")
-            return real(cfg, net, params, run_index)
+            return real(cfg, net, params, run_index, threads)
 
         monkeypatch.setattr(harness, "_optimizer_record", flaky)
         records = run_experiment(tiny_config(algorithm="nsde", runs=3))
@@ -220,6 +220,27 @@ class TestRunExperiment:
         assert sizes == [2]
         serial = run_experiment(tiny_config(algorithm="nsde"))
         assert [(x.run, x.ofv) for x in pooled] == [(x.run, x.ofv) for x in serial]
+
+    @pytest.mark.parametrize("cpus,workers,runs,threads", [
+        (4, 1, 3, 4), (4, 2, 3, 2), (4, 3, 2, 2), (4, 2, 1, 4), (3, 2, 2, 1), (2, 2, 2, 1),
+    ])
+    def test_each_process_splits_batches_over_its_share_of_cpus(
+        self, monkeypatch, capsys, cpus, workers, runs, threads
+    ):
+        import epiadapt._native as native
+        import epiadapt.harness as harness
+        from epiadapt.dynamics import IntegrationError
+
+        # Each run reports its evaluator's thread count as its failure.
+        def make_batch_evaluator(net, params, budget, threads=None):
+            raise IntegrationError(f"threads={threads}")
+
+        monkeypatch.setattr(harness, "make_batch_evaluator", make_batch_evaluator)
+        monkeypatch.setattr(native, "usable_cpus", lambda: cpus)
+        cfg = tiny_config(algorithm="nsde", runs=runs)
+        assert run_experiment(cfg, workers=workers) == []
+        reported = re.findall(r"aborted: threads=(\d+)", capsys.readouterr().err)
+        assert reported == [str(threads)] * runs
 
     def test_artifact_layout(self, tmp_path):
         outdir = tmp_path / "campaign"
