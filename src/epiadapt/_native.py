@@ -2,7 +2,10 @@
 
 The package's one module that runs the compiler, reads /proc/cpuinfo, calls
 into C, starts threads or maps memory. ``dynamics`` and ``de_core`` call
-``kernel()`` here.
+``kernel()`` here. It owns the one thread count that both kernel passes,
+the batch evaluator's and the NSDE trial pass's, split their rows over:
+:func:`thread_count`, which :func:`threads` sets for a block of code, and
+:func:`row_chunks` cuts a pass by it.
 """
 from __future__ import annotations
 
@@ -15,16 +18,23 @@ import tempfile
 import threading
 import warnings
 from concurrent.futures import ThreadPoolExecutor, wait
+from contextlib import contextmanager
+from contextvars import ContextVar
 from functools import lru_cache
 from pathlib import Path
+from typing import Iterator
 
 import numpy as np
 
 # Rows per block where numpy code would otherwise make a (B, D) temporary
 # (see unpooled_empty for why that matters).
 ROW_BLOCK = 32
-# Candidates rk4_batch runs side by side (LANES in _rk4.c).
+# Candidates rk4_batch runs side by side, and rows de_trials fills at once
+# (LANES in _rk4.c).
 LANES = 8
+# Genes each chunk of a split trial pass holds at least. A smaller pass runs
+# on one thread: handing a chunk to a helper costs more than it saves.
+SPLIT_GENES = 1 << 18
 
 SOURCE = Path(__file__).with_name("_rk4.c")
 CPUINFO = Path("/proc/cpuinfo")
@@ -69,6 +79,47 @@ def usable_cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no sched_getaffinity outside Linux
         return os.cpu_count() or 1
+
+
+# The count :func:`threads` set for the running block, or None outside one.
+_thread_count: ContextVar[int | None] = ContextVar("thread_count", default=None)
+
+
+def thread_count() -> int:
+    """The threads a kernel pass may split over: as :func:`threads` set it, or the usable CPUs."""
+    count = _thread_count.get()
+    return usable_cpus() if count is None else count
+
+
+@contextmanager
+def threads(count: int) -> Iterator[None]:
+    """Within the block, split this thread's kernel passes over at most ``count`` threads."""
+    if count < 1:
+        raise ValueError(f"threads must be at least 1, got {count}")
+    token = _thread_count.set(count)
+    try:
+        yield
+    finally:
+        _thread_count.reset(token)
+
+
+def row_chunks(rows: int, genes: int | None = None) -> list[tuple[int, int]]:
+    """(lo, hi) of the contiguous chunks that a pass over ``rows`` rows splits into.
+
+    One chunk per thread of :func:`thread_count`, each of whole LANES-row
+    groups, so every chunk starts on a multiple of LANES and only the last
+    may end in a partial group; never more chunks than groups. With
+    ``genes`` per row, as for the trial pass, also never more chunks than
+    whole SPLIT_GENES in the pass. So a pass of at most LANES rows, or a
+    trial pass under 2 * SPLIT_GENES genes, is one chunk.
+    """
+    groups = -(-rows // LANES)
+    parts = min(thread_count(), groups)
+    if genes is not None:
+        parts = min(parts, rows * genes // SPLIT_GENES)
+    parts = max(1, parts)
+    cuts = [min(rows, LANES * (groups * i // parts)) for i in range(parts + 1)]
+    return list(zip(cuts, cuts[1:]))
 
 
 # (pid, pool) of the process's helper threads, made on first use.
@@ -169,7 +220,7 @@ def build(level: str) -> ctypes.CDLL:
     n, real, words = ctypes.c_int64, ctypes.c_double, (ctypes.c_uint64,) * 4
     built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, f64, f64, f64, real, f64, f64]
     built.rk4_batch.restype = ctypes.c_int
-    built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, *words, rows]
+    built.de_trials.argtypes = [n, n, n, rows, f64, i64, i64, f64, i64, real, *words, rows]
     built.de_trials.restype = None
     built.uniforms.argtypes = [*words, n, f64]
     built.uniforms.restype = None

@@ -337,18 +337,20 @@ static inline double mutant(double best, double xi, double a, double b, double f
     return (((best - xi) + a) - b) * f + xi;
 }
 
-/* de_trials builds the NP current-to-best/1 trials of de_core.build_trials
- * in one pass over each row: gene j of row i keeps x[i, j] where its
- * crossover uniform exceeds cr, unless j is the row's forced gene, and
- * takes the mutant otherwise; every gene is then clamped to [0, 1]. x holds
- * the NP rows of D genes; trial must not overlap x or best.
+/* de_trials builds NP rows, from row lo on, of the current-to-best/1 trials
+ * of de_core.build_trials in one pass over each row: gene j of row i keeps
+ * x[i, j] where its crossover uniform exceeds cr, unless j is the row's
+ * forced gene, and takes the mutant otherwise; every gene is then clamped
+ * to [0, 1]. x holds the whole population, rows of D genes, which the
+ * donors index; r1, r2, f, forced and trial start at row lo. trial must
+ * not overlap x or best.
  *
  * The uniforms are numpy's Generator.random stream of the PCG64 at the four
- * state words, as uniforms writes it: LANES rows at a time are filled and
- * then crossed while they are still in cache; the caller moves the
- * generator on. LANES * D doubles are whole blocks, so the lanes carry from
- * chunk to chunk. */
-void de_trials(int64_t NP, int64_t D, const double *restrict x,
+ * state words, as uniforms writes it; the caller passes the state of row
+ * lo's first draw and moves the generator on. LANES rows at a time are
+ * filled and then crossed while they are still in cache. LANES * D doubles
+ * are whole blocks, so the lanes carry from chunk to chunk. */
+void de_trials(int64_t lo, int64_t NP, int64_t D, const double *restrict x,
                const double *restrict best, const int64_t *restrict r1,
                const int64_t *restrict r2, const double *restrict f,
                const int64_t *restrict forced, double cr, uint64_t state_hi, uint64_t state_lo,
@@ -360,7 +362,7 @@ void de_trials(int64_t NP, int64_t D, const double *restrict x,
         const int64_t i1 = i0 + LANES < NP ? i0 + LANES : NP;
         pcg_fill(&g, (i1 - i0) * D, trial + i0 * D);
         for (int64_t i = i0; i < i1; ++i) {
-            const double *xi = x + i * D, *a = x + r1[i] * D, *b = x + r2[i] * D;
+            const double *xi = x + (lo + i) * D, *a = x + r1[i] * D, *b = x + r2[i] * D;
             double *t = trial + i * D;
             const double fi = f[i];
             /* Clamping both sides before the pick gives the same bytes as

@@ -250,9 +250,7 @@ def constraint_value(sched: WeightSchedule, net: Network, budget: float) -> floa
     return float(np.cumsum(dev * dev)[-1] - budget)
 
 
-def make_batch_evaluator(
-    net: Network, params: EpidemicParams, budget: float, threads: int | None = None
-) -> BatchEvaluator:
+def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) -> BatchEvaluator:
     """Vectorized evaluator mapping (B, D) candidates to (f, violation) arrays.
 
     The shared [0, 1) interval (identical for every candidate) is integrated
@@ -266,19 +264,17 @@ def make_batch_evaluator(
     :func:`integrate` with :func:`objective_value` is the single-schedule
     reference. Unstable ``substeps`` raise ValueError, as there.
 
-    Each kernel call runs on up to ``threads`` threads, by default as many
-    as the CPUs this process may use. The batch splits into that many
-    contiguous chunks of whole 8-row lane groups, but never more chunks
-    than groups, so a batch of at most 8 rows stays on the calling thread.
-    The calling thread integrates the first chunk, and a pool of this
-    process's helper threads the others. A row's f and violation do not
-    depend on the rows beside it, so their bytes are the same at any
-    thread count. The numpy loop always runs on the calling thread.
+    Each kernel call splits over the thread count of ``_native`` at the
+    time of the call: by default the CPUs this process may use, or the
+    count ``_native.threads`` sets around it. The batch splits into that
+    many contiguous chunks of whole 8-row lane groups, but never more
+    chunks than groups, so a batch of at most 8 rows stays on the calling
+    thread (``_native.row_chunks``). The calling thread integrates the
+    first chunk, and a pool of this process's helper threads the others. A
+    row's f and violation do not depend on the rows beside it, so their
+    bytes are the same at any thread count. The numpy loop always runs on
+    the calling thread.
     """
-    if threads is None:
-        threads = _native.usable_cpus()
-    elif threads < 1:
-        raise ValueError(f"threads must be at least 1, got {threads}")
     n, horizon, k = net.n, params.horizon, params.substeps
     beta, gamma, p0 = params.node_vectors(n)
     rows, cols = _offdiag_indices(n)
@@ -300,12 +296,9 @@ def make_batch_evaluator(
         g = np.empty(b)
         if kernel is not None:
             x, obj = np.ascontiguousarray(x), np.empty(b)
-            groups = -(-b // _native.LANES)
-            parts = max(1, min(threads, groups))
-            cuts = [min(b, _native.LANES * (groups * i // parts)) for i in range(parts + 1)]
             statuses = _native.call_split(kernel.rk4_batch, [
                 (hi - lo, n, horizon - 1, k, x[lo:hi], *shared, obj[lo:hi], g[lo:hi])
-                for lo, hi in zip(cuts, cuts[1:])
+                for lo, hi in _native.row_chunks(b)
             ])
             if 2 in statuses:
                 raise MemoryError("RK4 kernel could not allocate its scratch buffer")

@@ -243,16 +243,18 @@ def _optimizer_record(
 ) -> RunRecord:
     start = time.perf_counter()
     dim = decision_dimension(net.n, cfg.horizon)
-    evaluate = make_batch_evaluator(net, params, cfg.budget, threads=threads)
     de_cfg = cfg.de_config()
     seed = derive_run_seed(cfg.master_seed, run_index)
-    if cfg.algorithm == "nsde_c3":
-        result = run_c3(evaluate, dim, cfg.c3_config(), de_cfg, seed)
-    else:
-        result = run_nsde(
-            evaluate, dim, cfg.total_fes, de_cfg, seed,
-            gc_fraction=cfg.gc_fraction, lam=cfg.lam,
-        )
+    # The run's kernel passes, evaluator and trials alike, split over its share of the CPUs.
+    with _native.threads(threads):
+        evaluate = make_batch_evaluator(net, params, cfg.budget)
+        if cfg.algorithm == "nsde_c3":
+            result = run_c3(evaluate, dim, cfg.c3_config(), de_cfg, seed)
+        else:
+            result = run_nsde(
+                evaluate, dim, cfg.total_fes, de_cfg, seed,
+                gc_fraction=cfg.gc_fraction, lam=cfg.lam,
+            )
     schedule = decode_candidate(result.best.genes, net.n, cfg.horizon)
     trajectory = integrate(net, params, schedule)
     return RunRecord(
@@ -320,8 +322,9 @@ def run_experiment(
     derive from the master seed and the run's id. So a campaign run in
     slices of ids gives the runs of one campaign run whole. Records come
     back in run order regardless of ``workers``. Each of the processes that
-    run at once splits its evaluator's batches over an equal share of the
-    usable CPUs, at least one. A network
+    run at once splits its kernel passes, the evaluator's batches and the
+    NSDE trial passes, over an equal share of the usable CPUs, at least
+    one. A network
     that is not ``cfg.n`` nodes (ConfigError) or a budget above the constant
     baseline's cap (ValueError) fails before ``outdir`` is created, which
     comes before the first run, so a path that cannot hold it fails at once.

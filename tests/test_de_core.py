@@ -1,3 +1,4 @@
+import multiprocessing
 import os
 import shutil
 import subprocess
@@ -13,6 +14,7 @@ from hypothesis import strategies as st
 import epiadapt
 import epiadapt.de_core as de_core
 import epiadapt._native as native
+from epiadapt.coevolve import run_nsde
 from epiadapt.de_core import (
     Candidate,
     DEConfig,
@@ -366,17 +368,23 @@ def generator_at(seed, buffered):
 
 
 def assert_trials_match_numpy(level_builds, genes, seed, buffered):
-    """Each build's trials, and the state they leave, equal the numpy passes'."""
+    """Each build's trials, and the state they leave, equal the numpy passes'.
+
+    The C pass runs on 1, 2 and 3 threads, with the gene gate lowered so
+    that it splits wherever the rows make more than one lane group.
+    """
     cfg = DEConfig(np_size=genes.shape[0])
     for level, build in level_builds.items():
-        rng, twin = generator_at(seed, buffered)
-        runs = []
-        for uniforms_from, gen in ((build, rng), (None, twin)):
-            with pytest.MonkeyPatch.context() as m:
-                m.setattr(native, "kernel", lambda: uniforms_from)
-                runs.append(build_trials(genes, genes[3], cfg, gen).tobytes())
-        assert runs[0] == runs[1], level
-        assert rng.bit_generator.state == twin.bit_generator.state, level
+        for threads in (1, 2, 3):
+            rng, twin = generator_at(seed, buffered)
+            runs = []
+            for uniforms_from, gen in ((build, rng), (None, twin)):
+                with pytest.MonkeyPatch.context() as m, native.threads(threads):
+                    m.setattr(native, "kernel", lambda: uniforms_from)
+                    m.setattr(native, "SPLIT_GENES", 1)
+                    runs.append(build_trials(genes, genes[3], cfg, gen).tobytes())
+            assert runs[0] == runs[1], (level, threads)
+            assert rng.bit_generator.state == twin.bit_generator.state, (level, threads)
 
 
 # 0; 1, 3, 5 and LANES - 1, a tail alone; LANES + 1; seven intervals of the
@@ -479,6 +487,78 @@ class TestUniformFill:
         params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=3, substeps=4)
         make_batch_evaluator(net, params, 700.0)(genes[:2, :20].repeat(38, axis=1))
         assert calls == [1]
+
+
+class TestTrialPassSplit:
+    """The C trial pass split over threads gives the bytes of one thread."""
+
+    @pytest.mark.parametrize("steps", [0, 1, 7, 8, 2**64 + 3])
+    def test_jump_equals_advance(self, steps):
+        self.assert_jump_equals_advance(2**100 + 12345, steps)
+
+    @settings(max_examples=50, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1), steps=st.integers(0, 2**128 - 1))
+    def test_random_jump_equals_advance(self, seed, steps):
+        self.assert_jump_equals_advance(seed, steps)
+
+    @staticmethod
+    def assert_jump_equals_advance(seed, steps):
+        bitgen = np.random.PCG64(seed)
+        pcg = bitgen.state["state"]
+        bitgen.advance(steps)
+        assert de_core._pcg_jump(pcg["state"], pcg["inc"], steps) == bitgen.state["state"]["state"]
+
+    @pytest.mark.parametrize("shape,calls", [((60, 380), 1), ((350, 380), 1), ((350, 3420), 2)])
+    def test_only_large_passes_split(self, kernel, monkeypatch, shape, calls):
+        # At the default gate: the campaign-desk and C3 subcomponent passes
+        # stay on one thread, a reference-size pass over all genes splits.
+        seen = []
+        de_trials = kernel.de_trials
+        monkeypatch.setattr(native, "kernel", lambda: kernel)
+        monkeypatch.setattr(kernel, "de_trials", lambda *a: seen.append(a[:2]) or de_trials(*a))
+        genes = np.random.default_rng(4).random(shape)
+        with native.threads(2):
+            build_trials(genes, genes[0], DEConfig(np_size=shape[0]), np.random.default_rng(5))
+        assert len(seen) == calls
+        assert sum(rows for _, rows in seen) == shape[0]
+
+    def test_run_nsde_gives_one_thread_bytes(self, kernel, monkeypatch):
+        monkeypatch.setattr(native, "kernel", lambda: kernel)
+        monkeypatch.setattr(native, "SPLIT_GENES", 1)
+        cfg = DEConfig(np_size=30)
+        runs = []
+        for threads in (1, 2):
+            with native.threads(threads):
+                result = run_nsde(toy_constrained, 50, 900, cfg, 11)
+            rows = [(h.generation, h.best_f, h.best_violation, h.epsilon) for h in result.history]
+            runs.append([result.best.genes.tobytes(), float(result.best.f).hex(),
+                         float(result.best.violation).hex(), np.array(rows).tobytes()])
+        assert runs[0] == runs[1]
+
+    def test_split_pass_works_in_a_forked_child(self, kernel, monkeypatch):
+        # The parent's helper threads do not survive fork; the child must
+        # not wait on them.
+        monkeypatch.setattr(native, "kernel", lambda: kernel)
+        monkeypatch.setattr(native, "SPLIT_GENES", 1)
+        genes = np.random.default_rng(8).random((60, 380))
+        cfg = DEConfig(np_size=60)
+
+        def run():
+            with native.threads(2):
+                return build_trials(genes, genes[0], cfg, np.random.default_rng(9)).tobytes()
+
+        expected = run()
+        ctx = multiprocessing.get_context("fork")
+        receive, send = ctx.Pipe(duplex=False)
+        child = ctx.Process(target=lambda: send.send(run()))
+        child.start()
+        try:
+            assert receive.poll(60), "the forked child's trial pass did not return"
+            assert receive.recv() == expected
+            child.join(10)
+            assert not child.is_alive()
+        finally:
+            child.kill()
 
 
 class TestNsdeGeneration:

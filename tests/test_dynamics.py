@@ -267,11 +267,11 @@ class TestEvaluateCandidate:
             evaluate(np.zeros((2, 100)))
 
 
-def kernel_evaluator(build, *args, **kwargs):
+def kernel_evaluator(build, *args):
     """A batch evaluator on one kernel build; None forces its numpy loop, as when no build loads."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(native, "kernel", lambda: build)
-        return make_batch_evaluator(*args, **kwargs)
+        return make_batch_evaluator(*args)
 
 
 def gene_order_sum(row, x0):
@@ -572,12 +572,13 @@ class TestThreadSplit:
         context[:, idx] = rng.random((60, idx.size))
         batches["c3 context"] = context
         for level, build in level_builds.items():
-            evaluators = {t: kernel_evaluator(build, net20, params, 0.0, threads=t)
-                          for t in (1, 2, 3)}
+            evaluate = kernel_evaluator(build, net20, params, 0.0)
             for name, x in batches.items():
-                f1, viol1 = evaluators[1](x)
+                with native.threads(1):
+                    f1, viol1 = evaluate(x)
                 for t in (2, 3):
-                    f, viol = evaluators[t](x)
+                    with native.threads(t):
+                        f, viol = evaluate(x)
                     assert f.tobytes() == f1.tobytes(), (level, name, t)
                     assert viol.tobytes() == viol1.tobytes(), (level, name, t)
 
@@ -585,9 +586,10 @@ class TestThreadSplit:
         params = EpidemicParams(**REF_EPI, substeps=4)
         x = np.full((350, 3420), 0.5)
         x[349, 3419] = np.nan
+        evaluate = make_batch_evaluator(net20, params, 700.0)
         for threads in (2, 3):
-            with pytest.raises(IntegrationError):
-                make_batch_evaluator(net20, params, 700.0, threads=threads)(x)
+            with native.threads(threads), pytest.raises(IntegrationError):
+                evaluate(x)
 
     @pytest.mark.parametrize("failing,error", [
         ({0: 1}, IntegrationError), ({64: 1}, IntegrationError),
@@ -613,8 +615,8 @@ class TestThreadSplit:
 
         x = np.full((96, 3420), 0.5)
         x[:, 0] = np.arange(96) / 1000
-        evaluate = kernel_evaluator(Stub(), net20, params, 700.0, threads=3)
-        with pytest.raises(error):
+        evaluate = kernel_evaluator(Stub(), net20, params, 700.0)
+        with native.threads(3), pytest.raises(error):
             evaluate(x)
         assert sorted(finished) == [0, 32, 64]
 
@@ -622,12 +624,17 @@ class TestThreadSplit:
         # The parent's helper threads do not survive fork; the child must
         # not wait on them.
         params = EpidemicParams(**REF_EPI, substeps=4)
-        evaluate = make_batch_evaluator(net20, params, 700.0, threads=2)
+        evaluate = make_batch_evaluator(net20, params, 700.0)
         x = np.random.default_rng(8).random((60, 3420))
-        expected = b"".join(a.tobytes() for a in evaluate(x))
+
+        def run():
+            with native.threads(2):
+                return b"".join(a.tobytes() for a in evaluate(x))
+
+        expected = run()
         ctx = multiprocessing.get_context("fork")
         receive, send = ctx.Pipe(duplex=False)
-        child = ctx.Process(target=lambda: send.send(b"".join(a.tobytes() for a in evaluate(x))))
+        child = ctx.Process(target=lambda: send.send(run()))
         child.start()
         try:
             assert receive.poll(60), "the forked child's evaluator did not return"
@@ -637,10 +644,19 @@ class TestThreadSplit:
         finally:
             child.kill()
 
-    def test_threads_must_be_positive(self, net20):
-        params = EpidemicParams(**REF_EPI, substeps=4)
-        with pytest.raises(ValueError, match="threads"):
-            make_batch_evaluator(net20, params, 700.0, threads=0)
+    def test_threads_must_be_positive(self, monkeypatch):
+        monkeypatch.setattr(native, "usable_cpus", lambda: 5)
+        for count in (0, -1):
+            with pytest.raises(ValueError, match="threads"):
+                with native.threads(count):
+                    pass
+        assert native.thread_count() == 5
+        with native.threads(3):
+            assert native.thread_count() == 3
+            with native.threads(1):
+                assert native.thread_count() == 1
+            assert native.thread_count() == 3
+        assert native.thread_count() == 5
 
 
 class TestTraces:

@@ -225,22 +225,41 @@ class TestRunExperiment:
         (4, 1, 3, 4), (4, 2, 3, 2), (4, 3, 2, 2), (4, 2, 1, 4), (3, 2, 2, 1), (2, 2, 2, 1),
     ])
     def test_each_process_splits_batches_over_its_share_of_cpus(
-        self, monkeypatch, capsys, cpus, workers, runs, threads
+        self, kernel, monkeypatch, capsys, cpus, workers, runs, threads
     ):
         import epiadapt._native as native
         import epiadapt.harness as harness
         from epiadapt.dynamics import IntegrationError
 
-        # Each run reports its evaluator's thread count as its failure.
-        def make_batch_evaluator(net, params, budget, threads=None):
-            raise IntegrationError(f"threads={threads}")
+        # Each run reports, as its failure, the thread count its first trial
+        # pass split by and the one its evaluator sees after that pass.
+        trial_counts = []
+        row_chunks = native.row_chunks
+
+        def spy(rows, genes=None):
+            if genes is not None:
+                trial_counts.append(native.thread_count())
+            return row_chunks(rows, genes)
+
+        def make_batch_evaluator(net, params, budget):
+            trial_counts.clear()  # a pool worker may make more than one run
+
+            def evaluate(x):
+                if trial_counts:
+                    raise IntegrationError(
+                        f"threads={native.thread_count()} trials={trial_counts[0]}")
+                return np.zeros(len(x)), np.zeros(len(x))
+            return evaluate
 
         monkeypatch.setattr(harness, "make_batch_evaluator", make_batch_evaluator)
+        monkeypatch.setattr(native, "row_chunks", spy)
         monkeypatch.setattr(native, "usable_cpus", lambda: cpus)
         cfg = tiny_config(algorithm="nsde", runs=runs)
         assert run_experiment(cfg, workers=workers) == []
-        reported = re.findall(r"aborted: threads=(\d+)", capsys.readouterr().err)
-        assert reported == [str(threads)] * runs
+        reported = re.findall(r"aborted: threads=(\d+) trials=(\d+)", capsys.readouterr().err)
+        assert reported == [(str(threads), str(threads))] * runs
+        # The count is the run's: the caller's is the usable CPUs again.
+        assert native.thread_count() == cpus
 
     def test_artifact_layout(self, tmp_path):
         outdir = tmp_path / "campaign"
