@@ -37,6 +37,12 @@ LANES = 8
 SPLIT_GENES = 1 << 18
 
 SOURCE = Path(__file__).with_name("_rk4.c")
+# The source as it was at import. The loader hashes and compiles these bytes,
+# never the file, so a build always takes the argument lists set in build(),
+# also in a process that outlives an edit of _rk4.c.
+SOURCE_BYTES = SOURCE.read_bytes()
+# Where the builds are cached.
+CACHE = SOURCE.parent / "__pycache__"
 CPUINFO = Path("/proc/cpuinfo")
 # No -march=native, so a cached library stays valid on any host of its ISA
 # level. No contraction into FMAs, so each step rounds as numpy's does, also
@@ -177,38 +183,39 @@ def host_levels(cpuinfo: str, machine: str) -> list[str]:
 def build(level: str) -> ctypes.CDLL:
     """Load the ``level`` build of ``_rk4.c``, compiling it on first use.
 
-    It is cached as ``__pycache__/_rk4-<level>-<hash>.so`` next to the
-    source; one hash, over the source, every level's flags and the machine
-    type, names all levels' builds. A build goes to its own temporary file
-    and is renamed into place, so processes that build at once cannot tear
-    it; a fresh build then deletes the ``_rk4-*.so`` files under other
-    hashes. Raises OSError, with the compiler's last lines, on failure.
+    It compiles SOURCE_BYTES, passed to cc on stdin, and is cached in
+    CACHE as ``_rk4-<level>-<hash>.so``; one hash, over those bytes, every
+    level's flags and the machine type, names all levels' builds. A build
+    goes to its own temporary file and is renamed into place, so processes
+    that build at once cannot tear it; a fresh build then deletes the
+    ``_rk4-*.so`` files under other hashes. Raises OSError, with the
+    compiler's last lines, on failure.
     """
     import hashlib  # here, so importing the package costs what it did before
 
     machine = os.uname().machine
     flags = " ".join(" ".join(CFLAGS + extra) for _, _, extra in LEVELS)
-    key = SOURCE.read_bytes() + f"{flags} {machine}".encode()
+    key = SOURCE_BYTES + f"{flags} {machine}".encode()
     digest = hashlib.sha256(key).hexdigest()[:16]
-    cache = SOURCE.parent / "__pycache__"
-    lib = cache / f"_rk4-{level}-{digest}.so"
+    lib = CACHE / f"_rk4-{level}-{digest}.so"
     if not lib.exists():
-        cache.mkdir(exist_ok=True)
-        fd, tmp = tempfile.mkstemp(suffix=".so", dir=cache)
+        CACHE.mkdir(exist_ok=True)
+        fd, tmp = tempfile.mkstemp(suffix=".so", dir=CACHE)
         os.close(fd)
         extra = next(extra for name, _, extra in LEVELS if name == level)
         try:
-            cc = subprocess.run(["cc", *CFLAGS, *extra, "-o", tmp, str(SOURCE), "-lm"],
-                                capture_output=True, text=True, errors="replace")
+            cc = subprocess.run(["cc", *CFLAGS, *extra, "-o", tmp, "-x", "c", "-", "-lm"],
+                                input=SOURCE_BYTES, capture_output=True)
             if cc.returncode != 0:
-                tail = " | ".join(cc.stderr.strip().splitlines()[-3:])
+                stderr = cc.stderr.decode(errors="replace")
+                tail = " | ".join(stderr.strip().splitlines()[-3:])
                 raise OSError(f"cc exited with status {cc.returncode}: {tail}")
             os.replace(tmp, lib)
         finally:
             if os.path.exists(tmp):
                 os.unlink(tmp)
         # Builds of an earlier source or flags are never loaded again.
-        for stale in cache.glob("_rk4-*.so"):
+        for stale in CACHE.glob("_rk4-*.so"):
             if not stale.name.endswith(f"-{digest}.so"):
                 try:
                     stale.unlink()
@@ -218,7 +225,8 @@ def build(level: str) -> ctypes.CDLL:
     f64, i64, rows = (np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
                       for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2)))
     n, real, words = ctypes.c_int64, ctypes.c_double, (ctypes.c_uint64,) * 4
-    built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, f64, f64, f64, real, f64, f64]
+    built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, n, f64, i64, f64, f64, f64, real,
+                                f64, f64]
     built.rk4_batch.restype = ctypes.c_int
     built.de_trials.argtypes = [n, n, n, rows, f64, i64, i64, f64, i64, real, *words, rows]
     built.de_trials.restype = None
@@ -244,7 +252,7 @@ def _fill_matches_numpy(built: ctypes.CDLL) -> bool:
 
 @lru_cache(maxsize=None)
 def kernel() -> ctypes.CDLL | None:
-    """The widest build of ``_rk4.c`` this host runs, or None.
+    """The widest build of ``_rk4.c``, as imported, that this host runs, or None.
 
     It holds the RK4 batch kernel and the NSDE trial pass. The host's level
     comes from /proc/cpuinfo, read here on first use and never at import:

@@ -84,23 +84,66 @@ class C3Config:
 
 
 @dataclass(frozen=True)
+class ContextBatch:
+    """B candidates in context: row b is ``base`` with gene ``columns[c]`` set to ``genes[b, c]``.
+
+    ``base`` holds the D genes of the context best, ``columns`` a group's
+    ds indices into it and ``genes`` the (B, ds) genes of the group's
+    members. The batch evaluator's kernel builds each row itself, so no
+    (B, D) array is made. For an evaluator that takes arrays only,
+    ``np.asarray(batch)`` builds the rows in a mapping of their own (see
+    ``_native.unpooled_empty``). The batch refers to ``genes``, not a copy.
+    """
+
+    base: np.ndarray
+    columns: np.ndarray
+    genes: np.ndarray
+
+    def __post_init__(self) -> None:
+        base = np.ascontiguousarray(self.base, dtype=np.float64)
+        columns = np.ascontiguousarray(self.columns, dtype=np.int64)
+        genes = np.asarray(self.genes, dtype=np.float64)
+        if base.ndim != 1:
+            raise ValueError(f"base must hold one row of genes, got shape {base.shape}")
+        if columns.ndim != 1 or genes.ndim != 2 or genes.shape[1] != columns.size:
+            raise ValueError(f"genes of shape {genes.shape} need one column per entry "
+                             f"of columns, which has shape {columns.shape}")
+        # The kernel writes each row's genes at these positions of a scratch
+        # row, and takes a batch of no columns for whole rows.
+        if columns.size == 0 or columns.min() < 0 or columns.max() >= base.size:
+            raise ValueError(f"columns must be at least one index in [0, {base.size})")
+        object.__setattr__(self, "base", base)
+        object.__setattr__(self, "columns", columns)
+        object.__setattr__(self, "genes", genes)
+
+    def __len__(self) -> int:
+        return self.genes.shape[0]
+
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        if copy is False:
+            raise ValueError("a context batch has no rows to share; they are built on request")
+        rows = unpooled_empty((len(self), self.base.size))
+        rows[:] = self.base
+        rows[:, self.columns] = self.genes
+        return rows if dtype is None else rows.astype(dtype, copy=False)
+
+
+@dataclass(frozen=True)
 class VisitArrays:
     """The arrays that the subcomponent visits of one run share.
 
-    ``context`` is the (NP, D) batch of the context best with one group's
-    genes spliced in; ``genes`` and ``trials`` are the (NP, ds) genes and
-    trial buffer of the group's sub-population. A run maps them once (see
-    ``_native.unpooled_empty``).
+    ``genes`` and ``trials`` are the (NP, ds) genes and trial buffer of the
+    group's sub-population. A run maps them once (see
+    ``_native.unpooled_empty``). Each :class:`ContextBatch` of a visit
+    refers to one of them, live: the next generation overwrites the trials.
     """
 
-    context: np.ndarray
     genes: np.ndarray
     trials: np.ndarray
 
     @classmethod
-    def allocate(cls, np_size: int, dim: int, ds: int) -> "VisitArrays":
-        return cls(unpooled_empty((np_size, dim)), unpooled_empty((np_size, ds)),
-                   unpooled_empty((np_size, ds)))
+    def allocate(cls, np_size: int, ds: int) -> "VisitArrays":
+        return cls(unpooled_empty((np_size, ds)), unpooled_empty((np_size, ds)))
 
 
 @dataclass(frozen=True)
@@ -183,6 +226,11 @@ def optimize_subcomponent(
     cycle 0, group 0 like plain NSDE's. A visit works in ``arrays``, which
     it maps itself when none are given. Returns the evaluations charged,
     the generations run, and their history rows.
+
+    ``evaluate`` scores the members as a :class:`ContextBatch` of
+    ``best_genes``, the group's columns and the sub-population's genes or
+    trial buffer. Those buffers are live: the next generation overwrites
+    the trials, so ``evaluate`` must copy any rows it keeps.
     """
     np_size = pop.size
     if sub_fes < 2 * np_size:
@@ -195,18 +243,13 @@ def optimize_subcomponent(
         cycle = group = 0
     else:
         if arrays is None:
-            arrays = VisitArrays.allocate(np_size, best_genes.size, idx.size)
-        # One context batch serves the whole visit: only the group's columns
-        # change between calls, and evaluate must copy any rows it keeps.
+            arrays = VisitArrays.allocate(np_size, idx.size)
         # The group's genes move by flat position, which numpy indexes
         # faster than a row slice paired with a column list.
-        context = arrays.context
-        context[:] = best_genes
-        flat = np.arange(0, context.size, best_genes.size)[:, None] + idx
+        flat = np.arange(0, pop.genes.size, best_genes.size)[:, None] + idx
 
         def sub_evaluate(sub_genes: np.ndarray):
-            np.put(context, flat, sub_genes)
-            return evaluate(context)
+            return evaluate(ContextBatch(best_genes, idx, sub_genes))
 
         # The positions are in range; "clip" skips the copy "raise" makes of out.
         np.take(pop.genes, flat, out=arrays.genes, mode="clip")
@@ -284,7 +327,7 @@ def run_c3(
     gen = 0
     history: list[GenerationRecord] = []
     best_genes = pop.genes[pop.eps_best_index(epsilon_at(sched, 0))].copy()
-    arrays = VisitArrays.allocate(np_size, dim, c3_cfg.ds) if ns > 1 else None
+    arrays = VisitArrays.allocate(np_size, c3_cfg.ds) if ns > 1 else None
 
     cycle = 0
     while fes + visit_min <= c3_cfg.total_budget:

@@ -16,9 +16,12 @@ from typing import Callable
 import numpy as np
 
 from . import _native
+from .coevolve import ContextBatch
 from .graph import Network
 
-BatchEvaluator = Callable[[np.ndarray], tuple[np.ndarray, np.ndarray]]
+BatchEvaluator = Callable[[np.ndarray | ContextBatch], tuple[np.ndarray, np.ndarray]]
+# The columns of a batch that is not a ContextBatch: the kernel splices none.
+_NO_COLUMNS = np.empty(0, dtype=np.int64)
 # Classical RK4 is stable on the negative real axis for h * |lambda| < 2.785.
 _RK4_REAL_LIMIT = 2.785
 
@@ -264,6 +267,12 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
     :func:`integrate` with :func:`objective_value` is the single-schedule
     reference. Unstable ``substeps`` raise ValueError, as there.
 
+    The candidates may also come as a ``coevolve.ContextBatch``, as a C3
+    visit scores its members. The kernel then gets the batch's parts and
+    splices each row into a scratch row of its own, filled from the base
+    once per call, so no (B, D) array is made; f and the violation have
+    the bytes of the built rows. The numpy loop builds the rows first.
+
     Each kernel call splits over the thread count of ``_native`` at the
     time of the call: by default the CPUs this process may use, or the
     count ``_native.threads`` sets around it. The batch splits into that
@@ -286,18 +295,23 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
     pos, m = (cols * n + rows).astype(np.int64), n * (n - 1)
     shared = (x0, pos, beta_off, gamma, np.ascontiguousarray(p_unit[:, 0]), obj_unit[0])
 
-    def evaluate(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.shape[1] != dim:
-            raise ValueError(f"expected {dim} genes per candidate, got {x.shape[1]}")
+    def evaluate(x: np.ndarray | ContextBatch) -> tuple[np.ndarray, np.ndarray]:
+        if kernel is not None and isinstance(x, ContextBatch):
+            base, columns, width, x = x.base, x.columns, x.base.size, x.genes
+        else:
+            x = np.asarray(x, dtype=float)
+            if x.ndim == 1:
+                x = x[None, :]
+            base, columns, width = x0, _NO_COLUMNS, x.shape[1]
+        if width != dim:
+            raise ValueError(f"expected {dim} genes per candidate, got {width}")
         b = x.shape[0]
         g = np.empty(b)
         if kernel is not None:
             x, obj = np.ascontiguousarray(x), np.empty(b)
             statuses = _native.call_split(kernel.rk4_batch, [
-                (hi - lo, n, horizon - 1, k, x[lo:hi], *shared, obj[lo:hi], g[lo:hi])
+                (hi - lo, n, horizon - 1, k, x[lo:hi], base, columns, columns.size,
+                 *shared, obj[lo:hi], g[lo:hi])
                 for lo, hi in _native.row_chunks(b)
             ])
             if 2 in statuses:

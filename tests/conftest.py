@@ -1,6 +1,5 @@
 """Fixtures over the builds of the compiled kernels in ``_rk4.c``."""
 import os
-import shutil
 import warnings
 
 import pytest
@@ -21,11 +20,9 @@ def kernel():
 
 @pytest.fixture()
 def isolated_kernel(tmp_path, monkeypatch):
-    """Point the kernel loader at a copy of the C source with an empty cache."""
+    """Point the kernel loader at an empty cache, with no build loaded yet."""
     loader = native.kernel
-    source = tmp_path / "_rk4.c"
-    shutil.copy(native.SOURCE, source)
-    monkeypatch.setattr(native, "SOURCE", source)
+    monkeypatch.setattr(native, "CACHE", tmp_path / "__pycache__")
     loader.cache_clear()
     yield tmp_path / "__pycache__"
     loader.cache_clear()
@@ -34,15 +31,14 @@ def isolated_kernel(tmp_path, monkeypatch):
 @pytest.fixture(scope="module")
 def level_builds(tmp_path_factory):
     """Every kernel build this host can make and run, by level, from a temporary cache."""
-    source = tmp_path_factory.mktemp("levels") / "_rk4.c"
-    shutil.copy(native.SOURCE, source)
+    cache = tmp_path_factory.mktemp("levels")
     try:
         cpuinfo = native.CPUINFO.read_text()
     except OSError:
         cpuinfo = ""
     builds = {}
     with pytest.MonkeyPatch.context() as m:
-        m.setattr(native, "SOURCE", source)
+        m.setattr(native, "CACHE", cache)
         for level in native.host_levels(cpuinfo, os.uname().machine):
             try:
                 builds[level] = native.build(level)

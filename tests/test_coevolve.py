@@ -5,8 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epiadapt.coevolve as coevolve
 from epiadapt.coevolve import (
     C3Config,
+    ContextBatch,
     grouping_probability,
     optimize_subcomponent,
     random_grouping,
@@ -14,7 +16,9 @@ from epiadapt.coevolve import (
     run_nsde,
 )
 from epiadapt.de_core import DEConfig, Population
+from epiadapt.dynamics import EpidemicParams, decision_dimension, make_batch_evaluator
 from epiadapt.eps_constraint import EpsilonSchedule
+from epiadapt.graph import generate_ba
 
 
 def sphere(x):
@@ -91,6 +95,100 @@ class TestGroupingProbability:
         for k in (1, 2):
             estimate = float(np.mean(counts >= k))
             assert abs(estimate - grouping_probability(k, 50, 9)) < 0.005
+
+
+class ForwardingEvaluator:
+    """Forwards only ``__call__``, as the benchmark's counting wrapper does.
+
+    It sums ``len(x)`` and keeps a copy of ``np.asarray(x)`` and of f.
+    """
+
+    def __init__(self, evaluate):
+        self.evaluate = evaluate
+        self.rows = 0
+        self.seen = []
+
+    def __call__(self, x):
+        f, viol = self.evaluate(x)
+        self.rows += len(x)
+        self.seen.append((isinstance(x, np.ndarray), np.array(x), np.array(f)))
+        return f, viol
+
+
+class TestContextBatch:
+    def test_rows_are_the_base_with_the_columns_replaced(self):
+        base = np.arange(6.0)
+        batch = ContextBatch(base, [4, 1], np.array([[10.0, 11.0], [20.0, 21.0], [30.0, 31.0]]))
+        assert len(batch) == 3
+        expected = np.array([[0, 11, 2, 3, 10, 5], [0, 21, 2, 3, 20, 5], [0, 31, 2, 3, 30, 5]],
+                            dtype=float)
+        np.testing.assert_array_equal(np.asarray(batch), expected)
+        assert np.asarray(batch, dtype=np.float32).dtype == np.float32
+        with pytest.raises(ValueError, match="built on request"):
+            np.asarray(batch, copy=False)
+
+    def test_refers_to_the_genes_it_was_given(self):
+        genes = np.zeros((2, 2))
+        batch = ContextBatch(np.ones(4), [0, 3], genes)
+        genes[1, 1] = 5.0
+        assert np.asarray(batch)[1, 3] == 5.0
+
+    @pytest.mark.parametrize("base,columns,genes,message", [
+        (np.zeros((2, 3)), [0], np.zeros((1, 1)), "one row"),
+        (np.zeros(6), [0, 1], np.zeros((2, 3)), "one column per entry"),
+        (np.zeros(6), [[0, 1]], np.zeros((2, 2)), "one column per entry"),
+        (np.zeros(6), [0, 1], np.zeros(2), "one column per entry"),
+        (np.zeros(6), [0, 6], np.zeros((2, 2)), r"\[0, 6\)"),
+        (np.zeros(6), [-1, 2], np.zeros((2, 2)), r"\[0, 6\)"),
+        (np.zeros(6), [], np.zeros((2, 0)), "at least one"),
+    ])
+    def test_bad_parts_are_refused(self, base, columns, genes, message):
+        # An out-of-range column would make the kernel write outside its scratch row.
+        with pytest.raises(ValueError, match=message):
+            ContextBatch(base, columns, genes)
+
+    def test_wrapper_sees_the_context_rows(self):
+        # Each visit scores context batches between two whole-population
+        # calls; with no violation the context best is the lowest f of the
+        # latest whole-population call.
+        np_size, dim, ns, seed = 6, 12, 3, 4
+        wrapper = ForwardingEvaluator(
+            lambda x: sphere(np.atleast_2d(x) - 0.3))
+        cfg = C3Config(ds=dim // ns, total_budget=400, sub_fes=3 * np_size)
+        result = run_c3(wrapper, dim, cfg, DEConfig(np_size=np_size), seed=seed)
+        assert wrapper.rows == result.evaluations
+        visit, contexts = -1, 0
+        for whole, rows, f in wrapper.seen:
+            assert rows.shape == (np_size, dim)
+            if whole:
+                genes, best, first = rows, rows[np.argmin(f)], True
+                continue
+            if first:
+                visit, first = visit + 1, False
+                cycle, group = divmod(visit, ns)
+                plan = random_grouping(
+                    dim, ns, coevolve._keyed_rng(seed, coevolve._GROUPING, cycle + 1))
+                columns = plan[group]
+                np.testing.assert_array_equal(rows[:, columns], genes[:, columns])
+            expected = np.tile(best, (np_size, 1))
+            expected[:, columns] = rows[:, columns]
+            assert rows.tobytes() == expected.tobytes()
+            contexts += 1
+        assert visit + 1 > ns
+        assert contexts * np_size + (visit + 2) * np_size == result.evaluations
+
+    def test_a_run_maps_only_sub_population_arrays(self, kernel, monkeypatch):
+        net = generate_ba(6, 3, 2, seed=1)
+        params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=3, substeps=4)
+        dim = decision_dimension(net.n, params.horizon)
+        mapped = []
+        unpooled_empty = coevolve.unpooled_empty
+        monkeypatch.setattr(coevolve, "unpooled_empty",
+                            lambda shape: mapped.append(shape) or unpooled_empty(shape))
+        # The kernel splices the context rows, so the run maps no (NP, D) array.
+        cfg = C3Config(ds=dim // 3, total_budget=200, sub_fes=24)
+        run_c3(make_batch_evaluator(net, params, 5.0), dim, cfg, DEConfig(np_size=8), seed=2)
+        assert mapped == [(8, dim // 3)] * 2
 
 
 class TestOptimizeSubcomponent:

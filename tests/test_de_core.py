@@ -413,8 +413,7 @@ class TestUniformFill:
         # Without __int128, lcg_step works in 64-bit halves: in the v3 and
         # base builds it starts the lanes and steps them, both for uniforms
         # and for the trial pass. v4 steps them with its intrinsics either way.
-        shutil.copy(native.SOURCE, tmp_path / "_rk4.c")
-        monkeypatch.setattr(native, "SOURCE", tmp_path / "_rk4.c")
+        monkeypatch.setattr(native, "CACHE", tmp_path)
         monkeypatch.setattr(native, "CFLAGS", (*native.CFLAGS, "-U__SIZEOF_INT128__",
                                                "-Wall", "-Wextra", "-Werror"))
         try:
@@ -465,10 +464,11 @@ class TestUniformFill:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_fill_unlike_numpy_is_refused_with_one_warning(self, isolated_kernel, monkeypatch):
-        source = native.SOURCE.read_text()
-        assert source.count("0x4385df649fccf645ULL") == 1
-        native.SOURCE.write_text(source.replace("0x4385df649fccf645ULL",
-                                                "0x4385df649fccf647ULL"))
+        # The loader compiles the source it read at import.
+        source = native.SOURCE_BYTES
+        assert source.count(b"0x4385df649fccf645ULL") == 1
+        monkeypatch.setattr(native, "SOURCE_BYTES", source.replace(b"0x4385df649fccf645ULL",
+                                                                   b"0x4385df649fccf647ULL"))
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
             built = native.kernel()

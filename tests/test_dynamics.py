@@ -4,6 +4,8 @@ import multiprocessing
 import os
 import shutil
 import subprocess
+import sys
+import textwrap
 import time
 import warnings
 
@@ -14,7 +16,8 @@ from hypothesis import strategies as st
 
 import epiadapt._native as native
 from epiadapt.baselines import constant_adaptation_schedule, no_adaptation_schedule
-from epiadapt.coevolve import optimize_subcomponent, random_grouping
+import epiadapt.coevolve as coevolve
+from epiadapt.coevolve import ContextBatch, optimize_subcomponent, random_grouping
 from epiadapt.de_core import DEConfig, Population
 from epiadapt.dynamics import (
     EpidemicParams,
@@ -253,18 +256,28 @@ class TestEvaluateCandidate:
 
     @pytest.mark.parametrize("numpy_loop", [False, True])
     def test_batch_evaluator_makes_no_batch_sized_temporary(self, net20, numpy_loop):
-        # A (B, D) temporary per call would fragment the malloc heap of long runs.
+        # A (B, D) temporary per call would fragment the malloc heap of long
+        # runs. The numpy loop builds a context batch's rows in a mapping.
         params = EpidemicParams(**REF_EPI, substeps=3)
         make = functools.partial(kernel_evaluator, None) if numpy_loop else make_batch_evaluator
         evaluate = make(net20, params, 700.0)
-        x = np.random.default_rng(6).random((256, 3420))
-        assert traced_peak(lambda: evaluate(x)) < 0.5 * x.nbytes
+        rng = np.random.default_rng(6)
+        x = rng.random((256, 3420))
+        idx = random_grouping(3420, 9, rng)[0]
+        context = ContextBatch(x[0], idx, x[:, idx])
+        for batch in (x, context):
+            assert traced_peak(lambda: evaluate(batch)) < 0.5 * x.nbytes
 
     def test_batch_evaluator_rejects_bad_width(self, net20):
         params = EpidemicParams(**REF_EPI, substeps=5)
         evaluate = make_batch_evaluator(net20, params, 700.0)
         with pytest.raises(ValueError):
             evaluate(np.zeros((2, 100)))
+        # A context batch of another width, on the kernel and on the numpy loop.
+        batch = ContextBatch(np.zeros(100), np.arange(10), np.zeros((2, 10)))
+        for evaluate in (evaluate, kernel_evaluator(None, net20, params, 700.0)):
+            with pytest.raises(ValueError, match="3420 genes"):
+                evaluate(batch)
 
 
 def kernel_evaluator(build, *args):
@@ -403,10 +416,11 @@ class TestKernel:
             assert cc.returncode == 0, f"{level}: {cc.stderr}"
 
     def test_c3_context_batches_give_numpy_loop_bytes(self, kernel, net20):
-        # A visit to group 2 of 3 scores (NP, D) context batches in which only
-        # the group's columns vary. With budget 0 and eps 0 every candidate is
-        # infeasible, so selection follows the violations alone and both
-        # paths must evolve the same genes.
+        # A visit to group 2 of 3 scores context batches, which the kernel
+        # splices row by row and the numpy loop builds as (NP, D) arrays.
+        # With budget 0 and eps 0 every candidate is infeasible, so selection
+        # follows the violations alone and both paths must evolve the same
+        # genes.
         params = EpidemicParams(**REF_EPI, substeps=3)
         rng = np.random.default_rng(11)
         plan = random_grouping(3420, 3, rng)
@@ -433,6 +447,72 @@ class TestKernel:
         assert pop_k.genes.tobytes() == pop_np.genes.tobytes()
         assert pop_k.violation.tobytes() == pop_np.violation.tobytes()
         assert pop_k.f.tobytes() == pop_np.f.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 7, 9, 60])
+    def test_context_batch_gives_the_bytes_of_its_rows(self, level_builds, net20, batch):
+        # 1 and 7 rows leave spare lanes in one group, 9 a second group with
+        # seven; at 3 threads 60 rows split into chunks of 16, 24 and 20.
+        # Budget 0 shows every bit of the violation.
+        params = EpidemicParams(**REF_EPI, substeps=3)
+        rng = np.random.default_rng(batch)
+        idx = random_grouping(3420, 9, rng)[4]
+        context = ContextBatch(rng.random(3420), idx, rng.random((batch, idx.size)))
+        rows = np.asarray(context)
+        expected = kernel_evaluator(None, net20, params, 0.0)(rows)
+        for level, build in level_builds.items():
+            evaluate = kernel_evaluator(build, net20, params, 0.0)
+            for threads in (1, 2, 3):
+                with native.threads(threads):
+                    for got in (evaluate(context), evaluate(rows)):
+                        assert got[0].tobytes() == expected[0].tobytes(), (level, threads)
+                        assert got[1].tobytes() == expected[1].tobytes(), (level, threads)
+
+    def test_context_batch_builds_no_rows_on_the_kernel_path(self, kernel, net20, monkeypatch):
+        params = EpidemicParams(**REF_EPI, substeps=3)
+        evaluate = make_batch_evaluator(net20, params, 700.0)
+        rng = np.random.default_rng(6)
+        idx = random_grouping(3420, 9, rng)[0]
+        context = ContextBatch(rng.random(3420), idx, rng.random((60, idx.size)))
+        expected = evaluate(np.asarray(context))
+        mapped = []
+        monkeypatch.setattr(coevolve, "unpooled_empty", lambda shape: mapped.append(shape))
+        assert evaluate(context)[0].tobytes() == expected[0].tobytes()
+        assert mapped == []
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_edited_source_does_not_change_the_build(self, kernel, net20, tmp_path):
+        # A process that imported the package builds the source it imported,
+        # whatever _rk4.c holds by the time it first needs the kernel.
+        package = tmp_path / "epiadapt"
+        shutil.copytree(os.path.dirname(native.__file__), package,
+                        ignore=shutil.ignore_patterns("__pycache__"))
+        script = textwrap.dedent("""
+            import warnings
+            import numpy as np
+            import epiadapt._native as native
+            from epiadapt.dynamics import EpidemicParams, make_batch_evaluator
+            from epiadapt.graph import generate_ba
+            native.SOURCE.write_text("this is not C\\n")
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                built = native.kernel()
+            assert built is not None and built.de_trials is not None
+            params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=10, substeps=3)
+            evaluate = make_batch_evaluator(generate_ba(20, 5, 5, seed=1), params, 700.0)
+            x = np.random.default_rng(3).random((9, 3420))
+            print(b"".join(a.tobytes() for a in evaluate(x)).hex())
+        """)
+        env = {**os.environ, "PYTHONPATH": str(tmp_path)}
+        run = subprocess.run([sys.executable, "-c", script], cwd=tmp_path, env=env,
+                             capture_output=True, text=True, timeout=300)
+        assert run.returncode == 0, run.stderr
+        assert run.stderr == ""
+        assert (package / "_rk4.c").read_text() == "this is not C\n"
+        assert list((package / "__pycache__").glob("_rk4-*.so"))
+        params = EpidemicParams(**REF_EPI, substeps=3)
+        x = np.random.default_rng(3).random((9, 3420))
+        expected = make_batch_evaluator(net20, params, 700.0)(x)
+        assert run.stdout.strip() == b"".join(a.tobytes() for a in expected).hex()
 
     def test_outer_axis_sums_run_in_order(self):
         # Each column is 1.0 then halves of its ulp: added in order, every
