@@ -129,24 +129,6 @@ class ContextBatch:
 
 
 @dataclass(frozen=True)
-class VisitArrays:
-    """The arrays that the subcomponent visits of one run share.
-
-    ``genes`` and ``trials`` are the (NP, ds) genes and trial buffer of the
-    group's sub-population. A run maps them once (see
-    ``_native.unpooled_empty``). Each :class:`ContextBatch` of a visit
-    refers to one of them, live: the next generation overwrites the trials.
-    """
-
-    genes: np.ndarray
-    trials: np.ndarray
-
-    @classmethod
-    def allocate(cls, np_size: int, ds: int) -> "VisitArrays":
-        return cls(unpooled_empty((np_size, ds)), unpooled_empty((np_size, ds)))
-
-
-@dataclass(frozen=True)
 class GenerationRecord:
     """One history row: population best after a completed generation."""
 
@@ -211,7 +193,7 @@ def optimize_subcomponent(
     gen_start: int = 0,
     cycle: int = 1,
     max_fes: int | None = None,
-    arrays: VisitArrays | None = None,
+    sub: Population | None = None,
 ) -> tuple[int, int, list[GenerationRecord]]:
     """Optimize one group's columns in the context of the global best.
 
@@ -223,9 +205,11 @@ def optimize_subcomponent(
     caches match the genes again. A single group owns every index, so
     there the population itself evolves under ``evaluate``, with no
     context pass and no re-evaluation, and its history rows are labelled
-    cycle 0, group 0 like plain NSDE's. A visit works in ``arrays``, which
-    it maps itself when none are given. Returns the evaluations charged,
-    the generations run, and their history rows.
+    cycle 0, group 0 like plain NSDE's. Otherwise the visit evolves the
+    group's genes in ``sub``, an (NP, ds) sub-population it maps itself
+    when none is given, overwriting its genes, objectives and violations;
+    its trial buffer is the one its first generation mapped. Returns the
+    evaluations charged, the generations run, and their history rows.
 
     ``evaluate`` scores the members as a :class:`ContextBatch` of
     ``best_genes``, the group's columns and the sub-population's genes or
@@ -242,8 +226,9 @@ def optimize_subcomponent(
         sub, sub_evaluate, used, reeval_cost = pop, evaluate, 0, 0
         cycle = group = 0
     else:
-        if arrays is None:
-            arrays = VisitArrays.allocate(np_size, idx.size)
+        if sub is None:
+            sub = Population(unpooled_empty((np_size, idx.size)), np.empty(np_size),
+                             np.empty(np_size))
         # The group's genes move by flat position, which numpy indexes
         # faster than a row slice paired with a column list.
         flat = np.arange(0, pop.genes.size, best_genes.size)[:, None] + idx
@@ -252,14 +237,8 @@ def optimize_subcomponent(
             return evaluate(ContextBatch(best_genes, idx, sub_genes))
 
         # The positions are in range; "clip" skips the copy "raise" makes of out.
-        np.take(pop.genes, flat, out=arrays.genes, mode="clip")
-        sub_f, sub_viol = sub_evaluate(arrays.genes)
-        sub = Population(
-            genes=arrays.genes,
-            f=np.asarray(sub_f, dtype=float),
-            violation=np.asarray(sub_viol, dtype=float),
-            trials=arrays.trials,
-        )
+        np.take(pop.genes, flat, out=sub.genes, mode="clip")
+        sub.f, sub.violation = (np.asarray(a, dtype=float) for a in sub_evaluate(sub.genes))
         used, reeval_cost = np_size, np_size
     gens = 0
     history: list[GenerationRecord] = []
@@ -285,9 +264,7 @@ def optimize_subcomponent(
         )
     if len(plan) > 1:
         np.put(pop.genes, flat, sub.genes)
-        full_f, full_viol = evaluate(pop.genes)
-        pop.f = np.asarray(full_f, dtype=float)
-        pop.violation = np.asarray(full_viol, dtype=float)
+        pop.f, pop.violation = (np.asarray(a, dtype=float) for a in evaluate(pop.genes))
         used += reeval_cost
     return used, gens, history
 
@@ -309,9 +286,10 @@ def run_c3(
 ) -> OptimizationResult:
     """Full coevolution loop: cycles of regrouping and subcomponent visits.
 
-    Halts when the next visit would overrun the total budget. Returns the
-    feasibility-first best of the final population together with the
-    per-generation history.
+    Halts when the next visit would overrun the total budget. With more
+    than one group, every visit reuses one (NP, ds) sub-population that
+    the run maps. Returns the feasibility-first best of the final
+    population together with the per-generation history.
     """
     np_size = de_cfg.np_size
     ns, sub_fes, visit_min = c3_cfg.layout(dim, np_size)
@@ -327,7 +305,8 @@ def run_c3(
     gen = 0
     history: list[GenerationRecord] = []
     best_genes = pop.genes[pop.eps_best_index(epsilon_at(sched, 0))].copy()
-    arrays = VisitArrays.allocate(np_size, c3_cfg.ds) if ns > 1 else None
+    sub = Population(unpooled_empty((np_size, c3_cfg.ds)), np.empty(np_size),
+                     np.empty(np_size)) if ns > 1 else None
 
     cycle = 0
     while fes + visit_min <= c3_cfg.total_budget:
@@ -339,7 +318,7 @@ def run_c3(
             used, gens, rows = optimize_subcomponent(
                 pop, plan, group, best_genes, evaluate, sched, de_cfg, sub_fes,
                 seed, gen_start=gen, cycle=cycle,
-                max_fes=c3_cfg.total_budget - fes, arrays=arrays,
+                max_fes=c3_cfg.total_budget - fes, sub=sub,
             )
             fes += used
             gen += gens

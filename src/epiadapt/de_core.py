@@ -12,13 +12,14 @@ and ``_native.kernel`` loaded a build whose fill it accepted, the trials
 come from one C pass, ``de_trials`` in ``_rk4.c``: it forms them a few rows
 at a time and draws those rows' crossover uniforms inside the pass, as
 numpy's own stream computed in jumped-ahead lanes, so they never pass
-through memory as one block; the generator is moved on with ``advance`` to
-exactly where ``rng.random`` would leave it. A large pass splits into
-chunks of rows over ``_native``'s thread count, each drawing from its
-first row's place in the stream, so the bytes do not depend on the count.
+through memory as one block. A large pass splits into chunks of rows over
+``_native``'s thread count; :func:`build_trials` moves the generator past
+each chunk's draws in turn with ``PCG64.advance``, so each chunk starts
+at its own place in the stream and the bytes do not depend on the count.
 Everywhere else the numpy passes run on ``rng.random``'s draw. Both give
 numpy's bytes: the C pass keeps numpy's operation order, is built without
-FMA contraction and clamps as ``np.clip`` does, NaN included.
+FMA contraction and clamps as ``np.clip`` does, NaN included. A
+population's trial buffer is mapped by its first generation and reused.
 """
 from __future__ import annotations
 
@@ -28,10 +29,6 @@ import numpy as np
 
 from . import _native
 from .eps_constraint import better_mask
-
-# numpy's PCG64 multiplier (PCG_MULT_HI and PCG_MULT_LO in _rk4.c).
-_PCG64_MULT = 0x2360ED051FC65DA44385DF649FCCF645
-
 
 @dataclass(frozen=True)
 class DEConfig:
@@ -92,45 +89,6 @@ class Population:
         return Candidate(self.genes[i].copy(), float(self.f[i]), float(self.violation[i]))
 
 
-def _pcg_jump(state: int, inc: int, steps: int) -> int:
-    """The 128-bit PCG64 state ``steps`` steps past ``state``, as ``PCG64.advance`` moves it.
-
-    Brown's jump-ahead: the affine step s -> s * M + inc, composed with
-    itself by squaring, is applied for each set bit of ``steps``.
-    """
-    mask = (1 << 128) - 1
-    mult, plus = _PCG64_MULT, inc
-    while steps:
-        if steps & 1:
-            state = (state * mult + plus) & mask
-        plus = (plus * mult + plus) & mask
-        mult = (mult * mult) & mask
-        steps >>= 1
-    return state
-
-
-def _skip_uniforms(built, rng: np.random.Generator, n: int) -> tuple[int, int] | None:
-    """Move ``rng`` past ``n`` ``random`` doubles for ``de_trials`` to draw.
-
-    Returns the PCG64 state the doubles start from and its increment, or
-    None, leaving ``rng`` as it was, where the C pass does not apply: no
-    build, a fill refused by ``_native.kernel`` or a generator other than
-    numpy's PCG64. ``advance`` moves the generator as ``rng.random(n)``
-    would, but also drops the buffered half of a 32-bit draw, which the
-    next ``rng.integers`` would read, so that half is put back.
-    """
-    bitgen = rng.bit_generator
-    if built is None or built.de_trials is None or type(bitgen) is not np.random.PCG64:
-        return None
-    state = bitgen.state
-    pcg = state["state"]
-    bitgen.advance(n)
-    if state["has_uint32"]:
-        state["state"] = bitgen.state["state"]
-        bitgen.state = state
-    return pcg["state"], pcg["inc"]
-
-
 def init_population(cfg: DEConfig, dim: int, rng: np.random.Generator) -> np.ndarray:
     """Uniform-random genes of shape (NP, dim) in [0, 1)."""
     if dim < 1:
@@ -178,9 +136,11 @@ def build_trials(
 
     The C pass splits its rows as ``_native.row_chunks`` cuts them: over
     the thread count, but only where each chunk holds at least
-    ``_native.SPLIT_GENES`` genes. A chunk starting at row lo draws its
-    uniforms from the stream's state lo * D steps on, so the trials and
-    the state ``rng`` is left in are the same at any thread count.
+    ``_native.SPLIT_GENES`` genes. Each chunk starts from the state that
+    ``rng`` holds before ``PCG64.advance`` moves it past the chunk's
+    uniforms, so a chunk starting at row lo draws from the state lo * D
+    steps on, and the trials and the state ``rng`` is left in are the same
+    at any thread count.
     """
     if genes.ndim != 2 or genes.dtype != np.float64 or not genes.flags.c_contiguous:
         raise ValueError("genes must be a C-contiguous 2-D float64 array")
@@ -197,17 +157,25 @@ def build_trials(
     r1, r2 = donor_indices(np_size, rng)
     trials = np.empty_like(genes) if out is None else out
     built = _native.kernel()
+    bitgen = rng.bit_generator
     # The C pass draws the crossover uniforms itself, as it forms the trials;
     # the numpy passes take them through the trial buffer.
-    start = _skip_uniforms(built, rng, trials.size)
-    if start is not None:
-        state, inc = start
+    if built is not None and built.de_trials is not None and type(bitgen) is np.random.PCG64:
+        state = bitgen.state
+        chunks = []
+        for lo, hi in _native.row_chunks(np_size, genes=dim):
+            chunks.append((lo, hi, divmod(bitgen.state["state"]["state"], 1 << 64)))
+            bitgen.advance((hi - lo) * dim)
+        # Put back the buffered 32-bit half, which rng.integers reads next.
+        if state["has_uint32"]:
+            state["state"] = bitgen.state["state"]
+            bitgen.state = state
         forced = rng.integers(dim, size=np_size)
+        inc = divmod(state["state"]["inc"], 1 << 64)
         _native.call_split(built.de_trials, [
             (lo, hi - lo, dim, genes, best, r1[lo:hi], r2[lo:hi], f[lo:hi], forced[lo:hi],
-             cfg.cr, *divmod(_pcg_jump(state, inc, lo * dim), 1 << 64), *divmod(inc, 1 << 64),
-             trials[lo:hi])
-            for lo, hi in _native.row_chunks(np_size, genes=dim)
+             cfg.cr, *start, *inc, trials[lo:hi])
+            for lo, hi, start in chunks
         ])
         return trials
     rng.random(out=trials)

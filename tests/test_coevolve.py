@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import epiadapt._native as native
 import epiadapt.coevolve as coevolve
 from epiadapt.coevolve import (
     C3Config,
@@ -182,13 +183,20 @@ class TestContextBatch:
         params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=3, substeps=4)
         dim = decision_dimension(net.n, params.horizon)
         mapped = []
-        unpooled_empty = coevolve.unpooled_empty
-        monkeypatch.setattr(coevolve, "unpooled_empty",
-                            lambda shape: mapped.append(shape) or unpooled_empty(shape))
-        # The kernel splices the context rows, so the run maps no (NP, D) array.
+        unpooled_empty = native.unpooled_empty
+
+        def spy(shape):
+            mapped.append(shape)
+            return unpooled_empty(shape)
+
+        monkeypatch.setattr(native, "unpooled_empty", spy)
+        monkeypatch.setattr(coevolve, "unpooled_empty", spy)
+        # The initial population, then the sub-population's genes and, on
+        # its first generation, its trial buffer, reused by every visit.
+        # The kernel splices the context rows, so no other (NP, D) array.
         cfg = C3Config(ds=dim // 3, total_budget=200, sub_fes=24)
         run_c3(make_batch_evaluator(net, params, 5.0), dim, cfg, DEConfig(np_size=8), seed=2)
-        assert mapped == [(8, dim // 3)] * 2
+        assert mapped == [(8, dim)] + [(8, dim // 3)] * 2
 
 
 class TestOptimizeSubcomponent:

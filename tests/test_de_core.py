@@ -492,22 +492,6 @@ class TestUniformFill:
 class TestTrialPassSplit:
     """The C trial pass split over threads gives the bytes of one thread."""
 
-    @pytest.mark.parametrize("steps", [0, 1, 7, 8, 2**64 + 3])
-    def test_jump_equals_advance(self, steps):
-        self.assert_jump_equals_advance(2**100 + 12345, steps)
-
-    @settings(max_examples=50, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), steps=st.integers(0, 2**128 - 1))
-    def test_random_jump_equals_advance(self, seed, steps):
-        self.assert_jump_equals_advance(seed, steps)
-
-    @staticmethod
-    def assert_jump_equals_advance(seed, steps):
-        bitgen = np.random.PCG64(seed)
-        pcg = bitgen.state["state"]
-        bitgen.advance(steps)
-        assert de_core._pcg_jump(pcg["state"], pcg["inc"], steps) == bitgen.state["state"]["state"]
-
     @pytest.mark.parametrize("shape,calls", [((60, 380), 1), ((350, 380), 1), ((350, 3420), 2)])
     def test_only_large_passes_split(self, kernel, monkeypatch, shape, calls):
         # At the default gate: the campaign-desk and C3 subcomponent passes

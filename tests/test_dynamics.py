@@ -2,6 +2,7 @@ import functools
 import math
 import multiprocessing
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -723,6 +724,12 @@ class TestThreadSplit:
             assert not child.is_alive()
         finally:
             child.kill()
+
+    def test_lanes_is_the_c_source_lane_count(self):
+        # row_chunks cuts at multiples of LANES; a chunk that starts inside
+        # a lane group of the C pass would draw from the wrong place.
+        defined = re.findall(rb"^#define LANES (\d+)$", native.SOURCE_BYTES, re.MULTILINE)
+        assert [int(n) for n in defined] == [native.LANES]
 
     def test_threads_must_be_positive(self, monkeypatch):
         monkeypatch.setattr(native, "usable_cpus", lambda: 5)
