@@ -192,8 +192,9 @@ def build(level: str) -> ctypes.CDLL:
     compiler's last lines, on failure.
     """
     import hashlib  # here, so importing the package costs what it did before
+    import platform
 
-    machine = os.uname().machine
+    machine = platform.machine()
     flags = " ".join(" ".join(CFLAGS + extra) for _, _, extra in LEVELS)
     key = SOURCE_BYTES + f"{flags} {machine}".encode()
     digest = hashlib.sha256(key).hexdigest()[:16]
@@ -230,24 +231,26 @@ def build(level: str) -> ctypes.CDLL:
     built.rk4_batch.restype = ctypes.c_int
     built.de_trials.argtypes = [n, n, n, rows, f64, i64, i64, f64, i64, real, *words, rows]
     built.de_trials.restype = None
-    built.uniforms.argtypes = [*words, n, f64]
-    built.uniforms.restype = None
     return built
 
 
-def _fill_matches_numpy(built: ctypes.CDLL) -> bool:
-    """Whether ``uniforms`` gives ``Generator(PCG64).random``'s bytes.
+def _trials_match_numpy(built: ctypes.CDLL, seed=20190101, shape=(LANES + 1, 5), cr=0.5) -> bool:
+    """Whether ``de_trials`` crosses over on ``Generator(PCG64(seed)).random``'s stream.
 
-    One fixed state and 43 draws: five 8-lane blocks and a tail. A numpy
-    that changes ``random()`` fails here. ``de_trials`` draws the crossover
-    uniforms with the same fill, which is why the loader calls this.
+    With rows of ones, a best of zeros, F 1 and each row its own donors,
+    every mutant is 0 and every kept gene 1: gene j is 1 exactly where its
+    uniform exceeds ``cr``, but for the forced gene, each row's last. The
+    default shape is whole blocks, then a tail from lanes carried over.
     """
-    bitgen = np.random.PCG64(20190101)
-    pcg = bitgen.state["state"]
-    out = np.empty(43)
-    built.uniforms(*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64),
-                   out.size, out)
-    return out.tobytes() == np.random.Generator(bitgen).random(out.size).tobytes()
+    rows, genes = shape
+    pcg = np.random.PCG64(seed).state["state"]
+    own, trial = np.arange(rows), np.empty(shape)
+    built.de_trials(0, rows, genes, np.ones(shape), np.zeros(genes), own, own, np.ones(rows),
+                    np.full(rows, genes - 1), cr, *divmod(pcg["state"], 1 << 64),
+                    *divmod(pcg["inc"], 1 << 64), trial)
+    expected = np.random.default_rng(seed).random(shape) > cr
+    expected[:, -1] = False
+    return trial.tobytes() == expected.astype(np.float64).tobytes()
 
 
 @lru_cache(maxsize=None)
@@ -256,31 +259,30 @@ def kernel() -> ctypes.CDLL | None:
 
     It holds the RK4 batch kernel and the NSDE trial pass. The host's level
     comes from /proc/cpuinfo, read here on first use and never at import:
-    x86-64-v4 (AVX-512), then v3 (AVX2), then the baseline build.
-    A build that cannot be made or loaded passes to the next; past the last,
-    the evaluator and the DE operators run their numpy code. A loaded build
-    whose PCG64 fill does not give numpy's doubles has ``de_trials`` set to
-    None: the DE operators run their numpy passes, the evaluator keeps
-    ``rk4_batch``. The fallbacks of one process give one RuntimeWarning.
+    x86-64-v4 (AVX-512), then v3 (AVX2), then the baseline build. A build
+    that cannot be made or loaded passes to the next; the one that loads is
+    dropped if it fails :func:`_trials_match_numpy`, with no narrower one
+    tried, as all compile one source. Without a build the numpy code runs.
+    The fallbacks of one process give one RuntimeWarning.
     """
+    import platform
+
     try:
         cpuinfo = CPUINFO.read_text()
     except OSError:
         cpuinfo = ""
     failed, built = [], None
-    for level in host_levels(cpuinfo, os.uname().machine):
+    for level in host_levels(cpuinfo, platform.machine()):
         try:
             built = build(level)
             break
         except OSError as exc:
             failed.append(f"{level}: {exc}")
-    if built is not None and not _fill_matches_numpy(built):
-        built.de_trials = None
-        failed.append("de_trials: the PCG64 fill differs from numpy's random(), "
-                      "so the DE operators run their numpy passes")
+    if built is not None and not _trials_match_numpy(built):
+        built = None
+        failed.append(f"{level}: de_trials' uniforms differ from numpy's PCG64 random()")
     if failed:
         outcome = (f"runs its {level} build" if built is not None else
                    "unavailable, the evaluator and the DE operators run their numpy loops")
-        warnings.warn(f"RK4 kernel {outcome}: {'; '.join(failed)}",
-                      RuntimeWarning, stacklevel=3)
+        warnings.warn(f"RK4 kernel {outcome}: {'; '.join(failed)}", RuntimeWarning, stacklevel=3)
     return built

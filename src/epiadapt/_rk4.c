@@ -1,8 +1,8 @@
 /* Compiled kernels: rk4_batch for the batch evaluator in dynamics.py, and
  * de_trials, the NSDE trial pass of de_core.py, which draws its crossover
  * uniforms as numpy's PCG64 Generator.random stream computed in
- * jumped-ahead lanes (see there and below). uniforms writes the same
- * stream on its own; the loader in _native.py compares it with numpy's.
+ * jumped-ahead lanes (see there and below). The loader in _native.py runs
+ * de_trials on rows that show its uniforms and compares them with numpy's.
  *
  * rk4_batch advances B candidates from the state p_unit at t = 1 over the
  * T1 = horizon - 1 re-planned unit intervals, k RK4 steps each, and adds the
@@ -346,17 +346,6 @@ static void pcg_fill(pcg_lanes *restrict g, int64_t n, double *restrict out)
         out[b + l] = pcg_double(g->hi[l], g->lo[l]);
 }
 
-/* uniforms writes the n doubles numpy's Generator.random draws from a PCG64
- * at state (state_hi, state_lo) and increment (inc_hi, inc_lo), through the
- * fill de_trials draws with. */
-void uniforms(uint64_t state_hi, uint64_t state_lo, uint64_t inc_hi, uint64_t inc_lo,
-              int64_t n, double *restrict out)
-{
-    pcg_lanes g;
-    pcg_start(&g, state_hi, state_lo, inc_hi, inc_lo);
-    pcg_fill(&g, n, out);
-}
-
 /* ((((best - x_i) + x_r1) - x_r2) * f_i) + x_i, in de_core's numpy order. */
 static inline double mutant(double best, double xi, double a, double b, double f)
 {
@@ -372,10 +361,10 @@ static inline double mutant(double best, double xi, double a, double b, double f
  * not overlap x or best.
  *
  * The uniforms are numpy's Generator.random stream of the PCG64 at the four
- * state words, as uniforms writes it; the caller passes the state of row
- * lo's first draw and moves the generator on. LANES rows at a time are
- * filled and then crossed while they are still in cache. LANES * D doubles
- * are whole blocks, so the lanes carry from chunk to chunk. */
+ * state words; the caller passes the state of row lo's first draw and moves
+ * the generator on. LANES rows at a time are filled and then crossed while
+ * they are still in cache. LANES * D doubles are whole blocks, so the lanes
+ * carry from chunk to chunk. */
 void de_trials(int64_t lo, int64_t NP, int64_t D, const double *restrict x,
                const double *restrict best, const int64_t *restrict r1,
                const int64_t *restrict r2, const double *restrict f,

@@ -8,17 +8,14 @@ weights, clamped into [0, 1]), which is what gives the operator its escape
 behavior.
 
 Every draw is a whole numpy array. Where the generator is numpy's PCG64
-and ``_native.kernel`` loaded a build whose fill it accepted, the trials
-come from one C pass, ``de_trials`` in ``_rk4.c``: it forms them a few rows
-at a time and draws those rows' crossover uniforms inside the pass, as
-numpy's own stream computed in jumped-ahead lanes, so they never pass
-through memory as one block. A large pass splits into chunks of rows over
-``_native``'s thread count; :func:`build_trials` moves the generator past
-each chunk's draws in turn with ``PCG64.advance``, so each chunk starts
-at its own place in the stream and the bytes do not depend on the count.
-Everywhere else the numpy passes run on ``rng.random``'s draw. Both give
-numpy's bytes: the C pass keeps numpy's operation order, is built without
-FMA contraction and clamps as ``np.clip`` does, NaN included. A
+and ``_native.kernel`` loaded a build, the trials come from one C pass,
+``de_trials`` in ``_rk4.c``: it forms them a few rows at a time and draws
+those rows' crossover uniforms inside the pass, as numpy's own stream
+computed in jumped-ahead lanes, so they never pass through memory as one
+block; :func:`build_trials` splits a large pass over ``_native``'s thread
+count. Everywhere else the numpy passes run on ``rng.random``'s draw. Both
+give numpy's bytes: the C pass keeps numpy's operation order, is built
+without FMA contraction and clamps as ``np.clip`` does, NaN included. A
 population's trial buffer is mapped by its first generation and reused.
 """
 from __future__ import annotations
@@ -134,13 +131,13 @@ def build_trials(
     ``out`` when it is given, which must be laid out as ``genes`` and share
     no memory with ``genes`` or ``best``.
 
-    The C pass splits its rows as ``_native.row_chunks`` cuts them: over
-    the thread count, but only where each chunk holds at least
-    ``_native.SPLIT_GENES`` genes. Each chunk starts from the state that
-    ``rng`` holds before ``PCG64.advance`` moves it past the chunk's
-    uniforms, so a chunk starting at row lo draws from the state lo * D
-    steps on, and the trials and the state ``rng`` is left in are the same
-    at any thread count.
+    The C pass runs where ``rng`` is a PCG64 and ``_native.kernel()``, looked
+    up on each call, returns a build. It splits its rows as
+    ``_native.row_chunks`` cuts them: over the thread count, but only where
+    each chunk holds at least ``_native.SPLIT_GENES`` genes. A chunk starting
+    at row lo draws from the state ``PCG64.advance`` reaches lo * D steps on,
+    so the trials and the state ``rng`` is left in are the same at any
+    thread count.
     """
     if genes.ndim != 2 or genes.dtype != np.float64 or not genes.flags.c_contiguous:
         raise ValueError("genes must be a C-contiguous 2-D float64 array")
@@ -158,9 +155,7 @@ def build_trials(
     trials = np.empty_like(genes) if out is None else out
     built = _native.kernel()
     bitgen = rng.bit_generator
-    # The C pass draws the crossover uniforms itself, as it forms the trials;
-    # the numpy passes take them through the trial buffer.
-    if built is not None and built.de_trials is not None and type(bitgen) is np.random.PCG64:
+    if built is not None and type(bitgen) is np.random.PCG64:
         state = bitgen.state
         chunks = []
         for lo, hi in _native.row_chunks(np_size, genes=dim):

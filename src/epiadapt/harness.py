@@ -324,11 +324,13 @@ def run_experiment(
     back in run order regardless of ``workers``. Each of the processes that
     run at once splits its kernel passes, the evaluator's batches and the
     NSDE trial passes, over an equal share of the usable CPUs, at least
-    one. A network
-    that is not ``cfg.n`` nodes (ConfigError) or a budget above the constant
+    one. ``workers`` below 1, a negative ``first_run``, a network that is
+    not ``cfg.n`` nodes (ConfigError) or a budget above the constant
     baseline's cap (ValueError) fails before ``outdir`` is created, which
     comes before the first run, so a path that cannot hold it fails at once.
     """
+    if workers < 1:
+        raise ConfigError(f"workers must be at least 1, got {workers}")
     if first_run < 0:
         raise ConfigError(f"the first run id must be nonnegative, got {first_run}")
     if net is None:
@@ -347,7 +349,7 @@ def run_experiment(
         records = [_baseline_record(cfg, net, params, baseline)]
     else:
         # The pool forks all its workers at once, so no more than there are runs.
-        procs = max(1, min(workers, cfg.runs))
+        procs = min(workers, cfg.runs)
         threads = max(1, _native.usable_cpus() // procs)
         payloads = [(cfg, net, r, threads) for r in range(first_run, first_run + cfg.runs)]
         if procs > 1:

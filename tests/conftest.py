@@ -1,5 +1,5 @@
 """Fixtures over the builds of the compiled kernels in ``_rk4.c``."""
-import os
+import platform
 import warnings
 
 import pytest
@@ -39,7 +39,7 @@ def level_builds(tmp_path_factory):
     builds = {}
     with pytest.MonkeyPatch.context() as m:
         m.setattr(native, "CACHE", cache)
-        for level in native.host_levels(cpuinfo, os.uname().machine):
+        for level in native.host_levels(cpuinfo, platform.machine()):
             try:
                 builds[level] = native.build(level)
             except OSError:

@@ -1,5 +1,6 @@
 import multiprocessing
 import os
+import platform
 import shutil
 import subprocess
 import sys
@@ -387,32 +388,40 @@ def assert_trials_match_numpy(level_builds, genes, seed, buffered):
             assert rng.bit_generator.state == twin.bit_generator.state, (level, threads)
 
 
-# 0; 1, 3, 5 and LANES - 1, a tail alone; LANES + 1; seven intervals of the
-# reference problem's genes; and an odd NP * D.
-FILL_SIZES = (0, 1, 3, 5, 7, 9, 3420 * 7, 35 * 99)
-
-
-def assert_fill_matches_numpy(build, seed, n, level):
-    """``build``'s ``uniforms`` from a PCG64's state words gives its ``random(n)``."""
-    bitgen = np.random.PCG64(seed)
-    pcg = bitgen.state["state"]
-    filled = np.empty(n)
-    build.uniforms(*divmod(pcg["state"], 1 << 64), *divmod(pcg["inc"], 1 << 64), n, filled)
-    assert filled.tobytes() == np.random.Generator(bitgen).random(n).tobytes(), level
+# Trial-pass shapes whose crossover uniforms _native._trials_match_numpy
+# compares with numpy's, the forced last gene aside: 5, 6 and 7 doubles, a
+# tail alone; LANES + 1 rows of 9 to 15 genes, whole blocks carried into a
+# second chunk of rows and then every tail of 1 to LANES - 1 doubles; three
+# chunks carried into a fourth; seven intervals of the reference problem's
+# genes; and an odd NP * D.
+FILL_SHAPES = ((1, 5), (2, 3), (1, 7), *((native.LANES + 1, d) for d in range(9, 16)),
+               (3 * native.LANES + 3, 5), (7, 3420), (35, 99))
 
 
 class TestUniformFill:
     @settings(max_examples=30, deadline=None)
-    @given(seed=st.integers(0, 2**64 - 1), n=st.sampled_from(FILL_SIZES))
-    def test_every_level_gives_numpy_bytes_and_state(self, level_builds, seed, n):
+    @given(seed=st.integers(0, 2**64 - 1), shape=st.sampled_from(FILL_SHAPES))
+    def test_every_level_gives_numpy_bytes_and_state(self, level_builds, seed, shape):
         for level, build in level_builds.items():
-            assert_fill_matches_numpy(build, seed, n, level)
+            assert native._trials_match_numpy(build, seed, shape), level
+
+    @pytest.mark.parametrize("shape", [(1, 7), (native.LANES + 1, 9)])
+    def test_every_level_draws_numpy_doubles(self, level_builds, shape):
+        # cr at a uniform, and then just below it, flips that gene where its
+        # double differs from numpy's in any bit, the last included; at 0.5
+        # only the leading bit shows. Every gene but the forced ones, in a
+        # tail alone and in blocks carried over into a tail.
+        uniforms = np.random.default_rng(5).random(shape)[:, :-1]
+        for level, build in level_builds.items():
+            for u in uniforms.flat:
+                for cr in (u, np.nextafter(u, 0.0)):
+                    assert native._trials_match_numpy(build, 5, shape, cr), (level, u)
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_fill_without_int128_gives_numpy_bytes(self, tmp_path, monkeypatch):
         # Without __int128, lcg_step works in 64-bit halves: in the v3 and
-        # base builds it starts the lanes and steps them, both for uniforms
-        # and for the trial pass. v4 steps them with its intrinsics either way.
+        # base builds it starts the lanes and steps them. v4 steps them with
+        # its intrinsics either way.
         monkeypatch.setattr(native, "CACHE", tmp_path)
         monkeypatch.setattr(native, "CFLAGS", (*native.CFLAGS, "-U__SIZEOF_INT128__",
                                                "-Wall", "-Wextra", "-Werror"))
@@ -420,12 +429,12 @@ class TestUniformFill:
             cpuinfo = native.CPUINFO.read_text()
         except OSError:
             cpuinfo = ""
-        levels = [level for level in native.host_levels(cpuinfo, os.uname().machine)
+        levels = [level for level in native.host_levels(cpuinfo, platform.machine())
                   if level in ("v3", "base")]
         builds = {level: native.build(level) for level in levels}
         for level, build in builds.items():
-            for seed, n in enumerate(FILL_SIZES):
-                assert_fill_matches_numpy(build, 2**63 + seed, n, level)
+            for seed, shape in enumerate(FILL_SHAPES):
+                assert native._trials_match_numpy(build, 2**63 + seed, shape), level
         for seed, shape in enumerate([(5, 7), (35, 99)]):
             assert_trials_match_numpy(builds, np.random.default_rng(seed).random(shape),
                                       seed, buffered=bool(seed))
@@ -464,29 +473,34 @@ class TestUniformFill:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_fill_unlike_numpy_is_refused_with_one_warning(self, isolated_kernel, monkeypatch):
-        # The loader compiles the source it read at import.
-        source = native.SOURCE_BYTES
-        assert source.count(b"0x4385df649fccf645ULL") == 1
-        monkeypatch.setattr(native, "SOURCE_BYTES", source.replace(b"0x4385df649fccf645ULL",
-                                                                   b"0x4385df649fccf647ULL"))
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            built = native.kernel()
-        assert [w.category for w in caught] == [RuntimeWarning]
-        assert "de_trials" in str(caught[0].message)
-        assert built is not None and built.de_trials is None
-        genes = np.random.default_rng(2).random((9, 30))
-        cfg = DEConfig(np_size=9)
-        expected = trials_on(None, genes, genes[1], cfg, 4)
-        assert trials_on(built, genes, genes[1], cfg, 4).tobytes() == expected.tobytes()
-        # The evaluator keeps the RK4 kernel.
-        calls = []
-        rk4_batch = built.rk4_batch
-        monkeypatch.setattr(built, "rk4_batch", lambda *args: calls.append(1) or rk4_batch(*args))
-        net = generate_ba(20, 5, 5, seed=1)
-        params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=3, substeps=4)
-        make_batch_evaluator(net, params, 700.0)(genes[:2, :20].repeat(38, axis=1))
-        assert calls == [1]
+        # numpy's PCG64 multiplier, off in its second bit.
+        assert_edit_is_refused(monkeypatch, b"0x4385df649fccf645ULL", b"0x4385df649fccf647ULL")
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_trial_pass_from_another_state_is_refused(self, isolated_kernel, monkeypatch):
+        # Only de_trials' lanes start from a neighbouring state.
+        assert_edit_is_refused(monkeypatch, b"pcg_start(&g, state_hi, state_lo,",
+                               b"pcg_start(&g, state_hi, state_lo ^ 1,")
+
+
+def assert_edit_is_refused(monkeypatch, old, new):
+    """With ``old`` replaced by ``new`` in the source, no build loads, with one warning.
+
+    The loader compiles the source it read at import, so the edit goes to
+    SOURCE_BYTES; the caller isolates the cache. The trials then come from
+    the numpy passes.
+    """
+    assert native.SOURCE_BYTES.count(old) == 1
+    monkeypatch.setattr(native, "SOURCE_BYTES", native.SOURCE_BYTES.replace(old, new))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert native.kernel() is None
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert "de_trials' uniforms differ" in str(caught[0].message)
+    genes = np.random.default_rng(2).random((9, 30))
+    cfg = DEConfig(np_size=9)
+    trials = build_trials(genes, genes[1], cfg, np.random.default_rng(4))
+    assert trials.tobytes() == trials_on(None, genes, genes[1], cfg, 4).tobytes()
 
 
 class TestTrialPassSplit:

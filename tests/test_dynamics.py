@@ -2,6 +2,7 @@ import functools
 import math
 import multiprocessing
 import os
+import platform
 import re
 import shutil
 import subprocess
@@ -407,7 +408,7 @@ class TestKernel:
     def test_every_level_builds_without_warnings(self, tmp_path):
         # Compile only: an x86_64 compiler builds every level, so the AVX-512
         # fill is checked on hosts below v4 too. Elsewhere only base builds.
-        machine = os.uname().machine
+        machine = platform.machine()
         for level, _, extra in native.LEVELS:
             if machine != "x86_64" and level not in native.host_levels("", machine):
                 continue
@@ -415,6 +416,14 @@ class TestKernel:
                                  "-o", str(tmp_path / f"{level}.so"), str(native.SOURCE), "-lm"],
                                 capture_output=True, text=True)
             assert cc.returncode == 0, f"{level}: {cc.stderr}"
+
+    def test_every_entry_has_its_argument_list(self, kernel):
+        # ctypes would pass an entry without one its arguments as C ints.
+        source = native.SOURCE_BYTES.decode()
+        entries = set(re.findall(r"^(?!static\b)[a-z][\w \t*]*?\b(\w+) *\(", source, re.M))
+        assert {"rk4_batch", "de_trials"} <= entries
+        for name in entries:
+            assert getattr(kernel, name).argtypes is not None, name
 
     def test_c3_context_batches_give_numpy_loop_bytes(self, kernel, net20):
         # A visit to group 2 of 3 scores context batches, which the kernel
@@ -497,7 +506,7 @@ class TestKernel:
             with warnings.catch_warnings():
                 warnings.simplefilter("error")
                 built = native.kernel()
-            assert built is not None and built.de_trials is not None
+            assert built is not None
             params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=10, substeps=3)
             evaluate = make_batch_evaluator(generate_ba(20, 5, 5, seed=1), params, 700.0)
             x = np.random.default_rng(3).random((9, 3420))
@@ -587,6 +596,13 @@ class TestKernel:
         expected = np.array([kernel_objective(row, net20, params) for row in x])
         assert evaluate(x)[0].tobytes() == expected.tobytes()
         assert not list(isolated_kernel.glob("*"))
+
+    def test_host_without_uname_loads_a_kernel_or_warns(self, isolated_kernel, monkeypatch):
+        # As on Windows, where os has no uname.
+        monkeypatch.delattr(os, "uname")
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", RuntimeWarning)
+            native.kernel()
 
     def test_cached_library_is_reused(self, isolated_kernel, net20, monkeypatch):
         params = EpidemicParams(**REF_EPI, substeps=4)

@@ -168,6 +168,14 @@ class TestRunExperiment:
                 run_experiment(tiny_config(algorithm=algorithm, ds=ds), net=net, outdir=outdir)
             assert not outdir.exists()
 
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_workers_below_one_are_refused(self, tmp_path, workers):
+        # Unchecked, the pool size would clamp them to one worker.
+        outdir = tmp_path / "out"
+        with pytest.raises(ConfigError, match=f"workers must be at least 1, got {workers}"):
+            run_experiment(tiny_config(algorithm="nsde"), outdir=outdir, workers=workers)
+        assert not outdir.exists()
+
     def test_campaign_reproducible(self):
         a = run_experiment(tiny_config(algorithm="nsde_c3"))
         b = run_experiment(tiny_config(algorithm="nsde_c3"))
