@@ -234,23 +234,38 @@ def build(level: str) -> ctypes.CDLL:
     return built
 
 
-def _trials_match_numpy(built: ctypes.CDLL, seed=20190101, shape=(LANES + 1, 5), cr=0.5) -> bool:
+# Flat positions in _trials_match_numpy's default shape of the uniforms the
+# load check pins exactly: one in each lane of the whole blocks (lane 4's
+# first, 4, is row 0's forced gene) and the first of the tail.
+PINNED = (0, 1, 2, 3, 12, 5, 6, 7, 40)
+
+
+def _trials_match_numpy(built: ctypes.CDLL, seed=20190101, shape=(LANES + 1, 5), cr=0.5,
+                        pins=()) -> bool:
     """Whether ``de_trials`` crosses over on ``Generator(PCG64(seed)).random``'s stream.
 
     With rows of ones, a best of zeros, F 1 and each row its own donors,
     every mutant is 0 and every kept gene 1: gene j is 1 exactly where its
     uniform exceeds ``cr``, but for the forced gene, each row's last. The
-    default shape is whole blocks, then a tail from lanes carried over.
+    default shape is whole blocks, then a tail from lanes carried over. At
+    cr 0.5 a gene shows its uniform's leading bit; the uniform at each flat
+    position of ``pins`` is then pinned in every bit, by a call with cr at
+    it and one with cr at the double just below it.
     """
     rows, genes = shape
+    uniforms = np.random.default_rng(seed).random(shape)
+    pinned = uniforms.flat[list(pins)]
     pcg = np.random.PCG64(seed).state["state"]
     own, trial = np.arange(rows), np.empty(shape)
-    built.de_trials(0, rows, genes, np.ones(shape), np.zeros(genes), own, own, np.ones(rows),
-                    np.full(rows, genes - 1), cr, *divmod(pcg["state"], 1 << 64),
-                    *divmod(pcg["inc"], 1 << 64), trial)
-    expected = np.random.default_rng(seed).random(shape) > cr
-    expected[:, -1] = False
-    return trial.tobytes() == expected.astype(np.float64).tobytes()
+    for at in (cr, *pinned, *np.nextafter(pinned, 0.0)):
+        built.de_trials(0, rows, genes, np.ones(shape), np.zeros(genes), own, own, np.ones(rows),
+                        np.full(rows, genes - 1), at, *divmod(pcg["state"], 1 << 64),
+                        *divmod(pcg["inc"], 1 << 64), trial)
+        expected = uniforms > at
+        expected[:, -1] = False
+        if trial.tobytes() != expected.astype(np.float64).tobytes():
+            return False
+    return True
 
 
 @lru_cache(maxsize=None)
@@ -261,8 +276,9 @@ def kernel() -> ctypes.CDLL | None:
     comes from /proc/cpuinfo, read here on first use and never at import:
     x86-64-v4 (AVX-512), then v3 (AVX2), then the baseline build. A build
     that cannot be made or loaded passes to the next; the one that loads is
-    dropped if it fails :func:`_trials_match_numpy`, with no narrower one
-    tried, as all compile one source. Without a build the numpy code runs.
+    dropped if it fails :func:`_trials_match_numpy` with the PINNED
+    uniforms, with no narrower one tried, as all compile one source.
+    Without a build the numpy code runs.
     The fallbacks of one process give one RuntimeWarning.
     """
     import platform
@@ -278,7 +294,7 @@ def kernel() -> ctypes.CDLL | None:
             break
         except OSError as exc:
             failed.append(f"{level}: {exc}")
-    if built is not None and not _trials_match_numpy(built):
+    if built is not None and not _trials_match_numpy(built, pins=PINNED):
         built = None
         failed.append(f"{level}: de_trials' uniforms differ from numpy's PCG64 random()")
     if failed:

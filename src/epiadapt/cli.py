@@ -49,8 +49,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    if args.workers < 1:
-        raise ConfigError(f"--workers must be at least 1, got {args.workers}")
     given = {"runs": args.runs, "master_seed": args.seed}
     overrides = {key: value for key, value in given.items() if value is not None}
     net = load_network(args.net)

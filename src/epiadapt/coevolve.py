@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._native import unpooled_empty
+from . import _native
 from .de_core import (
     Candidate,
     DEConfig,
@@ -122,7 +122,7 @@ class ContextBatch:
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
         if copy is False:
             raise ValueError("a context batch has no rows to share; they are built on request")
-        rows = unpooled_empty((len(self), self.base.size))
+        rows = _native.unpooled_empty((len(self), self.base.size))
         rows[:] = self.base
         rows[:, self.columns] = self.genes
         return rows if dtype is None else rows.astype(dtype, copy=False)
@@ -227,7 +227,7 @@ def optimize_subcomponent(
         cycle = group = 0
     else:
         if sub is None:
-            sub = Population(unpooled_empty((np_size, idx.size)), np.empty(np_size),
+            sub = Population(_native.unpooled_empty((np_size, idx.size)), np.empty(np_size),
                              np.empty(np_size))
         # The group's genes move by flat position, which numpy indexes
         # faster than a row slice paired with a column list.
@@ -272,8 +272,8 @@ def optimize_subcomponent(
 def _make_schedule(
     eps0: float, total_budget: int, np_size: int, gc_fraction: float, lam: float
 ) -> EpsilonSchedule:
-    gmax = max(2, total_budget // np_size)
-    gc = min(max(1, int(gc_fraction * gmax)), gmax - 1)
+    gmax = total_budget // np_size
+    gc = max(1, int(gc_fraction * gmax))
     return EpsilonSchedule(eps0=eps0, gc=gc, gmax=gmax, lam=lam)
 
 
@@ -305,7 +305,7 @@ def run_c3(
     gen = 0
     history: list[GenerationRecord] = []
     best_genes = pop.genes[pop.eps_best_index(epsilon_at(sched, 0))].copy()
-    sub = Population(unpooled_empty((np_size, c3_cfg.ds)), np.empty(np_size),
+    sub = Population(_native.unpooled_empty((np_size, c3_cfg.ds)), np.empty(np_size),
                      np.empty(np_size)) if ns > 1 else None
 
     cycle = 0
@@ -323,7 +323,7 @@ def run_c3(
             fes += used
             gen += gens
             history.extend(rows)
-            eps = epsilon_at(sched, min(gen, sched.gmax))
+            eps = epsilon_at(sched, gen)
             best_genes = pop.genes[pop.eps_best_index(eps)].copy()
 
     final = pop.eps_best_index(0.0)

@@ -98,16 +98,12 @@ def topology_stats(net: Network) -> TopologyStats:
     """
     if net.n < 2:
         raise ValueError("topology stats need at least 2 nodes")
-    adj = net.w0 > 0.0
+    adj = (net.w0 > 0.0).astype(float)
     degree = adj.sum(axis=1)
-    coeffs = np.zeros(net.n)
-    for v in range(net.n):
-        k = int(degree[v])
-        if k < 2:
-            continue
-        nbrs = np.nonzero(adj[v])[0]
-        links = np.count_nonzero(np.triu(adj[np.ix_(nbrs, nbrs)], k=1))
-        coeffs[v] = 2.0 * links / (k * (k - 1))
+    # Row v sums to twice the links among v's neighbours.
+    twice_links = ((adj @ adj) * adj).sum(axis=1)
+    coeffs = np.divide(twice_links, degree * (degree - 1), out=np.zeros(net.n),
+                       where=degree >= 2)
     m_edges = net.edge_count
     return TopologyStats(
         avg_degree=2.0 * m_edges / net.n,

@@ -18,28 +18,21 @@ EXACT_LIMIT = 12
 
 def _midranks(values: np.ndarray) -> np.ndarray:
     order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(values.size)
     sorted_vals = values[order]
-    i = 0
-    while i < values.size:
-        j = i
-        while j + 1 < values.size and sorted_vals[j + 1] == sorted_vals[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # Runs of equal sorted values share their mean rank; NaN never equals NaN.
+    starts = np.flatnonzero(np.r_[True, sorted_vals[1:] != sorted_vals[:-1]])
+    ends = np.r_[starts[1:], values.size]
+    ranks = np.empty(values.size)
+    ranks[order] = np.repeat(0.5 * (starts + ends - 1) + 1.0, ends - starts)
     return ranks
 
 
 def _exact_p(ranks: np.ndarray, n1: int, w_obs: float) -> float:
+    # Midranks are half-integers, so every sum and comparison here is exact.
     mu = n1 * (ranks.size + 1) / 2.0
-    threshold = abs(w_obs - mu) - 1e-9
-    hits = 0
-    total = 0
-    for subset in combinations(range(ranks.size), n1):
-        total += 1
-        if abs(ranks[list(subset)].sum() - mu) >= threshold:
-            hits += 1
-    return hits / total
+    subsets = np.array(list(combinations(range(ranks.size), n1)), dtype=np.intp)
+    sums = ranks[subsets].sum(axis=1)
+    return np.count_nonzero(np.abs(sums - mu) >= abs(w_obs - mu)) / len(subsets)
 
 
 def _normal_p(ranks: np.ndarray, n1: int, w_obs: float) -> float:

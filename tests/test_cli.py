@@ -101,10 +101,12 @@ def test_incomplete_schedule_exits_2(workspace, tmp_path):
 
 @pytest.mark.parametrize("flag", [["--workers", "0"], ["--workers=-2"]])
 def test_optimize_rejects_fewer_than_one_worker(workspace, capsys, flag):
+    # run_experiment refuses the count before it makes the output directory.
     tmp_path, net, config = workspace
     assert main(["optimize", "--net", str(net), "--config", str(config),
                  "--algo", "nsde", *flag, "--outdir", str(tmp_path / "opt")]) == 2
-    assert "--workers must be at least 1" in capsys.readouterr().err
+    workers = flag[-1].split("=")[-1]
+    assert f"workers must be at least 1, got {workers}" in capsys.readouterr().err
     assert not (tmp_path / "opt").exists()
 
 

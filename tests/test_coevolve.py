@@ -18,7 +18,7 @@ from epiadapt.coevolve import (
 )
 from epiadapt.de_core import DEConfig, Population
 from epiadapt.dynamics import EpidemicParams, decision_dimension, make_batch_evaluator
-from epiadapt.eps_constraint import EpsilonSchedule
+from epiadapt.eps_constraint import EpsilonSchedule, epsilon_at
 from epiadapt.graph import generate_ba
 
 
@@ -190,7 +190,6 @@ class TestContextBatch:
             return unpooled_empty(shape)
 
         monkeypatch.setattr(native, "unpooled_empty", spy)
-        monkeypatch.setattr(coevolve, "unpooled_empty", spy)
         # The initial population, then the sub-population's genes and, on
         # its first generation, its trial buffer, reused by every visit.
         # The kernel splices the context rows, so no other (NP, D) array.
@@ -331,6 +330,36 @@ class TestRunC3:
         cfg = C3Config(ds=5, total_budget=30, sub_fes=40)
         with pytest.raises(ValueError):
             run_c3(sphere, 20, cfg, DEConfig(np_size=10), seed=0)
+
+    @pytest.mark.parametrize("gc_fraction", [1e-9, float(np.nextafter(1.0, 0.0))])
+    @pytest.mark.parametrize("ds, budget_nps, sub_nps", [
+        (6, 2, 10), (6, 3, 10), (6, 5, 2), (2, 4, 2), (2, 7, 2), (3, 10, 3),
+    ])
+    def test_smallest_layouts_keep_the_clamped_schedule(self, gc_fraction, ds, budget_nps,
+                                                        sub_nps):
+        # From total 2*NP (one group) and 4*NP (several), the least budgets
+        # layout admits; each row's eps is the schedule with gmax at least 2,
+        # gc in [1, gmax - 1] and the generation at most gmax.
+        np_size, dim = 5, 6
+        first_violations = []
+
+        def evaluate(x):
+            x = np.atleast_2d(x)
+            violation = np.abs(x[:, 0] - 0.5) * 10.0
+            if not first_violations:
+                first_violations.append(violation.max())
+            return (x**2).sum(axis=1), violation
+
+        total = budget_nps * np_size
+        cfg = C3Config(ds=ds, total_budget=total, sub_fes=sub_nps * np_size,
+                       gc_fraction=gc_fraction)
+        result = run_c3(evaluate, dim, cfg, DEConfig(np_size=np_size), seed=4)
+        gmax = max(2, total // np_size)
+        gc = min(max(1, int(gc_fraction * gmax)), gmax - 1)
+        sched = EpsilonSchedule(eps0=first_violations[0], gc=gc, gmax=gmax, lam=cfg.lam)
+        assert sched.eps0 > 0.0 and result.history
+        for row in result.history:
+            assert row.epsilon == epsilon_at(sched, min(row.generation - 1, gmax))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):

@@ -411,11 +411,10 @@ class TestUniformFill:
         # double differs from numpy's in any bit, the last included; at 0.5
         # only the leading bit shows. Every gene but the forced ones, in a
         # tail alone and in blocks carried over into a tail.
-        uniforms = np.random.default_rng(5).random(shape)[:, :-1]
+        rows, genes = shape
+        pins = [p for p in range(rows * genes) if p % genes != genes - 1]
         for level, build in level_builds.items():
-            for u in uniforms.flat:
-                for cr in (u, np.nextafter(u, 0.0)):
-                    assert native._trials_match_numpy(build, 5, shape, cr), (level, u)
+            assert native._trials_match_numpy(build, 5, shape, pins=pins), level
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_fill_without_int128_gives_numpy_bytes(self, tmp_path, monkeypatch):
@@ -481,6 +480,34 @@ class TestUniformFill:
         # Only de_trials' lanes start from a neighbouring state.
         assert_edit_is_refused(monkeypatch, b"pcg_start(&g, state_hi, state_lo,",
                                b"pcg_start(&g, state_hi, state_lo ^ 1,")
+
+    def test_load_check_pins_each_lane_and_the_tail(self):
+        # The load check's default shape: LANES + 1 rows of 5 genes, so its
+        # whole blocks end at 40 and the tail runs from 40 to 44.
+        pins = np.array(native.PINNED)
+        assert sorted(pins[:-1] % native.LANES) == list(range(native.LANES))
+        assert np.all(pins[:-1] < native.LANES * 5) and 40 <= pins[-1] < 45
+        assert np.all(pins % 5 != 4)  # no row's forced last gene
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_block_doubles_off_in_their_last_bit_are_refused(self, isolated_kernel,
+                                                             monkeypatch):
+        # Every double of v4's AVX-512 blocks, off in its last bit: at cr 0.5
+        # alone no gene shows it.
+        try:
+            cpuinfo = native.CPUINFO.read_text()
+        except OSError:
+            cpuinfo = ""
+        if "v4" not in native.host_levels(cpuinfo, platform.machine()):
+            pytest.skip("this host runs no v4 build")
+        assert_edit_is_refused(monkeypatch, b"_mm512_srli_epi64(u, 11)",
+                               b"_mm512_xor_si512(_mm512_srli_epi64(u, 11), one)")
+
+    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
+    def test_scalar_doubles_off_in_their_last_bit_are_refused(self, isolated_kernel,
+                                                              monkeypatch):
+        # pcg_double, which every level's tail goes through, off in its last bit.
+        assert_edit_is_refused(monkeypatch, b"(u >> 11)", b"((u >> 11) ^ 1)")
 
 
 def assert_edit_is_refused(monkeypatch, old, new):

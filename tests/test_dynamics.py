@@ -18,7 +18,6 @@ from hypothesis import strategies as st
 
 import epiadapt._native as native
 from epiadapt.baselines import constant_adaptation_schedule, no_adaptation_schedule
-import epiadapt.coevolve as coevolve
 from epiadapt.coevolve import ContextBatch, optimize_subcomponent, random_grouping
 from epiadapt.de_core import DEConfig, Population
 from epiadapt.dynamics import (
@@ -485,7 +484,7 @@ class TestKernel:
         context = ContextBatch(rng.random(3420), idx, rng.random((60, idx.size)))
         expected = evaluate(np.asarray(context))
         mapped = []
-        monkeypatch.setattr(coevolve, "unpooled_empty", lambda shape: mapped.append(shape))
+        monkeypatch.setattr(native, "unpooled_empty", lambda shape: mapped.append(shape))
         assert evaluate(context)[0].tobytes() == expected[0].tobytes()
         assert mapped == []
 

@@ -10,10 +10,17 @@ from epiadapt.graph import (
     topology_stats,
 )
 from epiadapt.harness import load_network, save_network
+from reference import clustering_loop
 
 
 def complete_graph(n: int) -> Network:
     w0 = np.ones((n, n)) - np.eye(n)
+    return Network(w0)
+
+
+def star_graph(n: int) -> Network:
+    w0 = np.zeros((n, n))
+    w0[0, 1:] = w0[1:, 0] = 1.0
     return Network(w0)
 
 
@@ -108,6 +115,18 @@ class TestTopologyStats:
     def test_single_node_rejected(self):
         with pytest.raises(ValueError):
             topology_stats(Network(np.zeros((1, 1))))
+
+    @pytest.mark.parametrize("family", ["ba", "small"])
+    def test_clustering_matches_the_neighbourhood_scan(self, family):
+        if family == "ba":
+            nets = [generate_ba(20, 5, 5, seed=s) for s in range(200)]
+        else:
+            nets = [make(n) for make in (complete_graph, path_graph, star_graph)
+                    for n in (2, 3, 4, 7)]
+            nets += [Network(np.zeros((n, n))) for n in (2, 5)]
+        for net in nets:
+            got = topology_stats(net).avg_clustering
+            assert got.hex() == float(clustering_loop(net).mean()).hex()
 
 
 class TestSpectralRadius:

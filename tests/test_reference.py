@@ -30,3 +30,15 @@ def test_each_slice_convergence_ends_at_its_runs_last_generation():
         runs = read_rows(slice_dir / "runs.csv")
         assert {run["run"]: run["generations"] for run in runs} == {
             run: row["generation"] for run, row in last.items()}
+
+
+def test_each_error_bar_lists_its_slices_runs_at_their_ofv():
+    # Runs 0-7 kept no schedule, so only later slices have an error bar.
+    bars = sorted(REFERENCE.glob("*/runs_*/error_bar.csv"))
+    assert bars
+    for bar in bars:
+        runs = read_rows(bar.with_name("runs.csv"))
+        rows = read_rows(bar)
+        assert [row["run"] for row in rows] == [run["run"] for run in runs]
+        # At the campaign's own substeps the schedule scores the run's ofv.
+        assert [row["ofv_substeps_20"] for row in rows] == [run["ofv"] for run in runs]

@@ -1,5 +1,9 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from epiadapt.stats import (
     _exact_p,
@@ -8,6 +12,7 @@ from epiadapt.stats import (
     summarize,
     wilcoxon_rank_sum,
 )
+from reference import exact_p_loop, midranks_loop
 
 
 class TestMidranks:
@@ -20,6 +25,32 @@ class TestMidranks:
         np.testing.assert_array_equal(
             _midranks(np.array([1.0, 2.0, 2.0, 3.0])), np.array([1.0, 2.5, 2.5, 4.0])
         )
+
+    @given(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.5, 3.0, np.nan, np.inf])
+                    | st.floats(allow_nan=True, width=64), min_size=1, max_size=30))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_run_scan(self, values):
+        values = np.array(values)
+        assert _midranks(values).tobytes() == midranks_loop(values).tobytes()
+
+    def test_nan_never_ties_and_signed_zeros_do(self):
+        ranks = _midranks(np.array([np.nan, 0.0, np.nan, -0.0]))
+        np.testing.assert_array_equal(ranks, [3.0, 1.5, 4.0, 1.5])
+
+
+class TestExactP:
+    @pytest.mark.parametrize("n", range(2, 13))
+    def test_matches_the_subset_loop_for_every_n1(self, n):
+        rng = np.random.default_rng(n)
+        samples = [rng.normal(size=n), rng.integers(0, 3, size=n).astype(float),
+                   np.full(n, 7.0)]
+        for pooled in samples:
+            ranks = _midranks(pooled)
+            for n1 in range(1, n):
+                subsets = list(combinations(range(n), n1))
+                for subset in subsets[:: max(1, len(subsets) // 4)]:
+                    w = float(ranks[list(subset)].sum())
+                    assert _exact_p(ranks, n1, w) == exact_p_loop(ranks, n1, w), (n, n1, w)
 
 
 class TestWilcoxon:
