@@ -227,7 +227,7 @@ def build(level: str) -> ctypes.CDLL:
                       for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2)))
     n, real, words = ctypes.c_int64, ctypes.c_double, (ctypes.c_uint64,) * 4
     built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, n, f64, i64, f64, f64, f64, real,
-                                f64, f64]
+                                real, f64, f64, f64]
     built.rk4_batch.restype = ctypes.c_int
     built.de_trials.argtypes = [n, n, n, rows, f64, i64, i64, f64, i64, real, *words, rows]
     built.de_trials.restype = None

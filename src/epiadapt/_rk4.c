@@ -10,9 +10,18 @@
  * contribution. Each candidate goes through the arithmetic of
  * dynamics._advance_unit operation by operation, in the same order: the
  * mat-vec adds its terms in j order and the sqrt sum in node order, each
- * from 0.0, so f has the numpy loop's bytes. Before
- * integrating, it also writes each candidate's squared deviation
- * sum_e (x_e - x0_e)^2 to g, summed in gene order.
+ * from 0.0, so f has the numpy loop's bytes.
+ *
+ * It runs two passes, interleaved. Pass 1 writes every candidate's squared
+ * deviation sum_e (x_e - x0_e)^2 to g, summed in gene order, and tests its
+ * violation max(0, g - budget) against bound[b]: a candidate whose
+ * violation is above its bound gets obj = +inf and is not integrated.
+ * Pass 2 packs the others, in row order, into groups of LANES and
+ * integrates only those, each group as soon as pass 1 has filled it. A C3
+ * trial's bound is its parent's epsilon key, which a trial with a key
+ * above it never beats, so its f would never be read. An all-+inf bound
+ * skips nothing, and a NaN on either side compares false, so a NaN row is
+ * integrated and fails below.
  *
  * The sqrt sum s of each step's start state is taken in the epilogue of the
  * step's first stage, which reads that state; after an interval's last step
@@ -124,11 +133,32 @@ static void sqrt_sum(int64_t n, const double *restrict p, double *restrict s)
             s[l] += sqrt(p[i * LANES + l]);
 }
 
+/* rows[l] = row idx[l] of x, which holds rows of width genes: the row
+ * itself, or with ncols > 0 lane l's scratch row of D genes with the row's
+ * ncols genes written at cols. held[l] is the row lane l's scratch row
+ * holds, so a row is written there once however often it is loaded. */
+static void load_rows(const int64_t *idx, const double *x, int64_t width,
+                      const int64_t *cols, int64_t ncols, double *scratch, int64_t D,
+                      int64_t *held, const double **rows)
+{
+    for (int l = 0; l < LANES; ++l) {
+        rows[l] = x + idx[l] * width;
+        if (ncols > 0) {
+            double *row = scratch + l * D;
+            if (held[l] != idx[l])
+                for (int64_t c = 0; c < ncols; ++c)
+                    row[cols[c]] = rows[l][c];
+            held[l] = idx[l];
+            rows[l] = row;
+        }
+    }
+}
+
 int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
               const double *base, const int64_t *cols, int64_t ncols,
               const double *x0, const int64_t *pos, const double *beta_off,
               const double *gamma, const double *p_unit, double obj_unit,
-              double *obj, double *g)
+              double budget, const double *bound, double *obj, double *g)
 {
     const int64_t m = n * (n - 1), nl = n * LANES, D = T1 * m;
     const int64_t width = ncols > 0 ? ncols : D, spliced = ncols > 0 ? LANES * D : 0;
@@ -148,6 +178,8 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
     double *k1 = tmp + nl, *k2 = k1 + nl, *k3 = k2 + nl, *k4 = k3 + nl, *gl = k4 + nl;
     double s[LANES], acc[LANES] = {0.0}, total[LANES], dev[LANES];
     const double *rows[LANES];
+    /* The rows to integrate, in row order; never more than 2 * LANES - 1. */
+    int64_t idx[LANES], queue[2 * LANES], queued = 0, held[LANES];
     int status = 0;
 
     for (int64_t i = 0; i < n; ++i)
@@ -155,61 +187,79 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
             gl[i * LANES + l] = gamma[i];
     for (int64_t l = 0; l < spliced; l += D)
         memcpy(scratch + l, base, (size_t)D * sizeof(double));
+    for (int l = 0; l < LANES; ++l)
+        held[l] = -1;
 
     for (int64_t b0 = 0; b0 < B && status == 0; b0 += LANES) {
-        for (int l = 0; l < LANES; ++l) {
-            rows[l] = x + (b0 + l < B ? b0 + l : b0) * width;
-            total[l] = obj_unit;
-            if (ncols > 0) {
-                double *row = scratch + l * D;
-                for (int64_t c = 0; c < ncols; ++c)
-                    row[cols[c]] = rows[l][c];
-                rows[l] = row;
-            }
-        }
+        /* Pass 1 over rows b0 on: the squared deviations, and the queue. */
+        for (int l = 0; l < LANES; ++l)
+            idx[l] = b0 + l < B ? b0 + l : b0;
+        load_rows(idx, x, width, cols, ncols, scratch, D, held, rows);
         sq_dev(D, rows, x0, dev);
-        for (int l = 0; l < LANES && b0 + l < B; ++l)
+        for (int l = 0; l < LANES && b0 + l < B; ++l) {
+            /* dev - budget is numpy's g -= budget, and v < 0 ? 0 : v its
+             * np.maximum(0.0, g), NaN kept; a NaN never compares greater. */
+            const double v = dev[l] - budget;
             g[b0 + l] = dev[l];
-        for (int64_t i = 0; i < n; ++i)
-            for (int l = 0; l < LANES; ++l)
-                p[i * LANES + l] = p_unit[i];
-        for (int64_t t = 0; t < T1; ++t) {
-            for (int64_t e = 0; e < m; ++e)
-                for (int l = 0; l < LANES; ++l)
-                    wb[pos[e] * LANES + l] = rows[l][t * m + e] * beta_off[e];
-            for (int64_t step = 0; step < k; ++step) {
-                rhs(n, wb, gl, p, k1, s);
-                for (int l = 0; l < LANES; ++l)
-                    acc[l] = step == 0 ? 0.5 * s[l] : acc[l] + s[l];
-                for (int64_t i = 0; i < nl; ++i)
-                    tmp[i] = p[i] + hh * k1[i];
-                rhs(n, wb, gl, tmp, k2, NULL);
-                for (int64_t i = 0; i < nl; ++i)
-                    tmp[i] = p[i] + hh * k2[i];
-                rhs(n, wb, gl, tmp, k3, NULL);
-                for (int64_t i = 0; i < nl; ++i)
-                    tmp[i] = p[i] + h * k3[i];
-                rhs(n, wb, gl, tmp, k4, NULL);
-                for (int64_t i = 0; i < nl; ++i) {
-                    const double v =
-                        p[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
-                    p[i] = clamp01(v);
-                }
-            }
-            sqrt_sum(n, p, s);
-            for (int l = 0; l < LANES; ++l) {
-                acc[l] += s[l];
-                acc[l] -= 0.5 * s[l];
-                total[l] += h * acc[l];
-            }
-            for (int64_t i = 0; i < nl; ++i)
-                if (!isfinite(p[i]))
-                    status = 1;
-            if (status != 0)
-                break;
+            if ((v < 0.0 ? 0.0 : v) > bound[b0 + l])
+                obj[b0 + l] = INFINITY;
+            else
+                queue[queued++] = b0 + l;
         }
-        for (int l = 0; l < LANES && b0 + l < B; ++l)
-            obj[b0 + l] = total[l];
+        /* Pass 2 integrates a lane group of queued rows as soon as one
+         * fills, and the rest after the last row, so the rows pass 1 just
+         * read are still in cache. Without skips, every group is its own. */
+        const int last = b0 + LANES >= B;
+        while (status == 0 && (queued >= LANES || (last && queued > 0))) {
+            const int64_t take = queued < LANES ? queued : LANES;
+            for (int l = 0; l < LANES; ++l) {
+                idx[l] = queue[l < take ? l : 0];
+                total[l] = obj_unit;
+            }
+            load_rows(idx, x, width, cols, ncols, scratch, D, held, rows);
+            for (int64_t i = 0; i < n; ++i)
+                for (int l = 0; l < LANES; ++l)
+                    p[i * LANES + l] = p_unit[i];
+            for (int64_t t = 0; t < T1; ++t) {
+                for (int64_t e = 0; e < m; ++e)
+                    for (int l = 0; l < LANES; ++l)
+                        wb[pos[e] * LANES + l] = rows[l][t * m + e] * beta_off[e];
+                for (int64_t step = 0; step < k; ++step) {
+                    rhs(n, wb, gl, p, k1, s);
+                    for (int l = 0; l < LANES; ++l)
+                        acc[l] = step == 0 ? 0.5 * s[l] : acc[l] + s[l];
+                    for (int64_t i = 0; i < nl; ++i)
+                        tmp[i] = p[i] + hh * k1[i];
+                    rhs(n, wb, gl, tmp, k2, NULL);
+                    for (int64_t i = 0; i < nl; ++i)
+                        tmp[i] = p[i] + hh * k2[i];
+                    rhs(n, wb, gl, tmp, k3, NULL);
+                    for (int64_t i = 0; i < nl; ++i)
+                        tmp[i] = p[i] + h * k3[i];
+                    rhs(n, wb, gl, tmp, k4, NULL);
+                    for (int64_t i = 0; i < nl; ++i) {
+                        const double v =
+                            p[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);
+                        p[i] = clamp01(v);
+                    }
+                }
+                sqrt_sum(n, p, s);
+                for (int l = 0; l < LANES; ++l) {
+                    acc[l] += s[l];
+                    acc[l] -= 0.5 * s[l];
+                    total[l] += h * acc[l];
+                }
+                for (int64_t i = 0; i < nl; ++i)
+                    if (!isfinite(p[i]))
+                        status = 1;
+                if (status != 0)
+                    break;
+            }
+            for (int64_t l = 0; l < take; ++l)
+                obj[idx[l]] = total[l];
+            queued -= take;
+            memmove(queue, queue + take, (size_t)queued * sizeof(int64_t));
+        }
     }
     free(wb);
     free(scratch);

@@ -93,11 +93,19 @@ class ContextBatch:
     (B, D) array is made. For an evaluator that takes arrays only,
     ``np.asarray(batch)`` builds the rows in a mapping of their own (see
     ``_native.unpooled_empty``). The batch refers to ``genes``, not a copy.
+
+    ``bound``, when given, holds one float per row: an evaluator that reads
+    it may return f = +inf for exactly the rows whose violation is above
+    their bound, and skip integrating them. It returns every row's
+    violation exactly, and a NaN on either side compares false, so that row
+    is still scored. ``np.asarray`` ignores the bound, so an evaluator that
+    takes arrays only scores every row.
     """
 
     base: np.ndarray
     columns: np.ndarray
     genes: np.ndarray
+    bound: np.ndarray | None = None
 
     def __post_init__(self) -> None:
         base = np.ascontiguousarray(self.base, dtype=np.float64)
@@ -112,6 +120,12 @@ class ContextBatch:
         # row, and takes a batch of no columns for whole rows.
         if columns.size == 0 or columns.min() < 0 or columns.max() >= base.size:
             raise ValueError(f"columns must be at least one index in [0, {base.size})")
+        if self.bound is not None:
+            bound = np.ascontiguousarray(self.bound, dtype=np.float64)
+            if bound.shape != genes.shape[:1]:
+                raise ValueError(f"bound must hold one value per row, {genes.shape[0]}, "
+                                 f"got shape {bound.shape}")
+            object.__setattr__(self, "bound", bound)
         object.__setattr__(self, "base", base)
         object.__setattr__(self, "columns", columns)
         object.__setattr__(self, "genes", genes)
@@ -214,7 +228,12 @@ def optimize_subcomponent(
     ``evaluate`` scores the members as a :class:`ContextBatch` of
     ``best_genes``, the group's columns and the sub-population's genes or
     trial buffer. Those buffers are live: the next generation overwrites
-    the trials, so ``evaluate`` must copy any rows it keeps.
+    the trials, so ``evaluate`` must copy any rows it keeps. Each
+    generation's trial batch carries ``bound``, the generation-start
+    max(violation, eps) of each trial's parent. A trial whose violation is
+    above it has a key above its parent's, so it loses whatever its f,
+    and the evaluator may skip it. The context pass and the re-evaluation
+    carry no bound.
     """
     np_size = pop.size
     if sub_fes < 2 * np_size:
@@ -232,14 +251,16 @@ def optimize_subcomponent(
         # The group's genes move by flat position, which numpy indexes
         # faster than a row slice paired with a column list.
         flat = np.arange(0, pop.genes.size, best_genes.size)[:, None] + idx
-
-        def sub_evaluate(sub_genes: np.ndarray):
-            return evaluate(ContextBatch(best_genes, idx, sub_genes))
-
         # The positions are in range; "clip" skips the copy "raise" makes of out.
         np.take(pop.genes, flat, out=sub.genes, mode="clip")
-        sub.f, sub.violation = (np.asarray(a, dtype=float) for a in sub_evaluate(sub.genes))
+        context = ContextBatch(best_genes, idx, sub.genes)
+        sub.f, sub.violation = (np.asarray(a, dtype=float) for a in evaluate(context))
         used, reeval_cost = np_size, np_size
+
+        def sub_evaluate(trials: np.ndarray):
+            # The bound of the generation that calls it, set below.
+            return evaluate(ContextBatch(best_genes, idx, trials, bound))
+
     gens = 0
     history: list[GenerationRecord] = []
     while used + np_size <= sub_fes and (
@@ -247,6 +268,9 @@ def optimize_subcomponent(
     ):
         generation = gen_start + gens
         eps = epsilon_at(sched, min(generation, sched.gmax))
+        # Each parent's key: a trial whose violation is above it loses, so
+        # a C3 trial batch (sub_evaluate) lets the evaluator skip it.
+        bound = np.maximum(sub.violation, eps)
         used += nsde_generation(
             sub, sub_evaluate, eps, de_cfg, _keyed_rng(seed, _GENERATION, generation)
         )

@@ -272,6 +272,13 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
     splices each row into a scratch row of its own, filled from the base
     once per call, so no (B, D) array is made; f and the violation have
     the bytes of the built rows. The numpy loop builds the rows first.
+    A batch with a ``bound`` gets f = +inf for exactly the rows whose
+    violation is above their bound, and those rows are not integrated: the
+    kernel computes every row's violation first and packs the others into
+    its lane groups, the numpy loop integrates the others alone. Every
+    other f, and every violation, has the bytes of the batch without the
+    bound. A NaN on either side compares false, so a NaN row is integrated
+    and raises as it would without the bound.
 
     Each kernel call splits over the thread count of ``_native`` at the
     time of the call: by default the CPUs this process may use, or the
@@ -296,6 +303,7 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
     shared = (x0, pos, beta_off, gamma, np.ascontiguousarray(p_unit[:, 0]), obj_unit[0])
 
     def evaluate(x: np.ndarray | ContextBatch) -> tuple[np.ndarray, np.ndarray]:
+        bound = x.bound if isinstance(x, ContextBatch) else None
         if kernel is not None and isinstance(x, ContextBatch):
             base, columns, width, x = x.base, x.columns, x.base.size, x.genes
         else:
@@ -307,11 +315,13 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
             raise ValueError(f"expected {dim} genes per candidate, got {width}")
         b = x.shape[0]
         g = np.empty(b)
+        # No violation is above +inf, so a batch without a bound skips nothing.
+        bound = np.full(b, np.inf) if bound is None else bound
         if kernel is not None:
             x, obj = np.ascontiguousarray(x), np.empty(b)
             statuses = _native.call_split(kernel.rk4_batch, [
                 (hi - lo, n, horizon - 1, k, x[lo:hi], base, columns, columns.size,
-                 *shared, obj[lo:hi], g[lo:hi])
+                 *shared, budget, bound[lo:hi], obj[lo:hi], g[lo:hi])
                 for lo, hi in _native.row_chunks(b)
             ])
             if 2 in statuses:
@@ -325,14 +335,17 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
             diff *= diff
             g[start:start + _native.ROW_BLOCK] = np.cumsum(diff, axis=1, out=diff)[:, -1]
         g -= budget
-        wb = np.zeros((n * n, b))
-        p = np.repeat(p_unit, b, axis=1)
-        obj = np.full(b, obj_unit[0])
+        violation = np.maximum(0.0, g)
+        kept = np.flatnonzero(~(violation > bound))
+        wb = np.zeros((n * n, kept.size))
+        p = np.repeat(p_unit, kept.size, axis=1)
+        obj = np.full(b, np.inf)
+        obj[kept] = obj_unit[0]
         for t in range(horizon - 1):
-            wb[pos] = (x[:, t * m:(t + 1) * m] * beta_off).T
-            p, contrib = _advance_unit(p, wb.reshape(n, n, b), gamma, k)
-            obj += contrib
-        return obj, np.maximum(0.0, g)
+            wb[pos] = (x[kept, t * m:(t + 1) * m] * beta_off).T
+            p, contrib = _advance_unit(p, wb.reshape(n, n, kept.size), gamma, k)
+            obj[kept] += contrib
+        return obj, violation
 
     return evaluate
 

@@ -22,7 +22,7 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -306,6 +306,15 @@ def _run_one(payload: tuple[ExperimentConfig, Network, int, int]) -> RunRecord |
         return RunFailure(run=run_index, message=str(exc))
 
 
+def _outcomes(payloads: list[tuple], procs: int) -> Iterator[RunRecord | RunFailure]:
+    """Each payload's outcome, in order, as it is ready: from a pool of ``procs`` processes."""
+    if procs > 1:
+        with ProcessPoolExecutor(max_workers=procs) as pool:
+            yield from pool.map(_run_one, payloads)
+    else:
+        yield from map(_run_one, payloads)
+
+
 def run_experiment(
     cfg: ExperimentConfig,
     net: Network | None = None,
@@ -328,6 +337,12 @@ def run_experiment(
     not ``cfg.n`` nodes (ConfigError) or a budget above the constant
     baseline's cap (ValueError) fails before ``outdir`` is created, which
     comes before the first run, so a path that cannot hold it fails at once.
+
+    In ``outdir``, each run's ``run_NN`` directory is written as the run
+    returns, in run order, so a campaign cut short keeps the runs it
+    finished; ``run_*`` directories of other ids go before the first run.
+    runs.csv, timing.txt and aborted.txt come last, and with them the
+    directories of aborted runs go.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -342,29 +357,35 @@ def run_experiment(
     elif cfg.algorithm == "constant":  # before outdir: its budget cap depends on the network
         baseline = constant_adaptation_schedule(net, cfg.horizon, cfg.budget)
     if outdir is not None:
-        _make_dir(Path(outdir))
+        outdir = Path(outdir)
+        _make_dir(outdir)
     params = cfg.epidemic_params()
-    failures: list[RunFailure] = []
     if cfg.algorithm in ("none", "constant"):
-        records = [_baseline_record(cfg, net, params, baseline)]
+        ids = [0]
+        outcomes = [_baseline_record(cfg, net, params, baseline)]
     else:
+        ids = range(first_run, first_run + cfg.runs)
         # The pool forks all its workers at once, so no more than there are runs.
         procs = min(workers, cfg.runs)
         threads = max(1, _native.usable_cpus() // procs)
-        payloads = [(cfg, net, r, threads) for r in range(first_run, first_run + cfg.runs)]
-        if procs > 1:
-            with ProcessPoolExecutor(max_workers=procs) as pool:
-                outcomes = list(pool.map(_run_one, payloads))
+        outcomes = _outcomes([(cfg, net, r, threads) for r in ids], procs)
+    if outdir is not None:
+        _prune_run_dirs(outdir, ids)
+    records: list[RunRecord] = []
+    failures: list[RunFailure] = []
+    for out in outcomes:
+        if isinstance(out, RunRecord):
+            records.append(out)
+            if outdir is not None:
+                _write_run_dir(out, net, outdir)
         else:
-            outcomes = [_run_one(p) for p in payloads]
-        records = [out for out in outcomes if isinstance(out, RunRecord)]
-        # A diverged integration loses its run, not the campaign.
-        failures = [out for out in outcomes if isinstance(out, RunFailure)]
-        for out in failures:
+            # A diverged integration loses its run, not the campaign.
+            failures.append(out)
             print(f"run {out.run} aborted: {out.message}", file=sys.stderr)
     if outdir is not None:
-        emit_run_artifacts(records, net, Path(outdir))
-        aborted = Path(outdir) / ABORTED_FILE
+        _prune_run_dirs(outdir, [rec.run for rec in records])
+        _write_campaign_files(records, outdir)
+        aborted = outdir / ABORTED_FILE
         if failures:
             aborted.write_text("".join(f"run {out.run}: {out.message}\n" for out in failures))
         else:
@@ -512,25 +533,40 @@ def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path)
     Deletes each ``run_<digits>`` directory of a run not in ``records``.
     """
     _make_dir(outdir)
-    keep = {f"run_{rec.run:02d}" for rec in records}
+    _prune_run_dirs(outdir, [rec.run for rec in records])
+    for rec in records:
+        _write_run_dir(rec, net, outdir)
+    _write_campaign_files(records, outdir)
+
+
+def _prune_run_dirs(outdir: Path, runs: Iterable[int]) -> None:
+    """Delete each ``run_<digits>`` directory of ``outdir`` but those of ``runs``."""
+    keep = {f"run_{run:02d}" for run in runs}
     for old in outdir.iterdir():
         if old.name not in keep and re.fullmatch(r"run_\d+", old.name) and old.is_dir():
             shutil.rmtree(old)
+
+
+def _write_run_dir(rec: RunRecord, net: Network, outdir: Path) -> None:
+    """One run's history, best schedule and I and W traces, in its ``run_NN`` directory."""
+    rdir = outdir / f"run_{rec.run:02d}"
+    rdir.mkdir(exist_ok=True)
+    _write_csv(rdir / "history.csv",
+               ["generation", "cycle", "group", "best_f", "best_violation", "epsilon"],
+               ([row.generation, row.cycle, row.group, _fmt(row.best_f),
+                 _fmt(row.best_violation), _fmt(row.epsilon)] for row in rec.history))
+    write_schedule_csv(rec.schedule, rdir / "best_schedule.csv")
+    times, i_level, w_level = trace_series(rec.trajectory, rec.schedule, net)
+    for name, series in (("I", i_level), ("W", w_level)):
+        _write_csv(rdir / f"trace_{name}.csv", ["t", name],
+                   ([_fmt(t), _fmt(value)] for t, value in zip(times, series)))
+
+
+def _write_campaign_files(records: Sequence[RunRecord], outdir: Path) -> None:
+    """runs.csv, one row per record, and timing.txt."""
     _write_csv(outdir / "runs.csv", RUNS_HEADER,
                ([rec.algorithm, rec.run, _fmt(rec.ofv), _fmt(rec.violation),
                  rec.evaluations, rec.generations] for rec in records))
-    for rec in records:
-        rdir = outdir / f"run_{rec.run:02d}"
-        rdir.mkdir(exist_ok=True)
-        _write_csv(rdir / "history.csv",
-                   ["generation", "cycle", "group", "best_f", "best_violation", "epsilon"],
-                   ([row.generation, row.cycle, row.group, _fmt(row.best_f),
-                     _fmt(row.best_violation), _fmt(row.epsilon)] for row in rec.history))
-        write_schedule_csv(rec.schedule, rdir / "best_schedule.csv")
-        times, i_level, w_level = trace_series(rec.trajectory, rec.schedule, net)
-        for name, series in (("I", i_level), ("W", w_level)):
-            _write_csv(rdir / f"trace_{name}.csv", ["t", name],
-                       ([_fmt(t), _fmt(value)] for t, value in zip(times, series)))
     (outdir / "timing.txt").write_text(
         "".join(f"run {rec.run}: {rec.wall_time:.3f} s\n" for rec in records))
 

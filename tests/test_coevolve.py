@@ -148,6 +148,18 @@ class TestContextBatch:
         with pytest.raises(ValueError, match=message):
             ContextBatch(base, columns, genes)
 
+    @pytest.mark.parametrize("bound", [np.zeros(2), np.zeros((3, 1)), np.float64(0.0)])
+    def test_a_bound_needs_one_value_per_row(self, bound):
+        with pytest.raises(ValueError, match="one value per row"):
+            ContextBatch(np.zeros(6), [0, 1], np.zeros((3, 2)), bound)
+
+    def test_rows_ignore_the_bound(self):
+        genes = np.arange(6.0).reshape(3, 2)
+        bounded = ContextBatch(np.ones(4), [2, 0], genes, [0.0, np.nan, -np.inf])
+        assert bounded.bound.dtype == np.float64
+        assert np.asarray(bounded).tobytes() == np.asarray(
+            ContextBatch(np.ones(4), [2, 0], genes)).tobytes()
+
     def test_wrapper_sees_the_context_rows(self):
         # Each visit scores context batches between two whole-population
         # calls; with no violation the context best is the lowest f of the

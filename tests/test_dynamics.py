@@ -18,7 +18,13 @@ from hypothesis import strategies as st
 
 import epiadapt._native as native
 from epiadapt.baselines import constant_adaptation_schedule, no_adaptation_schedule
-from epiadapt.coevolve import ContextBatch, optimize_subcomponent, random_grouping
+from epiadapt.coevolve import (
+    C3Config,
+    ContextBatch,
+    optimize_subcomponent,
+    random_grouping,
+    run_c3,
+)
 from epiadapt.de_core import DEConfig, Population
 from epiadapt.dynamics import (
     EpidemicParams,
@@ -759,6 +765,110 @@ class TestThreadSplit:
                 assert native.thread_count() == 1
             assert native.thread_count() == 3
         assert native.thread_count() == 5
+
+
+def small_c3_problem():
+    """A 6-node network over 3 intervals: 60 genes, 3 groups of 20 at NP 24."""
+    net = generate_ba(6, 3, 2, seed=1)
+    params = EpidemicParams(beta=0.4, gamma=0.3, p0=0.153, horizon=3, substeps=4)
+    cfg = C3Config(ds=20, total_budget=3000, sub_fes=5 * 24)
+    return net, params, 5.0, cfg, DEConfig(np_size=24)
+
+
+def scored_rows(evaluate):
+    """``evaluate`` counting rows handed to it and rows integrated, those whose f is not +inf."""
+    counts = {"rows": 0, "integrated": 0}
+
+    def counting(x):
+        f, viol = evaluate(x)
+        counts["rows"] += len(x)
+        counts["integrated"] += int(np.count_nonzero(f != np.inf))
+        return f, viol
+
+    return counting, counts
+
+
+def run_bytes(result):
+    return (result.best.genes.tobytes(), np.float64(result.best.f).tobytes(),
+            np.float64(result.best.violation).tobytes(),
+            [(h.generation, h.cycle, h.group, np.float64(h.best_f).tobytes(),
+              np.float64(h.best_violation).tobytes(), np.float64(h.epsilon).tobytes())
+             for h in result.history])
+
+
+class TestBoundedBatches:
+    """A C3 trial batch carries its parents' keys; rows above them are not integrated."""
+
+    def test_run_c3_gives_the_bytes_of_an_array_only_evaluator(self, level_builds):
+        # The wrapper turns every batch into rows, which drops the bound, so
+        # it scores every row the run hands it.
+        net, params, budget, cfg, de_cfg = small_c3_problem()
+        dim = decision_dimension(net.n, params.horizon)
+        for level, build in {**level_builds, "numpy loop": None}.items():
+            evaluate = kernel_evaluator(build, net, params, budget)
+            for threads in (1, 2, 3):
+                with native.threads(threads):
+                    bounded, counts = scored_rows(evaluate)
+                    got = run_c3(bounded, dim, cfg, de_cfg, seed=5)
+                    expected = run_c3(lambda x: evaluate(np.asarray(x)), dim, cfg, de_cfg,
+                                      seed=5)
+                assert run_bytes(got) == run_bytes(expected), (level, threads)
+                assert counts["rows"] == got.evaluations
+                assert counts["integrated"] < counts["rows"], (level, threads)
+
+    def test_rows_integrated_are_pinned(self, kernel):
+        # An exact count: it follows from the bytes, which no host changes.
+        # Of the 3000 rows, 1032 score population members and are all
+        # integrated; 876 of the 1968 trials are.
+        net, params, budget, cfg, de_cfg = small_c3_problem()
+        dim = decision_dimension(net.n, params.horizon)
+        for build in (kernel, None):
+            counting, counts = scored_rows(kernel_evaluator(build, net, params, budget))
+            result = run_c3(counting, dim, cfg, de_cfg, seed=5)
+            assert (result.evaluations, counts["rows"], counts["integrated"]) == (3000, 3000, 1908)
+
+    @pytest.mark.parametrize("batch", [1, 9, 60])
+    def test_f_is_inf_exactly_above_the_bound(self, level_builds, net20, batch):
+        # Row b's bound is option b % 7: at, just below or just above its
+        # violation, NaN, +inf, 0 or -1. The odd rows hold w0's weights and
+        # are feasible, violation 0, which only a negative bound is below.
+        # 60 rows split over 3 threads.
+        params = EpidemicParams(**REF_EPI, substeps=3)
+        rng = np.random.default_rng(batch)
+        idx = random_grouping(3420, 9, rng)[4]
+        x0 = encode_schedule(no_adaptation_schedule(net20, 10))
+        genes = rng.random((batch, idx.size))
+        genes[1::2] = x0[idx]
+        plain = kernel_evaluator(None, net20, params, 50.0)(ContextBatch(x0, idx, genes))
+        viol = plain[1]
+        options = np.stack([viol, np.nextafter(viol, -np.inf), np.nextafter(viol, np.inf),
+                            np.full(batch, np.nan), np.full(batch, np.inf),
+                            np.zeros(batch), np.full(batch, -1.0)])
+        bound = options[np.arange(batch) % len(options), np.arange(batch)]
+        bound[0] = np.nextafter(viol[0], -np.inf)
+        skipped = viol > bound
+        assert skipped[0] and (batch == 1 or not skipped.all())
+        for level, build in {**level_builds, "numpy loop": None}.items():
+            evaluate = kernel_evaluator(build, net20, params, 50.0)
+            for threads in (1, 2, 3):
+                with native.threads(threads):
+                    f, got_viol = evaluate(ContextBatch(x0, idx, genes, bound))
+                assert got_viol.tobytes() == viol.tobytes(), (level, threads)
+                assert np.array_equal(f == np.inf, skipped), (level, threads)
+                assert f[~skipped].tobytes() == plain[0][~skipped].tobytes(), (level, threads)
+
+    def test_nan_gene_in_a_bounded_batch_raises_on_both_paths(self, kernel, net20):
+        # A bound of -1 skips every finite row; the NaN row's violation is
+        # NaN, which no bound is below, so it is still integrated.
+        params = EpidemicParams(**REF_EPI, substeps=4)
+        rng = np.random.default_rng(2)
+        idx = random_grouping(3420, 9, rng)[1]
+        genes = rng.random((10, idx.size))
+        genes[7, 3] = np.nan
+        batch = ContextBatch(rng.random(3420), idx, genes, np.full(10, -1.0))
+        for build in (kernel, None):
+            with pytest.raises(IntegrationError):
+                kernel_evaluator(build, net20, params, 700.0)(batch)
 
 
 class TestTraces:

@@ -286,6 +286,32 @@ class TestRunExperiment:
             t0, value = lines[1].split(",")
             assert float(t0) == 0.0 and float(value) == pytest.approx(first)
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_campaign_cut_short_keeps_its_finished_runs(self, tmp_path, monkeypatch, workers):
+        # Each run's directory is on disk once its run returns; runs.csv
+        # and timing.txt come only at the end, which this campaign misses.
+        import epiadapt.harness as harness
+
+        cfg = tiny_config(algorithm="nsde_c3", runs=3)
+        whole, cut = tmp_path / "whole", tmp_path / "cut"
+        run_experiment(cfg, outdir=whole, workers=workers)
+        real = harness._optimizer_record
+
+        def crashing(cfg, net, params, run_index, threads):
+            if run_index == 2:
+                raise RuntimeError("the host went down")
+            return real(cfg, net, params, run_index, threads)
+
+        monkeypatch.setattr(harness, "_optimizer_record", crashing)
+        with pytest.raises(RuntimeError, match="went down"):
+            run_experiment(cfg, outdir=cut, workers=workers)
+        assert sorted(path.name for path in cut.iterdir()) == ["run_00", "run_01"]
+        for run in ("run_00", "run_01"):
+            files = sorted(path.name for path in (whole / run).iterdir())
+            assert sorted(path.name for path in (cut / run).iterdir()) == files
+            for name in files:
+                assert (cut / run / name).read_bytes() == (whole / run / name).read_bytes()
+
     def test_single_group_c3_campaign_is_nsde(self, tmp_path):
         run_experiment(tiny_config(algorithm="nsde"), outdir=tmp_path / "nsde")
         run_experiment(tiny_config(algorithm="nsde_c3", ds=20 * 19 * 9),
