@@ -40,11 +40,11 @@ def _keyed_rng(seed: int, kind: int, index: int = 0) -> np.random.Generator:
 class C3Config:
     """Decomposition size and budget layout of the coevolution run.
 
-    ``sub_fes`` is the evaluation budget of one subcomponent visit (the
-    context-evaluation pass included), defaulting to 10 * NP. Cycles run
-    until the total budget cannot fund another visit. With ``ds`` equal to
-    the dimension there is one group and a visit is ``sub_fes // NP`` plain
-    generations.
+    ``sub_fes`` is the evaluation budget of one subcomponent visit, defaulting
+    to 10 * NP; with several groups it includes the context pass, and each
+    visit is charged one re-evaluation on top. With ``ds`` equal to the
+    dimension there is one group and a visit is ``sub_fes // NP`` plain
+    generations. Visits run until the total budget cannot fund another.
     """
 
     ds: int
@@ -64,17 +64,20 @@ class C3Config:
     def layout(self, dim: int, np_size: int) -> tuple[int, int, int]:
         """Group count, visit budget and least visit cost of a run over ``dim`` genes.
 
-        Raises ValueError unless ``ds`` divides ``dim``, a visit funds the context
-        pass plus one generation, and the total budget the population plus one visit.
+        Raises ValueError unless ``ds`` divides ``dim``, a visit funds what it runs
+        (one generation, after a context pass with several groups), and the total
+        budget the population plus one visit.
         """
         if dim % self.ds != 0:
             raise ValueError(f"ds={self.ds} does not divide dim={dim}")
         ns = dim // self.ds
         sub_fes = self.sub_fes if self.sub_fes is not None else 10 * np_size
-        if sub_fes < 2 * np_size:
-            raise ValueError(f"sub_fes={sub_fes} must be at least 2*NP={2 * np_size}")
-        # A generation, plus the context pass and re-evaluation of several groups.
-        visit_min = np_size if ns == 1 else 3 * np_size
+        context = np_size if ns > 1 else 0
+        if sub_fes < context + np_size:
+            raise ValueError(f"sub_fes={sub_fes} must be at least "
+                             f"{'2*' if context else ''}NP={context + np_size}")
+        # The re-evaluation costs as much as the context pass.
+        visit_min = np_size + 2 * context
         if self.total_budget < np_size + visit_min:
             raise ValueError(
                 f"a total budget of {self.total_budget} cannot fund the initial "
@@ -206,24 +209,25 @@ def optimize_subcomponent(
     seed: int,
     gen_start: int = 0,
     cycle: int = 1,
-    max_fes: int | None = None,
     sub: Population | None = None,
 ) -> tuple[int, int, list[GenerationRecord]]:
     """Optimize one group's columns in the context of the global best.
 
     ``plan`` is a :func:`random_grouping` result and ``group`` is 1-based.
     Extracts the group's columns, scores every member spliced into
-    ``best_genes`` (one population's worth of evaluations), then runs
-    generations until ``sub_fes`` evaluations are consumed, writes the
-    evolved columns back, and re-evaluates the full population so the
-    caches match the genes again. A single group owns every index, so
-    there the population itself evolves under ``evaluate``, with no
-    context pass and no re-evaluation, and its history rows are labelled
-    cycle 0, group 0 like plain NSDE's. Otherwise the visit evolves the
-    group's genes in ``sub``, an (NP, ds) sub-population it maps itself
-    when none is given, overwriting its genes, objectives and violations;
-    its trial buffer is the one its first generation mapped. Returns the
-    evaluations charged, the generations run, and their history rows.
+    ``best_genes`` (the context pass, one population's worth of
+    evaluations), runs as many generations as the rest of ``sub_fes``
+    funds, writes the evolved columns back, and re-evaluates the full
+    population, charged on top of ``sub_fes``, so the caches match the
+    genes again. A single group owns every index, so there the population
+    itself evolves under ``evaluate`` for ``sub_fes // NP`` generations,
+    with no context pass and no re-evaluation, and its history rows are
+    labelled cycle 0, group 0 like plain NSDE's. Otherwise the visit
+    evolves the group's genes in ``sub``, an (NP, ds) sub-population it
+    maps itself when none is given; its trial buffer is the one its first
+    generation mapped. Raises ValueError unless ``sub_fes`` funds one
+    generation and the context pass, if any. Returns the evaluations
+    charged, the generations run, and their history rows.
 
     ``evaluate`` scores the members as a :class:`ContextBatch` of
     ``best_genes``, the group's columns and the sub-population's genes or
@@ -236,13 +240,14 @@ def optimize_subcomponent(
     carry no bound.
     """
     np_size = pop.size
-    if sub_fes < 2 * np_size:
-        raise ValueError(
-            f"sub_fes={sub_fes} cannot fund the context pass plus one generation"
-        )
+    # Several groups spend a population each on the context pass and the re-evaluation.
+    context = np_size if len(plan) > 1 else 0
+    if sub_fes < context + np_size:
+        raise ValueError(f"sub_fes={sub_fes} cannot fund "
+                         f"{'the context pass plus ' if context else ''}one generation")
     idx = plan[group - 1]
-    if len(plan) == 1:
-        sub, sub_evaluate, used, reeval_cost = pop, evaluate, 0, 0
+    if not context:
+        sub, sub_evaluate = pop, evaluate
         cycle = group = 0
     else:
         if sub is None:
@@ -253,28 +258,21 @@ def optimize_subcomponent(
         flat = np.arange(0, pop.genes.size, best_genes.size)[:, None] + idx
         # The positions are in range; "clip" skips the copy "raise" makes of out.
         np.take(pop.genes, flat, out=sub.genes, mode="clip")
-        context = ContextBatch(best_genes, idx, sub.genes)
-        sub.f, sub.violation = (np.asarray(a, dtype=float) for a in evaluate(context))
-        used, reeval_cost = np_size, np_size
+        sub.f, sub.violation = (np.asarray(a, dtype=float)
+                                for a in evaluate(ContextBatch(best_genes, idx, sub.genes)))
 
         def sub_evaluate(trials: np.ndarray):
             # The bound of the generation that calls it, set below.
             return evaluate(ContextBatch(best_genes, idx, trials, bound))
 
-    gens = 0
+    gens = (sub_fes - context) // np_size
     history: list[GenerationRecord] = []
-    while used + np_size <= sub_fes and (
-        max_fes is None or used + np_size + reeval_cost <= max_fes
-    ):
-        generation = gen_start + gens
+    for generation in range(gen_start, gen_start + gens):
         eps = epsilon_at(sched, min(generation, sched.gmax))
         # Each parent's key: a trial whose violation is above it loses, so
         # a C3 trial batch (sub_evaluate) lets the evaluator skip it.
         bound = np.maximum(sub.violation, eps)
-        used += nsde_generation(
-            sub, sub_evaluate, eps, de_cfg, _keyed_rng(seed, _GENERATION, generation)
-        )
-        gens += 1
+        nsde_generation(sub, sub_evaluate, eps, de_cfg, _keyed_rng(seed, _GENERATION, generation))
         b = sub.eps_best_index(eps)
         history.append(
             GenerationRecord(
@@ -286,11 +284,10 @@ def optimize_subcomponent(
                 epsilon=eps,
             )
         )
-    if len(plan) > 1:
+    if context:
         np.put(pop.genes, flat, sub.genes)
         pop.f, pop.violation = (np.asarray(a, dtype=float) for a in evaluate(pop.genes))
-        used += reeval_cost
-    return used, gens, history
+    return 2 * context + gens * np_size, gens, history
 
 
 def _make_schedule(
@@ -310,13 +307,16 @@ def run_c3(
 ) -> OptimizationResult:
     """Full coevolution loop: cycles of regrouping and subcomponent visits.
 
-    Halts when the next visit would overrun the total budget. With more
-    than one group, every visit reuses one (NP, ds) sub-population that
-    the run maps. Returns the feasibility-first best of the final
-    population together with the per-generation history.
+    Visit v is group v % ns + 1 of cycle v // ns + 1; a cycle's first visit
+    draws its partition. The run alone tracks the total budget: a visit
+    starts only if what is left funds the least visit, and spends at most
+    what is left after its re-evaluation. With more than one group, every
+    visit reuses one (NP, ds) sub-population that the run maps. Returns the
+    feasibility-first best of the final population and the history.
     """
     np_size = de_cfg.np_size
     ns, sub_fes, visit_min = c3_cfg.layout(dim, np_size)
+    reeval = np_size if ns > 1 else 0
 
     genes = init_population(de_cfg, dim, _keyed_rng(seed, _INIT))
     f, viol = evaluate(genes)
@@ -332,23 +332,22 @@ def run_c3(
     sub = Population(_native.unpooled_empty((np_size, c3_cfg.ds)), np.empty(np_size),
                      np.empty(np_size)) if ns > 1 else None
 
-    cycle = 0
+    visit = 0
     while fes + visit_min <= c3_cfg.total_budget:
-        cycle += 1
-        plan = random_grouping(dim, ns, _keyed_rng(seed, _GROUPING, cycle))
-        for group in range(1, ns + 1):
-            if fes + visit_min > c3_cfg.total_budget:
-                break
-            used, gens, rows = optimize_subcomponent(
-                pop, plan, group, best_genes, evaluate, sched, de_cfg, sub_fes,
-                seed, gen_start=gen, cycle=cycle,
-                max_fes=c3_cfg.total_budget - fes, sub=sub,
-            )
-            fes += used
-            gen += gens
-            history.extend(rows)
-            eps = epsilon_at(sched, gen)
-            best_genes = pop.genes[pop.eps_best_index(eps)].copy()
+        cycle, group = divmod(visit, ns)
+        if group == 0:
+            plan = random_grouping(dim, ns, _keyed_rng(seed, _GROUPING, cycle + 1))
+        used, gens, rows = optimize_subcomponent(
+            pop, plan, group + 1, best_genes, evaluate, sched, de_cfg,
+            min(sub_fes, c3_cfg.total_budget - fes - reeval), seed,
+            gen_start=gen, cycle=cycle + 1, sub=sub,
+        )
+        visit += 1
+        fes += used
+        gen += gens
+        history.extend(rows)
+        eps = epsilon_at(sched, gen)
+        best_genes = pop.genes[pop.eps_best_index(eps)].copy()
 
     final = pop.eps_best_index(0.0)
     return OptimizationResult(

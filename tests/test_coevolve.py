@@ -254,6 +254,33 @@ class TestOptimizeSubcomponent:
                 DEConfig(np_size=10), sub_fes=15, seed=0,
             )
 
+    @pytest.mark.parametrize("groups, sub_fes, message", [
+        (2, 19, "sub_fes=19 cannot fund the context pass plus one generation"),
+        (1, 9, "sub_fes=9 cannot fund one generation"),
+    ], ids=["several-groups", "one-group"])
+    def test_a_visit_below_what_it_runs_rejected(self, groups, sub_fes, message):
+        pop = self.setup_population(10, 8)
+        sched = EpsilonSchedule(eps0=0.0, gc=10, gmax=100)
+        with pytest.raises(ValueError, match=message):
+            optimize_subcomponent(pop, np.arange(8).reshape(groups, -1), 1,
+                                  pop.genes[0].copy(), sphere, sched, DEConfig(np_size=10),
+                                  sub_fes=sub_fes, seed=0)
+
+    @pytest.mark.parametrize("sub_fes, gens", [(10, 1), (19, 1), (20, 2)])
+    def test_one_group_funds_its_generations_alone(self, sub_fes, gens):
+        # No context pass and no re-evaluation: NP funds one generation.
+        evaluate = CountingEvaluator()
+        pop = self.setup_population(10, 8)
+        plan = np.arange(8).reshape(1, 8)
+        sched = EpsilonSchedule(eps0=0.0, gc=10, gmax=100)
+        used, got, history = optimize_subcomponent(
+            pop, plan, 1, pop.genes[0].copy(), evaluate, sched,
+            DEConfig(np_size=10), sub_fes=sub_fes, seed=3,
+        )
+        assert got == len(history) == gens
+        assert used == evaluate.calls == 10 * gens
+        assert {(row.cycle, row.group) for row in history} == {(0, 0)}
+
     def test_separable_sphere_best_non_increasing_across_visits(self):
         rng = np.random.default_rng(4)
         np_size, dim = 12, 20
@@ -295,6 +322,41 @@ class TestRunC3:
         assert groups == {1, 2, 3, 4}
         # sub_fes = 4*NP funds the context pass plus three generations.
         assert result.generations == 2 * 4 * 3
+
+    def test_budget_ending_mid_cycle_and_mid_visit(self):
+        # 10, then cycle 1's four visits of 10 + 4*10 + 10, cycle 2's first
+        # visit, and its second with 45 left: the context pass, the two
+        # generations that leave room for the re-evaluation, and that.
+        evaluate = CountingEvaluator()
+        cfg = C3Config(ds=5, total_budget=355, sub_fes=50)
+        result = run_c3(evaluate, 20, cfg, DEConfig(np_size=10), seed=5)
+        assert result.evaluations == evaluate.calls == 350
+        assert result.generations == 22
+        labels = [(c, g) for c in (1, 2) for g in (1, 2, 3, 4)]
+        assert [(row.generation, row.cycle, row.group) for row in result.history] == [
+            (gen, *labels[(gen - 1) // 4]) for gen in range(1, 23)]
+
+    @pytest.mark.parametrize("sub_nps", [1, 3])
+    @pytest.mark.parametrize("left", [10, 19])
+    def test_one_group_last_visit_spends_what_is_left(self, sub_nps, left):
+        # Two whole visits, then a last one with between NP and 2*NP left.
+        np_size = 10
+        total = np_size + 2 * sub_nps * np_size + left
+        evaluate = CountingEvaluator()
+        cfg = C3Config(ds=6, total_budget=total, sub_fes=sub_nps * np_size)
+        result = run_c3(evaluate, 6, cfg, DEConfig(np_size=np_size), seed=5)
+        assert result.evaluations == evaluate.calls == total - left % np_size
+        assert result.generations == 2 * sub_nps + 1
+        assert result.history == run_nsde(sphere, 6, total, DEConfig(np_size=np_size), 5).history
+
+    def test_a_visit_funds_what_it_runs(self):
+        # One generation alone with one group; the context pass too with several.
+        assert C3Config(ds=12, total_budget=20, sub_fes=10).layout(12, 10) == (1, 10, 10)
+        with pytest.raises(ValueError, match="sub_fes=9 must be at least NP=10"):
+            C3Config(ds=12, total_budget=20, sub_fes=9).layout(12, 10)
+        assert C3Config(ds=6, total_budget=40, sub_fes=20).layout(12, 10) == (2, 20, 30)
+        with pytest.raises(ValueError, match=r"sub_fes=19 must be at least 2\*NP=20"):
+            C3Config(ds=6, total_budget=40, sub_fes=19).layout(12, 10)
 
     def test_every_index_visited_once_per_cycle(self):
         # The partition property: in one cycle, all D genes are owned by

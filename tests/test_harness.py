@@ -102,9 +102,10 @@ class TestConfig:
     @pytest.mark.parametrize("data,message", [
         ({"ds": 7}, "ds=7 does not divide dim=3420"),
         ({"sub_fes": 100}, r"sub_fes=100 must be at least 2\*NP=700"),
+        ({"ds": 3420, "sub_fes": 349}, "sub_fes=349 must be at least NP=350"),
         ({"total_fes": 400}, "total budget of 400 cannot fund"),
         ({"algorithm": "nsde", "total_fes": 600}, "total budget of 600 cannot fund"),
-    ], ids=["ds", "sub_fes", "total_fes", "nsde-total_fes"])
+    ], ids=["ds", "sub_fes", "one-group-sub_fes", "total_fes", "nsde-total_fes"])
     def test_layout_that_run_c3_rejects_is_refused(self, data, message):
         with pytest.raises(ConfigError, match=message):
             ExperimentConfig.from_dict(data)
@@ -112,6 +113,8 @@ class TestConfig:
     def test_layout_checked_for_the_named_optimizer(self):
         # Plain NSDE runs one group at its own visit budget; baselines run no optimizer.
         assert ExperimentConfig(algorithm="nsde", ds=7, sub_fes=100).ds == 7
+        # One C3 group funds one generation a visit, with no context pass.
+        assert ExperimentConfig(ds=3420, sub_fes=350).sub_fes == 350
         assert ExperimentConfig(algorithm="constant", total_fes=400).total_fes == 400
 
     def test_algorithm_spelling_normalized(self):
