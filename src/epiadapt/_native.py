@@ -4,8 +4,10 @@ The package's one module that runs the compiler, reads /proc/cpuinfo, calls
 into C, starts threads or maps memory. ``dynamics`` and ``de_core`` call
 ``kernel()`` here. It owns the one thread count that both kernel passes,
 the batch evaluator's and the NSDE trial pass's, split their rows over:
-:func:`thread_count`, which :func:`threads` sets for a block of code, and
-:func:`row_chunks` cuts a pass by it.
+:func:`thread_count`, which :func:`threads` sets for a block of code.
+:func:`split_count` caps it for one pass, and :func:`row_chunks` cuts the
+trial pass into that many chunks; the evaluator's threads take their rows
+from a shared counter instead (see ``_rk4.c``).
 """
 from __future__ import annotations
 
@@ -109,6 +111,19 @@ def threads(count: int) -> Iterator[None]:
         _thread_count.reset(token)
 
 
+def split_count(rows: int, genes: int | None = None) -> int:
+    """The threads a pass over ``rows`` rows splits over.
+
+    One per thread of :func:`thread_count`, but never more than LANES-row
+    groups in the pass and, with ``genes`` per row, as for the trial pass,
+    never more than whole SPLIT_GENES in it; at least one.
+    """
+    parts = min(thread_count(), -(-rows // LANES))
+    if genes is not None:
+        parts = min(parts, rows * genes // SPLIT_GENES)
+    return max(1, parts)
+
+
 def row_chunks(rows: int, genes: int | None = None) -> list[tuple[int, int]]:
     """(lo, hi) of the contiguous chunks that a pass over ``rows`` rows splits into.
 
@@ -119,11 +134,7 @@ def row_chunks(rows: int, genes: int | None = None) -> list[tuple[int, int]]:
     whole SPLIT_GENES in the pass. So a pass of at most LANES rows, or a
     trial pass under 2 * SPLIT_GENES genes, is one chunk.
     """
-    groups = -(-rows // LANES)
-    parts = min(thread_count(), groups)
-    if genes is not None:
-        parts = min(parts, rows * genes // SPLIT_GENES)
-    parts = max(1, parts)
+    groups, parts = -(-rows // LANES), split_count(rows, genes)
     cuts = [min(rows, LANES * (groups * i // parts)) for i in range(parts + 1)]
     return list(zip(cuts, cuts[1:]))
 
@@ -227,7 +238,7 @@ def build(level: str) -> ctypes.CDLL:
                       for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2)))
     n, real, words = ctypes.c_int64, ctypes.c_double, (ctypes.c_uint64,) * 4
     built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, n, f64, i64, f64, f64, f64, real,
-                                real, f64, f64, f64]
+                                real, f64, f64, f64, i64]
     built.rk4_batch.restype = ctypes.c_int
     built.de_trials.argtypes = [n, n, n, rows, f64, i64, i64, f64, i64, real, *words, rows]
     built.de_trials.restype = None

@@ -16,12 +16,12 @@
  * deviation sum_e (x_e - x0_e)^2 to g, summed in gene order, and tests its
  * violation max(0, g - budget) against bound[b]: a candidate whose
  * violation is above its bound gets obj = +inf and is not integrated.
- * Pass 2 packs the others, in row order, into groups of LANES and
- * integrates only those, each group as soon as pass 1 has filled it. A C3
- * trial's bound is its parent's epsilon key, which a trial with a key
- * above it never beats, so its f would never be read. An all-+inf bound
- * skips nothing, and a NaN on either side compares false, so a NaN row is
- * integrated and fails below.
+ * Pass 2 packs the others, in the order pass 1 met them, into groups of
+ * LANES and integrates only those, each group as soon as pass 1 has
+ * filled it. A C3 trial's bound is its parent's epsilon key, which a trial
+ * with a key above it never beats, so its f would never be read. An
+ * all-+inf bound skips nothing, and a NaN on either side compares false,
+ * so a NaN row is integrated and fails below.
  *
  * The sqrt sum s of each step's start state is taken in the epilogue of the
  * step's first stage, which reads that state; after an interval's last step
@@ -45,8 +45,26 @@
  * same way, once per call. Spare lanes of the last group repeat its first
  * candidate. LANES is 8 in every build, the doubles of one AVX-512 vector.
  *
- * Returns 0 on success, 1 when a state became non-finite, 2 when the
- * scratch memory or the scratch rows could not be allocated.
+ * One calloc holds the working block: the weights, the state, the RK
+ * stages and the lane-expanded gamma, each a whole number of 64-byte lines
+ * long (n * n or n lane vectors of LANES doubles), then, with ncols > 0,
+ * the scratch rows, which are read one double at a time. The block starts
+ * on a line, so every lane vector fills one line and no vector load or
+ * store straddles two. calloc promises 16 bytes only: a helper thread's
+ * block sat 32 bytes past a line in every call of a C3 run. LANES spare
+ * doubles let the block round up to a line in place; aligned_alloc raised
+ * the peak RSS of two C3 runs by about 5 MB.
+ *
+ * The threads of a split call share one batch. Each calls rk4_batch on all
+ * B rows with the same *next_row, 0 at the start, and takes the next LANES
+ * rows with an atomic add on it until none are left, so a thread that
+ * starts later, or runs on a busier core, takes fewer rows and no thread
+ * waits long for another at the end. A row's f and violation do not
+ * depend on which thread integrates it, or beside which rows, so the bytes
+ * are those of one thread.
+ *
+ * Returns 0 on success, 1 when a state became non-finite, 2 when the block
+ * could not be allocated.
  */
 #include <math.h>
 #include <stdint.h>
@@ -55,6 +73,8 @@
 
 #define LANES 8
 #define ROWS 4
+/* Bytes of a cache line: LANES doubles. */
+#define LINE 64
 
 /* Not fmin/fmax: those would turn a NaN into a bound, where np.clip keeps it. */
 static inline double clamp01(double v)
@@ -124,6 +144,13 @@ static void sq_dev(int64_t D, const double *const *rows, const double *restrict 
         }
 }
 
+/* p rounded up to the next line boundary: at most LANES - 1 doubles on, as
+ * calloc returns memory aligned for a double. */
+static inline double *line_start(double *p)
+{
+    return (double *)(((uintptr_t)p + (LINE - 1)) & ~(uintptr_t)(LINE - 1));
+}
+
 static void sqrt_sum(int64_t n, const double *restrict p, double *restrict s)
 {
     for (int l = 0; l < LANES; ++l)
@@ -158,24 +185,18 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
               const double *base, const int64_t *cols, int64_t ncols,
               const double *x0, const int64_t *pos, const double *beta_off,
               const double *gamma, const double *p_unit, double obj_unit,
-              double budget, const double *bound, double *obj, double *g)
+              double budget, const double *bound, double *obj, double *g,
+              int64_t *next_row)
 {
     const int64_t m = n * (n - 1), nl = n * LANES, D = T1 * m;
     const int64_t width = ncols > 0 ? ncols : D, spliced = ncols > 0 ? LANES * D : 0;
     const double h = 1.0 / (double)k, hh = 0.5 * h, h6 = h / 6.0;
-    double *wb = calloc((size_t)(n * nl + 7 * nl), sizeof(double));
-    /* The scratch rows get an allocation of their own: carved from wb's,
-     * they made calls 1-4% slower in interleaved timings, ncols = 0
-     * included, presumably as the compiler could no longer rule out that
-     * rows alias the weights. */
-    double *scratch = spliced > 0 ? malloc((size_t)spliced * sizeof(double)) : NULL;
-    if (wb == NULL || (spliced > 0 && scratch == NULL)) {
-        free(wb);
-        free(scratch);
+    double *mem = calloc((size_t)(n * nl + 7 * nl + spliced + LANES), sizeof(double));
+    if (mem == NULL)
         return 2;
-    }
-    double *p = wb + n * nl, *tmp = p + nl;
+    double *wb = line_start(mem), *p = wb + n * nl, *tmp = p + nl;
     double *k1 = tmp + nl, *k2 = k1 + nl, *k3 = k2 + nl, *k4 = k3 + nl, *gl = k4 + nl;
+    double *scratch = gl + nl;
     double s[LANES], acc[LANES] = {0.0}, total[LANES], dev[LANES];
     const double *rows[LANES];
     /* The rows to integrate, in row order; never more than 2 * LANES - 1. */
@@ -190,12 +211,17 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
     for (int l = 0; l < LANES; ++l)
         held[l] = -1;
 
-    for (int64_t b0 = 0; b0 < B && status == 0; b0 += LANES) {
-        /* Pass 1 over rows b0 on: the squared deviations, and the queue. */
-        for (int l = 0; l < LANES; ++l)
-            idx[l] = b0 + l < B ? b0 + l : b0;
-        load_rows(idx, x, width, cols, ncols, scratch, D, held, rows);
-        sq_dev(D, rows, x0, dev);
+    for (;;) {
+        /* Pass 1 over the next LANES rows that no thread has taken, if any
+         * are left: the squared deviations, and the queue. */
+        const int64_t b0 = __atomic_fetch_add(next_row, LANES, __ATOMIC_RELAXED);
+        const int last = b0 >= B;
+        if (!last) {
+            for (int l = 0; l < LANES; ++l)
+                idx[l] = b0 + l < B ? b0 + l : b0;
+            load_rows(idx, x, width, cols, ncols, scratch, D, held, rows);
+            sq_dev(D, rows, x0, dev);
+        }
         for (int l = 0; l < LANES && b0 + l < B; ++l) {
             /* dev - budget is numpy's g -= budget, and v < 0 ? 0 : v its
              * np.maximum(0.0, g), NaN kept; a NaN never compares greater. */
@@ -207,9 +233,9 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
                 queue[queued++] = b0 + l;
         }
         /* Pass 2 integrates a lane group of queued rows as soon as one
-         * fills, and the rest after the last row, so the rows pass 1 just
-         * read are still in cache. Without skips, every group is its own. */
-        const int last = b0 + LANES >= B;
+         * fills, and the rest once no row is left to take, so the rows
+         * pass 1 just read are still in cache. Without skips, every group
+         * is its own. */
         while (status == 0 && (queued >= LANES || (last && queued > 0))) {
             const int64_t take = queued < LANES ? queued : LANES;
             for (int l = 0; l < LANES; ++l) {
@@ -260,9 +286,10 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
             queued -= take;
             memmove(queue, queue + take, (size_t)queued * sizeof(int64_t));
         }
+        if (last || status != 0)
+            break;
     }
-    free(wb);
-    free(scratch);
+    free(mem);
     return status;
 }
 

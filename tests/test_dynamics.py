@@ -8,6 +8,7 @@ import shutil
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 import warnings
 
@@ -330,6 +331,23 @@ def evaluator_cases(draw):
     return net, params, float(rng.random() * dim), x
 
 
+def small_problem(n, rng):
+    """An n-node network with random weights and per-node rates over 3 intervals, substeps 7."""
+    w0 = np.minimum(rng.random((n, n)) + 0.01, 1.0)
+    np.fill_diagonal(w0, 0.0)
+    params = EpidemicParams(beta=rng.random(n), gamma=rng.random(n), p0=rng.random(n),
+                            horizon=3, substeps=7)
+    return Network(w0), params
+
+
+def bound_options(viol):
+    """Row b's bound, option b % 7: at, just below or just above its violation, NaN, +inf, 0, -1."""
+    b = viol.size
+    options = np.stack([viol, np.nextafter(viol, -np.inf), np.nextafter(viol, np.inf),
+                        np.full(b, np.nan), np.full(b, np.inf), np.zeros(b), np.full(b, -1.0)])
+    return options[np.arange(b) % len(options), np.arange(b)]
+
+
 # Flags lines of /proc/cpuinfo, trimmed to what the levels test.
 HASWELL = ("fpu sse sse2 ssse3 fma cx16 pcid sse4_1 sse4_2 movbe popcnt xsave avx "
            "f16c lahf_lm abm pni bmi1 avx2 bmi2")
@@ -396,11 +414,7 @@ class TestKernel:
         if n == 20:
             net, params = net20, EpidemicParams(**REF_EPI, substeps=20)
         else:
-            w0 = np.minimum(rng.random((n, n)) + 0.01, 1.0)
-            np.fill_diagonal(w0, 0.0)
-            net = Network(w0)
-            params = EpidemicParams(beta=rng.random(n), gamma=rng.random(n),
-                                    p0=rng.random(n), horizon=3, substeps=7)
+            net, params = small_problem(n, rng)
         x = rng.random((9, decision_dimension(n, params.horizon)))
         expected = np.array([kernel_objective(row, net, params) for row in x])
         for level, build in {**level_builds, "numpy loop": None}.items():
@@ -684,6 +698,28 @@ class TestThreadSplit:
                     assert f.tobytes() == f1.tobytes(), (level, name, t)
                     assert viol.tobytes() == viol1.tobytes(), (level, name, t)
 
+    def test_a_call_takes_only_the_rows_left(self, kernel, net20):
+        # Rows below the shared counter are another thread's: a call leaves
+        # them, integrates every row from the counter on, each as a call
+        # that took them all would, and moves the counter past the batch.
+        params = EpidemicParams(**REF_EPI, substeps=3)
+        x = np.random.default_rng(5).random((41, 3420))
+        f, viol = make_batch_evaluator(net20, params, 700.0)(x)
+        counters = []
+
+        class Late:
+            def rk4_batch(self, *args):
+                next_row = args[-1]
+                next_row[0] = 16
+                counters.append(next_row)
+                return kernel.rk4_batch(*args)
+
+        with native.threads(1):
+            f16, viol16 = kernel_evaluator(Late(), net20, params, 700.0)(x)
+        assert f16[16:].tobytes() == f[16:].tobytes()
+        assert viol16[16:].tobytes() == viol[16:].tobytes()
+        assert len(counters) == 1 and counters[0][0] >= 41
+
     def test_nan_gene_in_last_chunk_raises(self, kernel, net20):
         params = EpidemicParams(**REF_EPI, substeps=4)
         x = np.full((350, 3420), 0.5)
@@ -699,14 +735,18 @@ class TestThreadSplit:
         ({0: KeyboardInterrupt}, KeyboardInterrupt),
     ])
     def test_every_chunk_finishes_before_a_status_raises(self, net20, failing, error):
-        # A stand-in kernel whose chunk starting at row r returns, or raises,
-        # failing.get(r, 0); the chunks that succeed finish last.
+        # A stand-in kernel whose call takes 32 rows from the shared counter,
+        # as the kernel takes its rows, and, having taken rows r on, returns,
+        # or raises, failing.get(r, 0); the calls that succeed finish last.
         params = EpidemicParams(**REF_EPI, substeps=4)
-        finished = []
+        finished, taking = [], threading.Lock()
 
         class Stub:
             def rk4_batch(self, b, n, t1, k, x, *args):
-                first = round(x[0, 0] * 1000)
+                next_row = args[-1]
+                with taking:
+                    first = int(next_row[0])
+                    next_row[0] += 32
                 if first not in failing:
                     time.sleep(0.1)
                 finished.append(first)
@@ -716,7 +756,6 @@ class TestThreadSplit:
                 return status
 
         x = np.full((96, 3420), 0.5)
-        x[:, 0] = np.arange(96) / 1000
         evaluate = kernel_evaluator(Stub(), net20, params, 700.0)
         with native.threads(3), pytest.raises(error):
             evaluate(x)
@@ -829,10 +868,10 @@ class TestBoundedBatches:
 
     @pytest.mark.parametrize("batch", [1, 9, 60])
     def test_f_is_inf_exactly_above_the_bound(self, level_builds, net20, batch):
-        # Row b's bound is option b % 7: at, just below or just above its
-        # violation, NaN, +inf, 0 or -1. The odd rows hold w0's weights and
-        # are feasible, violation 0, which only a negative bound is below.
-        # 60 rows split over 3 threads.
+        # Row 0's bound is just below its violation, the others' from
+        # bound_options. The odd rows hold w0's weights and are feasible,
+        # violation 0, which only a negative bound is below. 60 rows split
+        # over 3 threads.
         params = EpidemicParams(**REF_EPI, substeps=3)
         rng = np.random.default_rng(batch)
         idx = random_grouping(3420, 9, rng)[4]
@@ -841,10 +880,7 @@ class TestBoundedBatches:
         genes[1::2] = x0[idx]
         plain = kernel_evaluator(None, net20, params, 50.0)(ContextBatch(x0, idx, genes))
         viol = plain[1]
-        options = np.stack([viol, np.nextafter(viol, -np.inf), np.nextafter(viol, np.inf),
-                            np.full(batch, np.nan), np.full(batch, np.inf),
-                            np.zeros(batch), np.full(batch, -1.0)])
-        bound = options[np.arange(batch) % len(options), np.arange(batch)]
+        bound = bound_options(viol)
         bound[0] = np.nextafter(viol[0], -np.inf)
         skipped = viol > bound
         assert skipped[0] and (batch == 1 or not skipped.all())
@@ -856,6 +892,37 @@ class TestBoundedBatches:
                 assert got_viol.tobytes() == viol.tobytes(), (level, threads)
                 assert np.array_equal(f == np.inf, skipped), (level, threads)
                 assert f[~skipped].tobytes() == plain[0][~skipped].tobytes(), (level, threads)
+
+    @pytest.mark.parametrize("n", [2, 3, 5, 7])
+    def test_small_networks_give_the_numpy_loop_bytes(self, level_builds, n):
+        # The kernel's working block holds n-node arrays; 2, 3, 5 and 7
+        # nodes leave rows past the last full block of rows. A context
+        # batch, with and without bound_options' bounds, and its rows as a
+        # plain batch; 60 rows split into chunks of 16, 24 and 20 at 3
+        # threads. Budget 0 shows every bit of the violation.
+        rng = np.random.default_rng(n)
+        net, params = small_problem(n, rng)
+        dim = decision_dimension(n, params.horizon)
+        idx = random_grouping(dim, 2, rng)[1]
+        context = ContextBatch(rng.random(dim), idx, rng.random((60, idx.size)))
+        expected = kernel_evaluator(None, net, params, 0.0)(np.asarray(context))
+        bound = bound_options(expected[1])
+        bounded = ContextBatch(context.base, idx, context.genes, bound)
+        expected_bounded = kernel_evaluator(None, net, params, 0.0)(bounded)
+        skipped = expected[1] > bound
+        assert skipped.any() and not skipped.all()
+        assert np.array_equal(expected_bounded[0] == np.inf, skipped)
+        assert expected_bounded[0][~skipped].tobytes() == expected[0][~skipped].tobytes()
+        for level, build in level_builds.items():
+            evaluate = kernel_evaluator(build, net, params, 0.0)
+            for threads in (1, 2, 3):
+                with native.threads(threads):
+                    got = {"context": evaluate(context), "rows": evaluate(np.asarray(context)),
+                           "bounded": evaluate(bounded)}
+                for name, (f, viol) in got.items():
+                    want = expected_bounded if name == "bounded" else expected
+                    assert f.tobytes() == want[0].tobytes(), (level, threads, name)
+                    assert viol.tobytes() == want[1].tobytes(), (level, threads, name)
 
     def test_nan_gene_in_a_bounded_batch_raises_on_both_paths(self, kernel, net20):
         # A bound of -1 skips every finite row; the NaN row's violation is
