@@ -9,7 +9,8 @@ convergence.csv beside runs.csv. Row (run, tenth k) is the last history row
 whose generation ended within k/10 of the budget, with the evaluations spent
 by then; f and violation are copied as history.csv wrote them. The runs are
 taken to use the ExperimentConfig defaults (NP and total budget), as the
-reference campaign does; the evaluation count is checked against runs.csv.
+reference campaign does, unless ``main`` is given another config; the
+evaluation count is checked against runs.csv.
 """
 from __future__ import annotations
 
@@ -38,8 +39,8 @@ def spent_after_each_row(rows: list[dict], np_size: int) -> tuple[list[int], int
     return out, spent + (np_size if visit is not None else 0)
 
 
-def main(slice_dir: str) -> None:
-    cfg = ExperimentConfig()
+def main(slice_dir: str, cfg: ExperimentConfig | None = None) -> None:
+    cfg = cfg or ExperimentConfig()
     root = Path(slice_dir)
     with open(root / "runs.csv", newline="") as fh:
         runs = list(csv.DictReader(fh))

@@ -9,8 +9,9 @@ Reads the slice's runs.csv and each run's run_<id>/best_schedule.csv and
 writes error_bar.csv beside runs.csv: the objective of the schedule
 integrated at the ExperimentConfig defaults (20 RK4 substeps per unit
 interval), as ``simulate`` computes it, and at 400 substeps. Their gap is the
-discretization error of the run's ofv. The network is the defaults' one,
-which ``gen-net`` writes for the reference campaign.
+discretization error of the run's ofv. The network and step sizes are the
+defaults', as ``gen-net`` writes the network for the reference campaign,
+unless ``main`` is given another config.
 """
 from __future__ import annotations
 
@@ -26,8 +27,8 @@ from epiadapt.harness import ExperimentConfig, read_schedule_csv
 FINE_SUBSTEPS = 400
 
 
-def main(slice_dir: str) -> None:
-    cfg = ExperimentConfig()
+def main(slice_dir: str, cfg: ExperimentConfig | None = None) -> None:
+    cfg = cfg or ExperimentConfig()
     net = generate_ba(cfg.n, cfg.m0, cfg.m, cfg.net_seed)
     params = cfg.epidemic_params()
     fine = dataclasses.replace(params, substeps=FINE_SUBSTEPS)

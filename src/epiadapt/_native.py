@@ -5,9 +5,9 @@ into C, starts threads or maps memory. ``dynamics`` and ``de_core`` call
 ``kernel()`` here. It owns the one thread count that both kernel passes,
 the batch evaluator's and the NSDE trial pass's, split their rows over:
 :func:`thread_count`, which :func:`threads` sets for a block of code.
-:func:`split_count` caps it for one pass, and :func:`row_chunks` cuts the
-trial pass into that many chunks; the evaluator's threads take their rows
-from a shared counter instead (see ``_rk4.c``).
+:func:`split_count` caps it for one pass, and :func:`split` runs a pass on
+that many threads, which take their rows from a shared counter (see
+``_rk4.c``).
 """
 from __future__ import annotations
 
@@ -34,8 +34,8 @@ ROW_BLOCK = 32
 # Candidates rk4_batch runs side by side, and rows de_trials fills at once
 # (LANES in _rk4.c).
 LANES = 8
-# Genes each chunk of a split trial pass holds at least. A smaller pass runs
-# on one thread: handing a chunk to a helper costs more than it saves.
+# Genes a split trial pass holds at least per thread. A smaller pass runs
+# on one thread: handing rows to a helper costs more than it saves.
 SPLIT_GENES = 1 << 18
 
 SOURCE = Path(__file__).with_name("_rk4.c")
@@ -124,21 +124,6 @@ def split_count(rows: int, genes: int | None = None) -> int:
     return max(1, parts)
 
 
-def row_chunks(rows: int, genes: int | None = None) -> list[tuple[int, int]]:
-    """(lo, hi) of the contiguous chunks that a pass over ``rows`` rows splits into.
-
-    One chunk per thread of :func:`thread_count`, each of whole LANES-row
-    groups, so every chunk starts on a multiple of LANES and only the last
-    may end in a partial group; never more chunks than groups. With
-    ``genes`` per row, as for the trial pass, also never more chunks than
-    whole SPLIT_GENES in the pass. So a pass of at most LANES rows, or a
-    trial pass under 2 * SPLIT_GENES genes, is one chunk.
-    """
-    groups, parts = -(-rows // LANES), split_count(rows, genes)
-    cuts = [min(rows, LANES * (groups * i // parts)) for i in range(parts + 1)]
-    return list(zip(cuts, cuts[1:]))
-
-
 # (pid, pool) of the process's helper threads, made on first use.
 _helpers: tuple[int, ThreadPoolExecutor] | None = None
 _helpers_lock = threading.Lock()
@@ -158,20 +143,23 @@ def _helper_pool() -> ThreadPoolExecutor:
         return _helpers[1]
 
 
-def call_split(func, calls: list[tuple]) -> list:
-    """``func(*call)`` for every call, the first on this thread and the rest on helpers.
+def split(func, rows: int, *args, genes: int | None = None) -> list:
+    """``func(*args, next_row)`` on :func:`split_count` threads: this one and helpers.
 
-    ``func`` is a kernel entry: ctypes releases the interpreter lock while
-    it runs, so the calls run at once. Returns their results in order once
-    all have finished, even when one raises; the first exception of a
-    helper is raised then.
+    ``func`` is a kernel entry that takes its rows LANES at a time from
+    ``next_row``, a fresh counter that every thread shares; ctypes releases
+    the interpreter lock while it runs, so the threads run at once. Returns
+    their results once all have finished, even when one raises; the first
+    exception of a helper is raised then.
     """
-    helpers = _helper_pool() if len(calls) > 1 else None
-    futures = [helpers.submit(func, *call) for call in calls[1:]]
+    call = (*args, np.zeros(1, dtype=np.int64))
+    count = split_count(rows, genes)
+    helpers = _helper_pool() if count > 1 else None
+    futures = [helpers.submit(func, *call) for _ in range(count - 1)]
     try:
-        first = func(*calls[0])
+        first = func(*call)
     finally:
-        # The calls write into the caller's arrays: none may outlive this one.
+        # The threads write into the caller's arrays: none may outlive this one.
         wait(futures)
     return [first] + [future.result() for future in futures]
 
@@ -240,14 +228,15 @@ def build(level: str) -> ctypes.CDLL:
     built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, n, f64, i64, f64, f64, f64, real,
                                 real, f64, f64, f64, i64]
     built.rk4_batch.restype = ctypes.c_int
-    built.de_trials.argtypes = [n, n, n, rows, f64, i64, i64, f64, i64, real, *words, rows]
+    built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, *words, rows, i64]
     built.de_trials.restype = None
     return built
 
 
 # Flat positions in _trials_match_numpy's default shape of the uniforms the
 # load check pins exactly: one in each lane of the whole blocks (lane 4's
-# first, 4, is row 0's forced gene) and the first of the tail.
+# first, 4, is row 0's forced gene) and the first of the second lane group,
+# which its lanes draw from the state they jumped to.
 PINNED = (0, 1, 2, 3, 12, 5, 6, 7, 40)
 
 
@@ -258,7 +247,8 @@ def _trials_match_numpy(built: ctypes.CDLL, seed=20190101, shape=(LANES + 1, 5),
     With rows of ones, a best of zeros, F 1 and each row its own donors,
     every mutant is 0 and every kept gene 1: gene j is 1 exactly where its
     uniform exceeds ``cr``, but for the forced gene, each row's last. The
-    default shape is whole blocks, then a tail from lanes carried over. At
+    default shape is a lane group of whole blocks, then a second group of
+    one row, a tail alone, whose lanes start at the state 40 steps on. At
     cr 0.5 a gene shows its uniform's leading bit; the uniform at each flat
     position of ``pins`` is then pinned in every bit, by a call with cr at
     it and one with cr at the double just below it.
@@ -269,9 +259,9 @@ def _trials_match_numpy(built: ctypes.CDLL, seed=20190101, shape=(LANES + 1, 5),
     pcg = np.random.PCG64(seed).state["state"]
     own, trial = np.arange(rows), np.empty(shape)
     for at in (cr, *pinned, *np.nextafter(pinned, 0.0)):
-        built.de_trials(0, rows, genes, np.ones(shape), np.zeros(genes), own, own, np.ones(rows),
+        built.de_trials(rows, genes, np.ones(shape), np.zeros(genes), own, own, np.ones(rows),
                         np.full(rows, genes - 1), at, *divmod(pcg["state"], 1 << 64),
-                        *divmod(pcg["inc"], 1 << 64), trial)
+                        *divmod(pcg["inc"], 1 << 64), trial, np.zeros(1, dtype=np.int64))
         expected = uniforms > at
         expected[:, -1] = False
         if trial.tobytes() != expected.astype(np.float64).tobytes():

@@ -55,13 +55,14 @@
  * doubles let the block round up to a line in place; aligned_alloc raised
  * the peak RSS of two C3 runs by about 5 MB.
  *
- * The threads of a split call share one batch. Each calls rk4_batch on all
- * B rows with the same *next_row, 0 at the start, and takes the next LANES
- * rows with an atomic add on it until none are left, so a thread that
- * starts later, or runs on a busier core, takes fewer rows and no thread
- * waits long for another at the end. A row's f and violation do not
- * depend on which thread integrates it, or beside which rows, so the bytes
- * are those of one thread.
+ * Both kernels split a call over threads the same way. Each thread calls
+ * the kernel on all the rows with the same *next_row, 0 at the start, and
+ * takes the next LANES rows with an atomic add on it until none are left,
+ * so a thread that starts later, or runs on a busier core, takes fewer
+ * rows and no thread waits long for another at the end. A row's f and
+ * violation do not depend on which thread integrates it, or beside which
+ * rows, so the bytes are those of one thread; de_trials starts each lane
+ * group's uniforms at its own place in the stream.
  *
  * Returns 0 on success, 1 when a state became non-finite, 2 when the block
  * could not be allocated.
@@ -322,6 +323,22 @@ static inline void lcg_step(uint64_t *restrict hi, uint64_t *restrict lo, uint64
 #endif
 }
 
+/* (hi, lo) moved delta steps on, as PCG64.advance(delta) moves numpy's
+ * generator: square-and-multiply over the affine step, in which (m, c)
+ * steps 2^b times at bit b of delta. */
+static void pcg_advance(uint64_t *hi, uint64_t *lo, uint64_t delta, uint64_t inc_hi,
+                        uint64_t inc_lo)
+{
+    uint64_t mh = PCG_MULT_HI, ml = PCG_MULT_LO, ch = inc_hi, cl = inc_lo;
+    for (; delta > 0; delta >>= 1) {
+        if (delta & 1)
+            lcg_step(hi, lo, mh, ml, ch, cl);
+        /* Twice the step: c * m + c, then m * m. */
+        lcg_step(&ch, &cl, mh, ml, ch, cl);
+        lcg_step(&mh, &ml, mh, ml, 0, 0);
+    }
+}
+
 /* numpy's Generator.random double from the output of state (hi, lo). */
 static inline double pcg_double(uint64_t hi, uint64_t lo)
 {
@@ -429,32 +446,39 @@ static inline double mutant(double best, double xi, double a, double b, double f
     return (((best - xi) + a) - b) * f + xi;
 }
 
-/* de_trials builds NP rows, from row lo on, of the current-to-best/1 trials
- * of de_core.build_trials in one pass over each row: gene j of row i keeps
- * x[i, j] where its crossover uniform exceeds cr, unless j is the row's
- * forced gene, and takes the mutant otherwise; every gene is then clamped
- * to [0, 1]. x holds the whole population, rows of D genes, which the
- * donors index; r1, r2, f, forced and trial start at row lo. trial must
- * not overlap x or best.
+/* de_trials builds the NP current-to-best/1 trials of de_core.build_trials
+ * in one pass over each row: gene j of row i keeps x[i, j] where its
+ * crossover uniform exceeds cr, unless j is the row's forced gene, and
+ * takes the mutant otherwise; every gene is then clamped to [0, 1]. x holds
+ * the whole population, rows of D genes, which the donors index. trial
+ * must not overlap x or best.
  *
  * The uniforms are numpy's Generator.random stream of the PCG64 at the four
- * state words; the caller passes the state of row lo's first draw and moves
- * the generator on. LANES rows at a time are filled and then crossed while
- * they are still in cache. LANES * D doubles are whole blocks, so the lanes
- * carry from chunk to chunk. */
-void de_trials(int64_t lo, int64_t NP, int64_t D, const double *restrict x,
+ * state words, row after row; the caller passes the state of row 0's first
+ * draw and moves the generator on. The threads of a split pass share
+ * *next_row, 0 at the start, as rk4_batch's do: each takes the next LANES
+ * rows with an atomic add, moves the start state i0 * D steps on, starts
+ * its lanes there, and fills those rows and crosses them while they are
+ * still in cache. So every row's uniforms are the same whichever thread
+ * takes it. */
+void de_trials(int64_t NP, int64_t D, const double *restrict x,
                const double *restrict best, const int64_t *restrict r1,
                const int64_t *restrict r2, const double *restrict f,
                const int64_t *restrict forced, double cr, uint64_t state_hi, uint64_t state_lo,
-               uint64_t inc_hi, uint64_t inc_lo, double *restrict trial)
+               uint64_t inc_hi, uint64_t inc_lo, double *restrict trial, int64_t *next_row)
 {
     pcg_lanes g;
-    pcg_start(&g, state_hi, state_lo, inc_hi, inc_lo);
-    for (int64_t i0 = 0; i0 < NP; i0 += LANES) {
+    for (;;) {
+        const int64_t i0 = __atomic_fetch_add(next_row, LANES, __ATOMIC_RELAXED);
+        if (i0 >= NP)
+            break;
         const int64_t i1 = i0 + LANES < NP ? i0 + LANES : NP;
+        uint64_t hi = state_hi, lo = state_lo;
+        pcg_advance(&hi, &lo, (uint64_t)(i0 * D), inc_hi, inc_lo);
+        pcg_start(&g, hi, lo, inc_hi, inc_lo);
         pcg_fill(&g, (i1 - i0) * D, trial + i0 * D);
         for (int64_t i = i0; i < i1; ++i) {
-            const double *xi = x + (lo + i) * D, *a = x + r1[i] * D, *b = x + r2[i] * D;
+            const double *xi = x + i * D, *a = x + r1[i] * D, *b = x + r2[i] * D;
             double *t = trial + i * D;
             const double fi = f[i];
             /* Clamping both sides before the pick gives the same bytes as

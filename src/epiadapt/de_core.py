@@ -12,8 +12,8 @@ and ``_native.kernel`` loaded a build, the trials come from one C pass,
 ``de_trials`` in ``_rk4.c``: it forms them a few rows at a time and draws
 those rows' crossover uniforms inside the pass, as numpy's own stream
 computed in jumped-ahead lanes, so they never pass through memory as one
-block; :func:`build_trials` splits a large pass over ``_native``'s thread
-count. Everywhere else the numpy passes run on ``rng.random``'s draw. Both
+block; ``_native.split`` runs a large pass over its thread count.
+Everywhere else the numpy passes run on ``rng.random``'s draw. Both
 give numpy's bytes: the C pass keeps numpy's operation order, is built
 without FMA contraction and clamps as ``np.clip`` does, NaN included. A
 population's trial buffer is mapped by its first generation and reused.
@@ -132,12 +132,9 @@ def build_trials(
     no memory with ``genes`` or ``best``.
 
     The C pass runs where ``rng`` is a PCG64 and ``_native.kernel()``, looked
-    up on each call, returns a build. It splits its rows as
-    ``_native.row_chunks`` cuts them: over the thread count, but only where
-    each chunk holds at least ``_native.SPLIT_GENES`` genes. A chunk starting
-    at row lo draws from the state ``PCG64.advance`` reaches lo * D steps on,
-    so the trials and the state ``rng`` is left in are the same at any
-    thread count.
+    up on each call, returns a build. It gets the state of the first draw,
+    and ``rng`` moves NP * D draws on, so the trials and the state ``rng``
+    is left in are the same however ``_native.split`` runs the pass.
     """
     if genes.ndim != 2 or genes.dtype != np.float64 or not genes.flags.c_contiguous:
         raise ValueError("genes must be a C-contiguous 2-D float64 array")
@@ -157,21 +154,15 @@ def build_trials(
     bitgen = rng.bit_generator
     if built is not None and type(bitgen) is np.random.PCG64:
         state = bitgen.state
-        chunks = []
-        for lo, hi in _native.row_chunks(np_size, genes=dim):
-            chunks.append((lo, hi, divmod(bitgen.state["state"]["state"], 1 << 64)))
-            bitgen.advance((hi - lo) * dim)
+        words = [*divmod(state["state"]["state"], 1 << 64), *divmod(state["state"]["inc"], 1 << 64)]
+        bitgen.advance(np_size * dim)
         # Put back the buffered 32-bit half, which rng.integers reads next.
         if state["has_uint32"]:
             state["state"] = bitgen.state["state"]
             bitgen.state = state
         forced = rng.integers(dim, size=np_size)
-        inc = divmod(state["state"]["inc"], 1 << 64)
-        _native.call_split(built.de_trials, [
-            (lo, hi - lo, dim, genes, best, r1[lo:hi], r2[lo:hi], f[lo:hi], forced[lo:hi],
-             cfg.cr, *start, *inc, trials[lo:hi])
-            for lo, hi, start in chunks
-        ])
+        _native.split(built.de_trials, np_size, np_size, dim, genes, best, r1, r2, f, forced,
+                      cfg.cr, *words, trials, genes=dim)
         return trials
     rng.random(out=trials)
     forced = rng.integers(dim, size=np_size)

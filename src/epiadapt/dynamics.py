@@ -284,12 +284,13 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
     time of the call: by default the CPUs this process may use, or the
     count ``_native.threads`` sets around it, but never more threads than
     8-row lane groups, so a batch of at most 8 rows stays on the calling
-    thread (``_native.split_count``). The calling thread and that many
-    less one of this process's helper threads each run the kernel over the
-    whole batch and take its rows 8 at a time from one shared counter, so
-    a thread on a busier core takes fewer. A row's f and violation do not
-    depend on the rows beside it, so their bytes are the same at any
-    thread count. The numpy loop always runs on the calling thread.
+    thread (``_native.split_count``). ``_native.split`` runs the kernel
+    on the calling thread and that many less one of this process's helper
+    threads, each over the whole batch, taking its rows 8 at a time from
+    one shared counter, so a thread on a busier core takes fewer. A row's
+    f and violation do not depend on the rows beside it, so their bytes
+    are the same at any thread count. The numpy loop always runs on the
+    calling thread.
     """
     n, horizon, k = net.n, params.horizon, params.substeps
     beta, gamma, p0 = params.node_vectors(n)
@@ -318,10 +319,9 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
         # No violation is above +inf, so a batch without a bound skips nothing.
         bound = np.full(b, np.inf) if bound is None else bound
         if kernel is not None:
-            x, obj, next_row = np.ascontiguousarray(x), np.empty(b), np.zeros(1, dtype=np.int64)
-            call = (b, n, horizon - 1, k, x, base, columns, columns.size, *shared, budget,
-                    bound, obj, g, next_row)
-            statuses = _native.call_split(kernel.rk4_batch, [call] * _native.split_count(b))
+            x, obj = np.ascontiguousarray(x), np.empty(b)
+            statuses = _native.split(kernel.rk4_batch, b, b, n, horizon - 1, k, x, base, columns,
+                                     columns.size, *shared, budget, bound, obj, g)
             if 2 in statuses:
                 raise MemoryError("RK4 kernel could not allocate its scratch buffer")
             if any(statuses):

@@ -390,9 +390,10 @@ def assert_trials_match_numpy(level_builds, genes, seed, buffered):
 
 # Trial-pass shapes whose crossover uniforms _native._trials_match_numpy
 # compares with numpy's, the forced last gene aside: 5, 6 and 7 doubles, a
-# tail alone; LANES + 1 rows of 9 to 15 genes, whole blocks carried into a
-# second chunk of rows and then every tail of 1 to LANES - 1 doubles; three
-# chunks carried into a fourth; seven intervals of the reference problem's
+# tail alone; LANES + 1 rows of 9 to 15 genes, a lane group of whole blocks
+# and then a second group of one row, whose lanes jump past the first's
+# doubles, with every tail of 1 to LANES - 1 doubles; four groups, each
+# jumped to its first row; seven intervals of the reference problem's
 # genes; and an odd NP * D.
 FILL_SHAPES = ((1, 5), (2, 3), (1, 7), *((native.LANES + 1, d) for d in range(9, 16)),
                (3 * native.LANES + 3, 5), (7, 3420), (35, 99))
@@ -451,8 +452,8 @@ class TestUniformFill:
     @pytest.mark.parametrize("np_size,dim", [(350, 3420), (5, 7)])
     def test_trial_pass_draws_numpy_bytes_and_state(self, level_builds, np_size, dim,
                                                     buffered):
-        # The reference size leaves a last chunk of 6 rows. 5 rows of 7 genes
-        # are fewer than the 8 lanes, so their one chunk ends mid-block.
+        # The reference size leaves a last lane group of 6 rows. 5 rows of 7
+        # genes are fewer than the 8 lanes, so their one group ends mid-block.
         assert_trials_match_numpy(level_builds, np.random.default_rng(dim).random((np_size, dim)),
                                   np_size + dim, buffered)
 
@@ -477,9 +478,9 @@ class TestUniformFill:
 
     @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
     def test_trial_pass_from_another_state_is_refused(self, isolated_kernel, monkeypatch):
-        # Only de_trials' lanes start from a neighbouring state.
-        assert_edit_is_refused(monkeypatch, b"pcg_start(&g, state_hi, state_lo,",
-                               b"pcg_start(&g, state_hi, state_lo ^ 1,")
+        # Only each lane group's lanes, in de_trials, start from a state
+        # next to the one the group jumped to.
+        assert_edit_is_refused(monkeypatch, b"pcg_start(&g, hi, lo,", b"pcg_start(&g, hi, lo ^ 1,")
 
     def test_load_check_pins_each_lane_and_the_tail(self):
         # The load check's default shape: LANES + 1 rows of 5 genes, so its
@@ -537,15 +538,43 @@ class TestTrialPassSplit:
     def test_only_large_passes_split(self, kernel, monkeypatch, shape, calls):
         # At the default gate: the campaign-desk and C3 subcomponent passes
         # stay on one thread, a reference-size pass over all genes splits.
+        # Every thread gets the whole pass and one shared counter, which
+        # ends past the rows.
         seen = []
         de_trials = kernel.de_trials
         monkeypatch.setattr(native, "kernel", lambda: kernel)
-        monkeypatch.setattr(kernel, "de_trials", lambda *a: seen.append(a[:2]) or de_trials(*a))
+        monkeypatch.setattr(kernel, "de_trials", lambda *a: seen.append(a) or de_trials(*a))
         genes = np.random.default_rng(4).random(shape)
         with native.threads(2):
             build_trials(genes, genes[0], DEConfig(np_size=shape[0]), np.random.default_rng(5))
         assert len(seen) == calls
-        assert sum(rows for _, rows in seen) == shape[0]
+        assert all(args[0] == shape[0] and args[-1] is seen[0][-1] for args in seen)
+        assert seen[0][-1][0] >= shape[0]
+
+    def test_a_call_takes_only_the_rows_left(self, kernel, monkeypatch):
+        # Rows below the shared counter are another thread's: a call leaves
+        # them, builds every row from the counter on as a pass over all of
+        # them would, whichever group it takes first, and moves the counter
+        # past the population. 41 rows of 99 genes end in a partial group.
+        genes = np.random.default_rng(6).random((41, 99))
+        cfg = DEConfig(np_size=41)
+        full = trials_on(kernel, genes, genes[2], cfg, 7)
+        counters = []
+
+        class Late:
+            def de_trials(self, *args):
+                next_row = args[-1]
+                next_row[0] = 16
+                counters.append(next_row)
+                return kernel.de_trials(*args)
+
+        monkeypatch.setattr(native, "kernel", lambda: Late())
+        out = np.full_like(genes, 2.0)
+        with native.threads(1):
+            late = build_trials(genes, genes[2], cfg, np.random.default_rng(7), out=out)
+        assert late[16:].tobytes() == full[16:].tobytes()
+        assert np.all(late[:16] == 2.0)
+        assert len(counters) == 1 and counters[0][0] >= 41
 
     def test_run_nsde_gives_one_thread_bytes(self, kernel, monkeypatch):
         monkeypatch.setattr(native, "kernel", lambda: kernel)

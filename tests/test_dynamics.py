@@ -480,7 +480,7 @@ class TestKernel:
     @pytest.mark.parametrize("batch", [1, 7, 9, 60])
     def test_context_batch_gives_the_bytes_of_its_rows(self, level_builds, net20, batch):
         # 1 and 7 rows leave spare lanes in one group, 9 a second group with
-        # seven; at 3 threads 60 rows split into chunks of 16, 24 and 20.
+        # seven; at 3 threads 60 rows split over three takers of 8 rows.
         # Budget 0 shows every bit of the violation.
         params = EpidemicParams(**REF_EPI, substeps=3)
         rng = np.random.default_rng(batch)
@@ -678,7 +678,7 @@ class TestThreadSplit:
 
     def test_every_level_gives_one_thread_bytes(self, level_builds, net20):
         # 1, 7 and 8 rows fill at most one lane group and stay on one thread;
-        # 9 and 17 leave spare lanes in the last chunk. The C3 batch is a
+        # 9 and 17 leave spare lanes in the last group. The C3 batch is a
         # context batch, in which only one group's columns vary.
         params = EpidemicParams(**REF_EPI, substeps=3)
         rng = np.random.default_rng(21)
@@ -786,8 +786,8 @@ class TestThreadSplit:
             child.kill()
 
     def test_lanes_is_the_c_source_lane_count(self):
-        # row_chunks cuts at multiples of LANES; a chunk that starts inside
-        # a lane group of the C pass would draw from the wrong place.
+        # Both passes take rows from the shared counter LANES at a time, and
+        # the trial pass jumps each group's lanes to its first row.
         defined = re.findall(rb"^#define LANES (\d+)$", native.SOURCE_BYTES, re.MULTILINE)
         assert [int(n) for n in defined] == [native.LANES]
 
@@ -898,8 +898,8 @@ class TestBoundedBatches:
         # The kernel's working block holds n-node arrays; 2, 3, 5 and 7
         # nodes leave rows past the last full block of rows. A context
         # batch, with and without bound_options' bounds, and its rows as a
-        # plain batch; 60 rows split into chunks of 16, 24 and 20 at 3
-        # threads. Budget 0 shows every bit of the violation.
+        # plain batch; at 3 threads 60 rows split over three takers of 8
+        # rows. Budget 0 shows every bit of the violation.
         rng = np.random.default_rng(n)
         net, params = small_problem(n, rng)
         dim = decision_dimension(n, params.horizon)

@@ -245,12 +245,12 @@ class TestRunExperiment:
         # Each run reports, as its failure, the thread count its first trial
         # pass split by and the one its evaluator sees after that pass.
         trial_counts = []
-        row_chunks = native.row_chunks
+        split_count = native.split_count
 
         def spy(rows, genes=None):
             if genes is not None:
                 trial_counts.append(native.thread_count())
-            return row_chunks(rows, genes)
+            return split_count(rows, genes)
 
         def make_batch_evaluator(net, params, budget):
             trial_counts.clear()  # a pool worker may make more than one run
@@ -263,7 +263,7 @@ class TestRunExperiment:
             return evaluate
 
         monkeypatch.setattr(harness, "make_batch_evaluator", make_batch_evaluator)
-        monkeypatch.setattr(native, "row_chunks", spy)
+        monkeypatch.setattr(native, "split_count", spy)
         monkeypatch.setattr(native, "usable_cpus", lambda: cpus)
         cfg = tiny_config(algorithm="nsde", runs=runs)
         assert run_experiment(cfg, workers=workers) == []
