@@ -12,9 +12,9 @@
  * mat-vec adds its terms in j order and the sqrt sum in node order, each
  * from 0.0, so f has the numpy loop's bytes.
  *
- * It runs two passes, interleaved. Pass 1 writes every candidate's squared
- * deviation sum_e (x_e - x0_e)^2 to g, summed in gene order, and tests its
- * violation max(0, g - budget) against bound[b]: a candidate whose
+ * It runs two passes, interleaved. Pass 1 writes every candidate's
+ * violation max(0, sum_e (x_e - x0_e)^2 - budget) to g, the squares summed
+ * in gene order, and tests it against bound[b]: a candidate whose
  * violation is above its bound gets obj = +inf and is not integrated.
  * Pass 2 packs the others, in the order pass 1 met them, into groups of
  * LANES and integrates only those, each group as soon as pass 1 has
@@ -224,11 +224,11 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
             sq_dev(D, rows, x0, dev);
         }
         for (int l = 0; l < LANES && b0 + l < B; ++l) {
-            /* dev - budget is numpy's g -= budget, and v < 0 ? 0 : v its
-             * np.maximum(0.0, g), NaN kept; a NaN never compares greater. */
-            const double v = dev[l] - budget;
-            g[b0 + l] = dev[l];
-            if ((v < 0.0 ? 0.0 : v) > bound[b0 + l])
+            /* v < 0 ? 0 : v is max(0, v) with a NaN kept, as np.maximum
+             * keeps it; a NaN never compares greater. */
+            const double v = dev[l] - budget, viol = v < 0.0 ? 0.0 : v;
+            g[b0 + l] = viol;
+            if (viol > bound[b0 + l])
                 obj[b0 + l] = INFINITY;
             else
                 queue[queued++] = b0 + l;

@@ -182,8 +182,8 @@ def build_trials(
 
 def nsde_generation(
     pop: Population, evaluate, eps: float, cfg: DEConfig, rng: np.random.Generator
-) -> int:
-    """Run one synchronous generation in place; returns evaluations consumed.
+) -> None:
+    """Run one synchronous generation in place: ``pop.size`` trials, one evaluator call.
 
     One stream, ``rng``, drives every operator draw of the generation, so
     trials are reproducible regardless of how evaluations are scheduled.
@@ -206,4 +206,3 @@ def nsde_generation(
         pop.genes[i] = trials[i]
     pop.f[win] = trial_f[win]
     pop.violation[win] = trial_viol[win]
-    return pop.size

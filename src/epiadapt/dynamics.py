@@ -274,11 +274,11 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
     the bytes of the built rows. The numpy loop builds the rows first.
     A batch with a ``bound`` gets f = +inf for exactly the rows whose
     violation is above their bound, and those rows are not integrated: the
-    kernel computes every row's violation first and packs the others into
-    its lane groups, the numpy loop integrates the others alone. Every
-    other f, and every violation, has the bytes of the batch without the
-    bound. A NaN on either side compares false, so a NaN row is integrated
-    and raises as it would without the bound.
+    kernel computes every row's violation first, the one it returns, and
+    packs the others into its lane groups; the numpy loop integrates the
+    others alone. Every other f, and every violation, has the bytes of the
+    batch without the bound. A NaN on either side compares false, so a NaN
+    row is integrated and raises as it would without the bound.
 
     Each kernel call splits over the thread count of ``_native`` at the
     time of the call: by default the CPUs this process may use, or the
@@ -326,8 +326,7 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
                 raise MemoryError("RK4 kernel could not allocate its scratch buffer")
             if any(statuses):
                 raise IntegrationError("state became non-finite during integration")
-            g -= budget
-            return obj, np.maximum(0.0, g)
+            return obj, g
         for start in range(0, b, _native.ROW_BLOCK):
             diff = x[start:start + _native.ROW_BLOCK] - x0
             diff *= diff

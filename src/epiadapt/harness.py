@@ -338,11 +338,11 @@ def run_experiment(
     baseline's cap (ValueError) fails before ``outdir`` is created, which
     comes before the first run, so a path that cannot hold it fails at once.
 
-    In ``outdir``, each run's ``run_NN`` directory is written as the run
-    returns, in run order, so a campaign cut short keeps the runs it
-    finished; ``run_*`` directories of other ids go before the first run.
-    runs.csv, timing.txt and aborted.txt come last, and with them the
-    directories of aborted runs go.
+    With an ``outdir``, the runs stream through :func:`emit_run_artifacts`,
+    which first clears what an earlier campaign left there and writes each
+    run's directory as the run returns. Runs lost to a diverged integration
+    are not written: each is reported on stderr as it comes, and, once
+    runs.csv and timing.txt are written, listed in aborted.txt.
     """
     if workers < 1:
         raise ConfigError(f"workers must be at least 1, got {workers}")
@@ -352,44 +352,36 @@ def run_experiment(
         net = generate_ba(cfg.n, cfg.m0, cfg.m, cfg.net_seed)
     elif net.n != cfg.n:
         raise ConfigError(f"the config is for n={cfg.n} nodes, but the network has {net.n}")
-    if cfg.algorithm == "none":
-        baseline = no_adaptation_schedule(net, cfg.horizon)
-    elif cfg.algorithm == "constant":  # before outdir: its budget cap depends on the network
-        baseline = constant_adaptation_schedule(net, cfg.horizon, cfg.budget)
-    if outdir is not None:
-        outdir = Path(outdir)
-        _make_dir(outdir)
     params = cfg.epidemic_params()
     if cfg.algorithm in ("none", "constant"):
-        ids = [0]
-        outcomes = [_baseline_record(cfg, net, params, baseline)]
+        # The constant baseline's budget cap depends on the network, so it is
+        # checked here, before outdir; the run comes lazily, as the optimizers' do.
+        schedule = (no_adaptation_schedule(net, cfg.horizon) if cfg.algorithm == "none"
+                    else constant_adaptation_schedule(net, cfg.horizon, cfg.budget))
+        outcomes = (_baseline_record(cfg, net, params, s) for s in [schedule])
     else:
         ids = range(first_run, first_run + cfg.runs)
         # The pool forks all its workers at once, so no more than there are runs.
         procs = min(workers, cfg.runs)
         threads = max(1, _native.usable_cpus() // procs)
         outcomes = _outcomes([(cfg, net, r, threads) for r in ids], procs)
-    if outdir is not None:
-        _prune_run_dirs(outdir, ids)
-    records: list[RunRecord] = []
     failures: list[RunFailure] = []
-    for out in outcomes:
-        if isinstance(out, RunRecord):
-            records.append(out)
-            if outdir is not None:
-                _write_run_dir(out, net, outdir)
-        else:
-            # A diverged integration loses its run, not the campaign.
-            failures.append(out)
-            print(f"run {out.run} aborted: {out.message}", file=sys.stderr)
-    if outdir is not None:
-        _prune_run_dirs(outdir, [rec.run for rec in records])
-        _write_campaign_files(records, outdir)
-        aborted = outdir / ABORTED_FILE
-        if failures:
-            aborted.write_text("".join(f"run {out.run}: {out.message}\n" for out in failures))
-        else:
-            aborted.unlink(missing_ok=True)
+
+    def completed() -> Iterator[RunRecord]:
+        for out in outcomes:
+            if isinstance(out, RunRecord):
+                yield out
+            else:
+                # A diverged integration loses its run, not the campaign.
+                failures.append(out)
+                print(f"run {out.run} aborted: {out.message}", file=sys.stderr)
+
+    if outdir is None:
+        return list(completed())
+    records = emit_run_artifacts(completed(), net, outdir)
+    if failures:
+        (Path(outdir) / ABORTED_FILE).write_text(
+            "".join(f"run {out.run}: {out.message}\n" for out in failures))
     return records
 
 
@@ -527,24 +519,36 @@ def write_trajectory_csv(traj: Trajectory, path: str | Path) -> None:
                ([_fmt(t), *map(_fmt, row)] for t, row in zip(traj.times, traj.p)))
 
 
-def emit_run_artifacts(records: Sequence[RunRecord], net: Network, outdir: Path) -> None:
-    """Write runs.csv plus per-run history, traces, schedule, and timing.txt.
+def emit_run_artifacts(
+    records: Iterable[RunRecord], net: Network, outdir: str | Path
+) -> list[RunRecord]:
+    """Write a campaign directory from ``records``; returns them as a list.
 
-    Deletes each ``run_<digits>`` directory of a run not in ``records``.
+    ``outdir`` is made if it is missing, and what an earlier campaign left
+    there goes first: every ``run_<digits>`` directory, runs.csv, timing.txt
+    and aborted.txt. So no file of another campaign can pass for a run that
+    this one lost or has not reached. Each record's ``run_NN`` directory,
+    its history, traces and best schedule, is written as the record
+    arrives, so a campaign cut short keeps the runs it finished. runs.csv,
+    one row per record in the order they came, and timing.txt come last.
     """
+    outdir = Path(outdir)
     _make_dir(outdir)
-    _prune_run_dirs(outdir, [rec.run for rec in records])
+    for old in outdir.iterdir():
+        if re.fullmatch(r"run_\d+", old.name) and old.is_dir():
+            shutil.rmtree(old)
+    for name in ("runs.csv", "timing.txt", ABORTED_FILE):
+        (outdir / name).unlink(missing_ok=True)
+    written = []
     for rec in records:
         _write_run_dir(rec, net, outdir)
-    _write_campaign_files(records, outdir)
-
-
-def _prune_run_dirs(outdir: Path, runs: Iterable[int]) -> None:
-    """Delete each ``run_<digits>`` directory of ``outdir`` but those of ``runs``."""
-    keep = {f"run_{run:02d}" for run in runs}
-    for old in outdir.iterdir():
-        if old.name not in keep and re.fullmatch(r"run_\d+", old.name) and old.is_dir():
-            shutil.rmtree(old)
+        written.append(rec)
+    _write_csv(outdir / "runs.csv", RUNS_HEADER,
+               ([rec.algorithm, rec.run, _fmt(rec.ofv), _fmt(rec.violation),
+                 rec.evaluations, rec.generations] for rec in written))
+    (outdir / "timing.txt").write_text(
+        "".join(f"run {rec.run}: {rec.wall_time:.3f} s\n" for rec in written))
+    return written
 
 
 def _write_run_dir(rec: RunRecord, net: Network, outdir: Path) -> None:
@@ -560,15 +564,6 @@ def _write_run_dir(rec: RunRecord, net: Network, outdir: Path) -> None:
     for name, series in (("I", i_level), ("W", w_level)):
         _write_csv(rdir / f"trace_{name}.csv", ["t", name],
                    ([_fmt(t), _fmt(value)] for t, value in zip(times, series)))
-
-
-def _write_campaign_files(records: Sequence[RunRecord], outdir: Path) -> None:
-    """runs.csv, one row per record, and timing.txt."""
-    _write_csv(outdir / "runs.csv", RUNS_HEADER,
-               ([rec.algorithm, rec.run, _fmt(rec.ofv), _fmt(rec.violation),
-                 rec.evaluations, rec.generations] for rec in records))
-    (outdir / "timing.txt").write_text(
-        "".join(f"run {rec.run}: {rec.wall_time:.3f} s\n" for rec in records))
 
 
 def aborted_count(indir: str | Path) -> int:

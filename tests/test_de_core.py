@@ -627,11 +627,11 @@ class TestNsdeGeneration:
         assert all(b <= a + 1e-12 for a, b in zip(best_values, best_values[1:]))
         assert best_values[-1] < 1e-2
 
-    def test_returns_population_size(self):
+    def test_returns_nothing(self):
         cfg = DEConfig(np_size=12)
         rng = np.random.default_rng(0)
         pop = make_population(init_population(cfg, 5, rng), sphere)
-        assert nsde_generation(pop, sphere, 0.0, cfg, rng) == 12
+        assert nsde_generation(pop, sphere, 0.0, cfg, rng) is None
 
     def test_same_seed_same_outcome(self):
         cfg = DEConfig(np_size=10)

@@ -1,5 +1,6 @@
 import json
 import re
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -314,6 +315,42 @@ class TestRunExperiment:
             assert sorted(path.name for path in (cut / run).iterdir()) == files
             for name in files:
                 assert (cut / run / name).read_bytes() == (whole / run / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_a_campaign_cut_short_leaves_nothing_of_an_earlier_one(
+        self, tmp_path, monkeypatch, workers
+    ):
+        # The earlier campaign's run_01, runs.csv (whose row 0 is another
+        # run than the new run_00), timing.txt and aborted.txt would pass
+        # for this campaign's.
+        import epiadapt.harness as harness
+        from epiadapt.dynamics import IntegrationError
+
+        cfg = tiny_config(algorithm="nsde", runs=3)
+        whole, outdir = tmp_path / "whole", tmp_path / "out"
+        run_experiment(replace(cfg, runs=1), outdir=whole, workers=workers)
+        real = harness._optimizer_record
+
+        def failing(run, error):
+            def record(cfg, net, params, run_index, threads):
+                if run_index == run:
+                    raise error("state became non-finite during integration")
+                return real(cfg, net, params, run_index, threads)
+            return record
+
+        monkeypatch.setattr(harness, "_optimizer_record", failing(2, IntegrationError))
+        run_experiment(replace(cfg, master_seed=5), outdir=outdir, workers=workers)
+        assert {"run_01", "runs.csv", "timing.txt", "aborted.txt"} <= {
+            path.name for path in outdir.iterdir()}
+        monkeypatch.setattr(harness, "_optimizer_record", failing(1, RuntimeError))
+        with pytest.raises(RuntimeError, match="non-finite"):
+            run_experiment(cfg, outdir=outdir, workers=workers)
+        assert [path.name for path in outdir.iterdir()] == ["run_00"]
+        files = sorted(path.name for path in (whole / "run_00").iterdir())
+        assert sorted(path.name for path in (outdir / "run_00").iterdir()) == files
+        for name in files:
+            assert (outdir / "run_00" / name).read_bytes() == (
+                whole / "run_00" / name).read_bytes()
 
     def test_single_group_c3_campaign_is_nsde(self, tmp_path):
         run_experiment(tiny_config(algorithm="nsde"), outdir=tmp_path / "nsde")
