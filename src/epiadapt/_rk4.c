@@ -163,20 +163,18 @@ static void sqrt_sum(int64_t n, const double *restrict p, double *restrict s)
 
 /* rows[l] = row idx[l] of x, which holds rows of width genes: the row
  * itself, or with ncols > 0 lane l's scratch row of D genes with the row's
- * ncols genes written at cols. held[l] is the row lane l's scratch row
- * holds, so a row is written there once however often it is loaded. */
+ * ncols genes written at cols. Every load writes them, so pass 2 splices
+ * again the rows that pass 1 spliced: ncols stores beside an integration. */
 static void load_rows(const int64_t *idx, const double *x, int64_t width,
                       const int64_t *cols, int64_t ncols, double *scratch, int64_t D,
-                      int64_t *held, const double **rows)
+                      const double **rows)
 {
     for (int l = 0; l < LANES; ++l) {
         rows[l] = x + idx[l] * width;
         if (ncols > 0) {
             double *row = scratch + l * D;
-            if (held[l] != idx[l])
-                for (int64_t c = 0; c < ncols; ++c)
-                    row[cols[c]] = rows[l][c];
-            held[l] = idx[l];
+            for (int64_t c = 0; c < ncols; ++c)
+                row[cols[c]] = rows[l][c];
             rows[l] = row;
         }
     }
@@ -201,7 +199,7 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
     double s[LANES], acc[LANES] = {0.0}, total[LANES], dev[LANES];
     const double *rows[LANES];
     /* The rows to integrate, in row order; never more than 2 * LANES - 1. */
-    int64_t idx[LANES], queue[2 * LANES], queued = 0, held[LANES];
+    int64_t idx[LANES], queue[2 * LANES], queued = 0;
     int status = 0;
 
     for (int64_t i = 0; i < n; ++i)
@@ -209,8 +207,6 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
             gl[i * LANES + l] = gamma[i];
     for (int64_t l = 0; l < spliced; l += D)
         memcpy(scratch + l, base, (size_t)D * sizeof(double));
-    for (int l = 0; l < LANES; ++l)
-        held[l] = -1;
 
     for (;;) {
         /* Pass 1 over the next LANES rows that no thread has taken, if any
@@ -220,7 +216,7 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
         if (!last) {
             for (int l = 0; l < LANES; ++l)
                 idx[l] = b0 + l < B ? b0 + l : b0;
-            load_rows(idx, x, width, cols, ncols, scratch, D, held, rows);
+            load_rows(idx, x, width, cols, ncols, scratch, D, rows);
             sq_dev(D, rows, x0, dev);
         }
         for (int l = 0; l < LANES && b0 + l < B; ++l) {
@@ -243,7 +239,7 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
                 idx[l] = queue[l < take ? l : 0];
                 total[l] = obj_unit;
             }
-            load_rows(idx, x, width, cols, ncols, scratch, D, held, rows);
+            load_rows(idx, x, width, cols, ncols, scratch, D, rows);
             for (int64_t i = 0; i < n; ++i)
                 for (int l = 0; l < LANES; ++l)
                     p[i * LANES + l] = p_unit[i];

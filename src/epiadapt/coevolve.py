@@ -253,11 +253,8 @@ def optimize_subcomponent(
         if sub is None:
             sub = Population(_native.unpooled_empty((np_size, idx.size)), np.empty(np_size),
                              np.empty(np_size))
-        # The group's genes move by flat position, which numpy indexes
-        # faster than a row slice paired with a column list.
-        flat = np.arange(0, pop.genes.size, best_genes.size)[:, None] + idx
-        # The positions are in range; "clip" skips the copy "raise" makes of out.
-        np.take(pop.genes, flat, out=sub.genes, mode="clip")
+        # The columns are in range; "clip" skips the copy "raise" makes of out.
+        np.take(pop.genes, idx, axis=1, out=sub.genes, mode="clip")
         sub.f, sub.violation = (np.asarray(a, dtype=float)
                                 for a in evaluate(ContextBatch(best_genes, idx, sub.genes)))
 
@@ -285,7 +282,7 @@ def optimize_subcomponent(
             )
         )
     if context:
-        np.put(pop.genes, flat, sub.genes)
+        pop.genes[:, idx] = sub.genes
         pop.f, pop.violation = (np.asarray(a, dtype=float) for a in evaluate(pop.genes))
     return 2 * context + gens * np_size, gens, history
 

@@ -19,7 +19,6 @@ import re
 import shutil
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
@@ -309,6 +308,8 @@ def _run_one(payload: tuple[ExperimentConfig, Network, int, int]) -> RunRecord |
 def _outcomes(payloads: list[tuple], procs: int) -> Iterator[RunRecord | RunFailure]:
     """Each payload's outcome, in order, as it is ready: from a pool of ``procs`` processes."""
     if procs > 1:
+        from concurrent.futures import ProcessPoolExecutor  # here: one process loads no pool
+
         with ProcessPoolExecutor(max_workers=procs) as pool:
             yield from pool.map(_run_one, payloads)
     else:

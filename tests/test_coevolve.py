@@ -20,6 +20,7 @@ from epiadapt.de_core import DEConfig, Population
 from epiadapt.dynamics import EpidemicParams, decision_dimension, make_batch_evaluator
 from epiadapt.eps_constraint import EpsilonSchedule, epsilon_at
 from epiadapt.graph import generate_ba
+from reference import traced_peak
 
 
 def sphere(x):
@@ -243,6 +244,40 @@ class TestOptimizeSubcomponent:
         f, viol = sphere(pop.genes)
         np.testing.assert_array_equal(f, pop.f)
         np.testing.assert_array_equal(viol, pop.violation)
+
+    @staticmethod
+    def visit(pop, plan, group, evaluate, sub):
+        sched = EpsilonSchedule(eps0=0.0, gc=5, gmax=50)
+        return optimize_subcomponent(
+            pop, plan, group, pop.genes[0].copy(), evaluate, sched,
+            DEConfig(np_size=pop.size), sub_fes=3 * pop.size, seed=1, sub=sub,
+        )
+
+    def test_a_visit_moves_its_columns_without_a_position_array(self):
+        def zero(batch):
+            return np.zeros(len(batch)), np.zeros(len(batch))
+
+        np_size, dim, ns = 40, 360, 3
+        pop = self.setup_population(np_size, dim, seed=6)
+        plan = random_grouping(dim, ns, np.random.default_rng(2))
+        sub = Population(np.empty((np_size, dim // ns)), np.empty(np_size), np.empty(np_size))
+        # The first visit maps the sub-population's trial buffer.
+        self.visit(pop, plan, 1, zero, sub)
+        peak = traced_peak(lambda: self.visit(pop, plan, 2, zero, sub))
+        # Less than one (NP, ds) int64 array: the columns move without positions.
+        assert peak < np_size * (dim // ns) * np.dtype(np.int64).itemsize
+
+    def test_write_back_changes_only_the_group_columns(self):
+        pop = self.setup_population(12, 30, seed=3)
+        plan = random_grouping(30, 3, np.random.default_rng(4))
+        sub = Population(np.empty((12, 10)), np.empty(12), np.empty(12))
+        before = pop.genes.copy()
+        self.visit(pop, plan, 3, sphere, sub)
+        idx = plan[2]
+        rest = np.setdiff1d(np.arange(30), idx)
+        assert pop.genes[:, rest].tobytes() == before[:, rest].tobytes()
+        assert pop.genes[:, idx].tobytes() == sub.genes.tobytes()
+        assert not np.array_equal(pop.genes[:, idx], before[:, idx])
 
     def test_budget_too_small_rejected(self):
         pop = self.setup_population(10, 8)

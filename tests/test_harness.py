@@ -1,11 +1,15 @@
 import json
+import os
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import epiadapt
 from epiadapt.baselines import no_adaptation_schedule
 from epiadapt.coevolve import GenerationRecord
 from epiadapt.dynamics import (
@@ -210,7 +214,7 @@ class TestRunExperiment:
             assert x.run == y.run and x.ofv == y.ofv
 
     def test_pool_has_no_more_workers_than_runs(self, monkeypatch):
-        import epiadapt.harness as harness
+        import concurrent.futures
 
         sizes = []
 
@@ -227,11 +231,22 @@ class TestRunExperiment:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(harness, "ProcessPoolExecutor", InProcessPool)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         pooled = run_experiment(tiny_config(algorithm="nsde"), workers=64)
         assert sizes == [2]
         serial = run_experiment(tiny_config(algorithm="nsde"))
         assert [(x.run, x.ofv) for x in pooled] == [(x.run, x.ofv) for x in serial]
+
+    def test_one_process_campaign_loads_no_process_pool(self):
+        # A fresh interpreter: the test session has loaded multiprocessing.
+        code = ("import sys, epiadapt; from epiadapt.harness import ExperimentConfig, "
+                "run_experiment; "
+                f"run_experiment(ExperimentConfig(**{dict(TINY, runs=1)!r}), workers=1); "
+                "loaded = {'concurrent.futures.process', 'multiprocessing'} & set(sys.modules); "
+                "assert not loaded, loaded")
+        src = str(Path(epiadapt.__file__).parents[1])
+        subprocess.run([sys.executable, "-c", code], check=True,
+                       env={**os.environ, "PYTHONPATH": src})
 
     @pytest.mark.parametrize("cpus,workers,runs,threads", [
         (4, 1, 3, 4), (4, 2, 3, 2), (4, 3, 2, 2), (4, 2, 1, 4), (3, 2, 2, 1), (2, 2, 2, 1),
