@@ -15,18 +15,18 @@ import ctypes
 import math
 import mmap
 import os
-import subprocess
-import tempfile
 import threading
 import warnings
-from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import contextmanager
 from contextvars import ContextVar
 from functools import lru_cache
 from pathlib import Path
-from typing import Iterator
+from typing import TYPE_CHECKING, Iterator
 
 import numpy as np
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 # Rows per block where numpy code would otherwise make a (B, D) temporary
 # (see unpooled_empty for why that matters).
@@ -136,6 +136,7 @@ def _helper_pool() -> ThreadPoolExecutor:
     would never run, so a process uses only a pool it made itself. The pool
     starts a thread only when none of its threads is idle.
     """
+    from concurrent.futures import ThreadPoolExecutor  # here: only a split needs a pool
     global _helpers
     with _helpers_lock:
         if _helpers is None or _helpers[0] != os.getpid():
@@ -152,6 +153,7 @@ def split(func, rows: int, *args, genes: int | None = None) -> list:
     their results once all have finished, even when one raises; the first
     exception of a helper is raised then.
     """
+    from concurrent.futures import wait
     call = (*args, np.zeros(1, dtype=np.int64))
     count = split_count(rows, genes)
     helpers = _helper_pool() if count > 1 else None
@@ -199,6 +201,9 @@ def build(level: str) -> ctypes.CDLL:
     digest = hashlib.sha256(key).hexdigest()[:16]
     lib = CACHE / f"_rk4-{level}-{digest}.so"
     if not lib.exists():
+        import subprocess  # here too: a cached build needs neither
+        import tempfile
+
         CACHE.mkdir(exist_ok=True)
         fd, tmp = tempfile.mkstemp(suffix=".so", dir=CACHE)
         os.close(fd)

@@ -295,28 +295,16 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
 #define PCG_MULT_HI 0x2360ed051fc65da4ULL
 #define PCG_MULT_LO 0x4385df649fccf645ULL
 
-/* (hi, lo) = (hi, lo) * (ah, al) + (ch, cl) mod 2^128, the one scalar step.
- * Without __int128 it runs in 64-bit halves: the high half of lo * al from
- * 32-bit limbs, the cross terms as 64-bit low products. */
+/* (hi, lo) = (hi, lo) * (ah, al) + (ch, cl) mod 2^128, the one scalar step,
+ * as one unsigned __int128 multiply-add: every 64-bit GCC and Clang has the
+ * type, and a compiler without it fails the build, so the numpy routes run. */
 static inline void lcg_step(uint64_t *restrict hi, uint64_t *restrict lo, uint64_t ah,
                             uint64_t al, uint64_t ch, uint64_t cl)
 {
-#if defined(__SIZEOF_INT128__)
     typedef unsigned __int128 u128;
     const u128 s = ((u128)*hi << 64 | *lo) * ((u128)ah << 64 | al) + ((u128)ch << 64 | cl);
     *hi = (uint64_t)(s >> 64);
     *lo = (uint64_t)s;
-#else
-    const uint64_t x = *lo, x0 = x & 0xffffffffu, x1 = x >> 32;
-    const uint64_t a0 = al & 0xffffffffu, a1 = al >> 32;
-    const uint64_t p00 = x0 * a0, p01 = x0 * a1, p10 = x1 * a0;
-    const uint64_t mid = (p00 >> 32) + (p01 & 0xffffffffu) + (p10 & 0xffffffffu);
-    const uint64_t plo = (mid << 32) | (p00 & 0xffffffffu);
-    const uint64_t phi = x1 * a1 + (p01 >> 32) + (p10 >> 32) + (mid >> 32);
-    const uint64_t nlo = plo + cl;
-    *hi = phi + x * ah + *hi * al + ch + (nlo < plo);
-    *lo = nlo;
-#endif
 }
 
 /* (hi, lo) moved delta steps on, as PCG64.advance(delta) moves numpy's

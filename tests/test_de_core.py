@@ -417,28 +417,6 @@ class TestUniformFill:
         for level, build in level_builds.items():
             assert native._trials_match_numpy(build, 5, shape, pins=pins), level
 
-    @pytest.mark.skipif(shutil.which("cc") is None, reason="no C compiler on PATH")
-    def test_fill_without_int128_gives_numpy_bytes(self, tmp_path, monkeypatch):
-        # Without __int128, lcg_step works in 64-bit halves: in the v3 and
-        # base builds it starts the lanes and steps them. v4 steps them with
-        # its intrinsics either way.
-        monkeypatch.setattr(native, "CACHE", tmp_path)
-        monkeypatch.setattr(native, "CFLAGS", (*native.CFLAGS, "-U__SIZEOF_INT128__",
-                                               "-Wall", "-Wextra", "-Werror"))
-        try:
-            cpuinfo = native.CPUINFO.read_text()
-        except OSError:
-            cpuinfo = ""
-        levels = [level for level in native.host_levels(cpuinfo, platform.machine())
-                  if level in ("v3", "base")]
-        builds = {level: native.build(level) for level in levels}
-        for level, build in builds.items():
-            for seed, shape in enumerate(FILL_SHAPES):
-                assert native._trials_match_numpy(build, 2**63 + seed, shape), level
-        for seed, shape in enumerate([(5, 7), (35, 99)]):
-            assert_trials_match_numpy(builds, np.random.default_rng(seed).random(shape),
-                                      seed, buffered=bool(seed))
-
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**64 - 1), buffered=st.booleans())
     def test_odd_population_trials_give_numpy_bytes(self, level_builds, seed, buffered):

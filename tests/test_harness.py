@@ -248,6 +248,24 @@ class TestRunExperiment:
         subprocess.run([sys.executable, "-c", code], check=True,
                        env={**os.environ, "PYTHONPATH": src})
 
+    def test_cli_process_with_an_evaluator_loads_no_thread_pool(self, kernel):
+        # Fresh interpreters, the kernel's build cached: one that builds an
+        # evaluator, as the CLI's commands do, loads no more of these modules
+        # than numpy's own import does.
+        watched = "{'concurrent.futures', 'logging', 'subprocess'} & set(sys.modules)"
+        evaluator = ("import epiadapt.cli; from epiadapt.dynamics import EpidemicParams, "
+                     "make_batch_evaluator; from epiadapt.graph import generate_ba; "
+                     "make_batch_evaluator(generate_ba(20, 5, 5, seed=1), EpidemicParams("
+                     "beta=0.4, gamma=0.3, p0=0.153, horizon=10, substeps=5), 700.0)")
+        src = str(Path(epiadapt.__file__).parents[1])
+        loaded = [
+            subprocess.run([sys.executable, "-c", f"import sys; {code}; print(sorted({watched}))"],
+                           check=True, capture_output=True, text=True,
+                           env={**os.environ, "PYTHONPATH": src}).stdout
+            for code in ("import numpy, numpy.random", evaluator)
+        ]
+        assert loaded[1] == loaded[0]
+
     @pytest.mark.parametrize("cpus,workers,runs,threads", [
         (4, 1, 3, 4), (4, 2, 3, 2), (4, 3, 2, 2), (4, 2, 1, 4), (3, 2, 2, 1), (2, 2, 2, 1),
     ])
