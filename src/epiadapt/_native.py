@@ -230,7 +230,7 @@ def build(level: str) -> ctypes.CDLL:
     f64, i64, rows = (np.ctypeslib.ndpointer(dtype, ndim=ndim, flags="C_CONTIGUOUS")
                       for dtype, ndim in ((np.float64, 1), (np.int64, 1), (np.float64, 2)))
     n, real, words = ctypes.c_int64, ctypes.c_double, (ctypes.c_uint64,) * 4
-    built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, n, f64, i64, f64, f64, f64, real,
+    built.rk4_batch.argtypes = [n, n, n, n, rows, f64, i64, n, f64, i64, real, real, f64, real,
                                 real, f64, f64, f64, i64]
     built.rk4_batch.restype = ctypes.c_int
     built.de_trials.argtypes = [n, n, rows, f64, i64, i64, f64, i64, real, *words, rows, i64]

@@ -29,7 +29,8 @@
  * then + s_1 ... + s_k, then - 0.5 * s_k.
  *
  * A row holds D = T1 * m genes, m = n * (n - 1). Gene e of an interval is
- * the weight w[i, j] with pos[e] = j * n + i, scaled by beta_off[e] = beta[j].
+ * the weight w[i, j] with pos[e] = j * n + i, scaled by beta, the one
+ * infection rate; gamma is the one curing rate.
  * x0 is one row of D genes: w0's off-diagonal entries, tiled. With ncols = 0,
  * x holds the B rows. With ncols > 0, x holds B rows of ncols genes, and row
  * b is base with gene cols[c] replaced by x[b, c]: the context batch of a C3
@@ -39,21 +40,21 @@
  * the whole row would hold, in the same order.
  *
  * Candidates run LANES at a time, side by side: entry (i, lane) of a state
- * sits at i * LANES + lane, and w[i, j] * beta[j] of each lane at
+ * sits at i * LANES + lane, and w[i, j] * beta of each lane at
  * (j * n + i) * LANES + lane, so every loop below is element-wise across
- * lanes and vectorizes without reassociating any sum. gamma is expanded the
- * same way, once per call. Spare lanes of the last group repeat its first
- * candidate. LANES is 8 in every build, the doubles of one AVX-512 vector.
+ * lanes and vectorizes without reassociating any sum. Spare lanes of the
+ * last group repeat its first candidate. LANES is 8 in every build, the
+ * doubles of one AVX-512 vector.
  *
- * One calloc holds the working block: the weights, the state, the RK
- * stages and the lane-expanded gamma, each a whole number of 64-byte lines
- * long (n * n or n lane vectors of LANES doubles), then, with ncols > 0,
- * the scratch rows, which are read one double at a time. The block starts
- * on a line, so every lane vector fills one line and no vector load or
- * store straddles two. calloc promises 16 bytes only: a helper thread's
- * block sat 32 bytes past a line in every call of a C3 run. LANES spare
- * doubles let the block round up to a line in place; aligned_alloc raised
- * the peak RSS of two C3 runs by about 5 MB.
+ * One calloc holds the working block: the weights, the state and the RK
+ * stages, each a whole number of 64-byte lines long (n * n or n lane
+ * vectors of LANES doubles), then, with ncols > 0, the scratch rows, which
+ * are read one double at a time. The block starts on a line, so every lane
+ * vector fills one line and no vector load or store straddles two. calloc
+ * promises 16 bytes only: a helper thread's block sat 32 bytes past a line
+ * in every call of a C3 run. LANES spare doubles let the block round up to
+ * a line in place; aligned_alloc raised the peak RSS of two C3 runs by
+ * about 5 MB.
  *
  * Both kernels split a call over threads the same way. Each thread calls
  * the kernel on all the rows with the same *next_row, 0 at the start, and
@@ -83,13 +84,11 @@ static inline double clamp01(double v)
     return v < 0.0 ? 0.0 : (v > 1.0 ? 1.0 : v);
 }
 
-/* Rows i0 .. i0 + R - 1 of out = (1 - v) * (W v) - gamma * v, with gl the
- * lane-expanded gamma. The R * LANES sums stay in registers across the j
- * loop. The epilogue reads gamma lane-wise, so it is one flat loop; a
- * gamma[i] per row made the compiler vectorize it across rows, which
- * transposes q and v. With s, sqrt(v) is added to s in ascending i. */
+/* Rows i0 .. i0 + R - 1 of out = (1 - v) * (W v) - gamma * v. The R * LANES
+ * sums stay in registers across the j loop, and the epilogue is one flat
+ * loop over them. With s, sqrt(v) is added to s in ascending i. */
 static inline void rhs_rows(int64_t n, int64_t i0, const int R,
-                            const double *restrict wb, const double *restrict gl,
+                            const double *restrict wb, double gamma,
                             const double *restrict v, double *restrict out,
                             double *restrict s)
 {
@@ -103,7 +102,7 @@ static inline void rhs_rows(int64_t n, int64_t i0, const int R,
     }
     for (int c = 0; c < R * LANES; ++c) {
         const int64_t a = i0 * LANES + c;
-        out[a] = (1.0 - v[a]) * q[c] - gl[a] * v[a];
+        out[a] = (1.0 - v[a]) * q[c] - gamma * v[a];
     }
     if (s != NULL)
         for (int r = 0; r < R; ++r)
@@ -115,8 +114,7 @@ static inline void rhs_rows(int64_t n, int64_t i0, const int R,
  * per lane in node order. Inlined into rk4_batch's four stages, it made the
  * v3 and base builds slower. */
 __attribute__((noinline)) static void rhs(int64_t n, const double *restrict wb,
-                                          const double *restrict gl,
-                                          const double *restrict v,
+                                          double gamma, const double *restrict v,
                                           double *restrict out, double *restrict s)
 {
     if (s != NULL)
@@ -124,9 +122,9 @@ __attribute__((noinline)) static void rhs(int64_t n, const double *restrict wb,
             s[l] = 0.0;
     int64_t i0 = 0;
     for (; i0 + ROWS <= n; i0 += ROWS)
-        rhs_rows(n, i0, ROWS, wb, gl, v, out, s);
+        rhs_rows(n, i0, ROWS, wb, gamma, v, out, s);
     for (; i0 < n; ++i0)
-        rhs_rows(n, i0, 1, wb, gl, v, out, s);
+        rhs_rows(n, i0, 1, wb, gamma, v, out, s);
 }
 
 /* g[l] = sum_e (rows[l][e] - x0[e])^2 over D genes for each lane's row,
@@ -182,29 +180,25 @@ static void load_rows(const int64_t *idx, const double *x, int64_t width,
 
 int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
               const double *base, const int64_t *cols, int64_t ncols,
-              const double *x0, const int64_t *pos, const double *beta_off,
-              const double *gamma, const double *p_unit, double obj_unit,
-              double budget, const double *bound, double *obj, double *g,
-              int64_t *next_row)
+              const double *x0, const int64_t *pos, double beta, double gamma,
+              const double *p_unit, double obj_unit, double budget, const double *bound,
+              double *obj, double *g, int64_t *next_row)
 {
     const int64_t m = n * (n - 1), nl = n * LANES, D = T1 * m;
     const int64_t width = ncols > 0 ? ncols : D, spliced = ncols > 0 ? LANES * D : 0;
     const double h = 1.0 / (double)k, hh = 0.5 * h, h6 = h / 6.0;
-    double *mem = calloc((size_t)(n * nl + 7 * nl + spliced + LANES), sizeof(double));
+    double *mem = calloc((size_t)(n * nl + 6 * nl + spliced + LANES), sizeof(double));
     if (mem == NULL)
         return 2;
     double *wb = line_start(mem), *p = wb + n * nl, *tmp = p + nl;
-    double *k1 = tmp + nl, *k2 = k1 + nl, *k3 = k2 + nl, *k4 = k3 + nl, *gl = k4 + nl;
-    double *scratch = gl + nl;
+    double *k1 = tmp + nl, *k2 = k1 + nl, *k3 = k2 + nl, *k4 = k3 + nl;
+    double *scratch = k4 + nl;
     double s[LANES], acc[LANES] = {0.0}, total[LANES], dev[LANES];
     const double *rows[LANES];
     /* The rows to integrate, in row order; never more than 2 * LANES - 1. */
     int64_t idx[LANES], queue[2 * LANES], queued = 0;
     int status = 0;
 
-    for (int64_t i = 0; i < n; ++i)
-        for (int l = 0; l < LANES; ++l)
-            gl[i * LANES + l] = gamma[i];
     for (int64_t l = 0; l < spliced; l += D)
         memcpy(scratch + l, base, (size_t)D * sizeof(double));
 
@@ -246,20 +240,20 @@ int rk4_batch(int64_t B, int64_t n, int64_t T1, int64_t k, const double *x,
             for (int64_t t = 0; t < T1; ++t) {
                 for (int64_t e = 0; e < m; ++e)
                     for (int l = 0; l < LANES; ++l)
-                        wb[pos[e] * LANES + l] = rows[l][t * m + e] * beta_off[e];
+                        wb[pos[e] * LANES + l] = rows[l][t * m + e] * beta;
                 for (int64_t step = 0; step < k; ++step) {
-                    rhs(n, wb, gl, p, k1, s);
+                    rhs(n, wb, gamma, p, k1, s);
                     for (int l = 0; l < LANES; ++l)
                         acc[l] = step == 0 ? 0.5 * s[l] : acc[l] + s[l];
                     for (int64_t i = 0; i < nl; ++i)
                         tmp[i] = p[i] + hh * k1[i];
-                    rhs(n, wb, gl, tmp, k2, NULL);
+                    rhs(n, wb, gamma, tmp, k2, NULL);
                     for (int64_t i = 0; i < nl; ++i)
                         tmp[i] = p[i] + hh * k2[i];
-                    rhs(n, wb, gl, tmp, k3, NULL);
+                    rhs(n, wb, gamma, tmp, k3, NULL);
                     for (int64_t i = 0; i < nl; ++i)
                         tmp[i] = p[i] + h * k3[i];
-                    rhs(n, wb, gl, tmp, k4, NULL);
+                    rhs(n, wb, gamma, tmp, k4, NULL);
                     for (int64_t i = 0; i < nl; ++i) {
                         const double v =
                             p[i] + h6 * (k1[i] + 2.0 * k2[i] + 2.0 * k3[i] + k4[i]);

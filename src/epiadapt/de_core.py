@@ -121,15 +121,15 @@ def build_trials(
     best: np.ndarray,
     cfg: DEConfig,
     rng: np.random.Generator,
-    out: np.ndarray | None = None,
+    out: np.ndarray,
 ) -> np.ndarray:
     """All NP current-to-best/1 trials with binomial crossover, clamped to [0, 1].
 
     Row i mixes x_i + F_i*(best - x_i) + F_i*(x_r1 - x_r2) into x_i where
     rand <= cr, with one forced gene per row. ``genes`` must be a C-ordered
     float64 (NP, D) array and ``best`` hold D genes. The trials go to
-    ``out`` when it is given, which must be laid out as ``genes`` and share
-    no memory with ``genes`` or ``best``.
+    ``out``, which must be laid out as ``genes`` and share no memory with
+    ``genes`` or ``best``; it is returned.
 
     The C pass runs where ``rng`` is a PCG64 and ``_native.kernel()``, looked
     up on each call, returns a build. It gets the state of the first draw,
@@ -142,14 +142,12 @@ def build_trials(
     best = np.ascontiguousarray(best, dtype=np.float64)
     if best.shape != (dim,):
         raise ValueError(f"best has shape {best.shape}, expected ({dim},)")
-    if out is not None:
-        if out.shape != genes.shape or out.dtype != genes.dtype or not out.flags.c_contiguous:
-            raise ValueError("out must be a C-contiguous array of the shape and dtype of genes")
-        if np.may_share_memory(out, genes) or np.may_share_memory(out, best):
-            raise ValueError("out must not share memory with genes or best")
+    if out.shape != genes.shape or out.dtype != genes.dtype or not out.flags.c_contiguous:
+        raise ValueError("out must be a C-contiguous array of the shape and dtype of genes")
+    if np.may_share_memory(out, genes) or np.may_share_memory(out, best):
+        raise ValueError("out must not share memory with genes or best")
     f = sample_scale_factors(cfg.fp, np_size, rng)
     r1, r2 = donor_indices(np_size, rng)
-    trials = np.empty_like(genes) if out is None else out
     built = _native.kernel()
     bitgen = rng.bit_generator
     if built is not None and type(bitgen) is np.random.PCG64:
@@ -162,22 +160,22 @@ def build_trials(
             bitgen.state = state
         forced = rng.integers(dim, size=np_size)
         _native.split(built.de_trials, np_size, np_size, dim, genes, best, r1, r2, f, forced,
-                      cfg.cr, *words, trials, genes=dim)
-        return trials
-    rng.random(out=trials)
+                      cfg.cr, *words, out, genes=dim)
+        return out
+    rng.random(out=out)
     forced = rng.integers(dim, size=np_size)
-    keep = trials > cfg.cr
+    keep = out > cfg.cr
     keep[np.arange(np_size), forced] = False
-    np.subtract(best, genes, out=trials)
+    np.subtract(best, genes, out=out)
     # By row blocks, so the donor rows make no (NP, D) temporary.
     for start in range(0, np_size, _native.ROW_BLOCK):
         rows = slice(start, start + _native.ROW_BLOCK)
-        trials[rows] += genes[r1[rows]]
-        trials[rows] -= genes[r2[rows]]
-    trials *= f[:, None]
-    trials += genes
-    np.putmask(trials, keep, genes)
-    return np.clip(trials, 0.0, 1.0, out=trials)
+        out[rows] += genes[r1[rows]]
+        out[rows] -= genes[r2[rows]]
+    out *= f[:, None]
+    out += genes
+    np.putmask(out, keep, genes)
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def nsde_generation(

@@ -9,6 +9,8 @@ the total squared deviation of the schedule from the initial weights.
 """
 from __future__ import annotations
 
+import math
+import numbers
 from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable
@@ -34,54 +36,45 @@ class IntegrationError(RuntimeError):
 class EpidemicParams:
     """Epidemic rates, initial condition, horizon, and integration resolution.
 
-    ``beta``, ``gamma`` and ``p0`` may be scalars (shared by all nodes) or
-    per-node arrays; ``substeps`` is the number of RK4 steps per unit time.
-    A per-node ``beta[j]`` belongs to the source node: it scales every weight
-    ``w[i, j]`` along which node j infects node i, so node i's inflow is
-    ``sum_j w[i, j] * beta[j] * p[j]``.
+    ``beta``, ``gamma`` and ``p0`` are numbers shared by every node, stored
+    as floats; ``substeps`` is the number of RK4 steps per unit time. Node
+    i's inflow is ``beta * sum_j w[i, j] * p[j]``.
     """
 
-    beta: float | np.ndarray
-    gamma: float | np.ndarray
-    p0: float | np.ndarray
+    beta: float
+    gamma: float
+    p0: float
     horizon: int
     substeps: int = 20
 
     def __post_init__(self) -> None:
         for name in ("beta", "gamma", "p0"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(value)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {value!r}")
+            if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite")
-            if np.any(value < 0.0):
+            if value < 0.0:
                 raise ValueError(f"{name} must be nonnegative")
-        if np.any(np.asarray(self.p0, dtype=float) > 1.0):
+            object.__setattr__(self, name, float(value))
+        if self.p0 > 1.0:
             raise ValueError("p0 must lie in [0, 1]")
         if self.horizon < 2:
             raise ValueError("horizon must be at least 2")
         if self.substeps < 1:
             raise ValueError("substeps must be at least 1")
 
-    def node_vectors(self, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Broadcast the rate/initial-condition fields to length-n vectors.
+    def check_step(self, n: int) -> None:
+        """Refuse a step RK4 cannot take stably on n nodes.
 
-        Refuses a step RK4 cannot take stably on n nodes: with weights in
-        [0, 1], every node's rate is at most sum(beta) - min(beta) + max(gamma).
+        With weights in [0, 1], every node's rate is at most (n - 1) * beta + gamma.
         """
-        out = []
-        for name in ("beta", "gamma", "p0"):
-            value = np.asarray(getattr(self, name), dtype=float)
-            if value.ndim == 0:
-                value = np.full(n, float(value))
-            elif value.shape != (n,):
-                raise ValueError(f"{name} must be scalar or length {n}")
-            out.append(value)
-        rate = out[0].sum() - out[0].min() + out[1].max()
+        rate = (n - 1) * self.beta + self.gamma
         if rate / self.substeps >= _RK4_REAL_LIMIT:
             raise ValueError(
                 f"substeps={self.substeps} is unstable for RK4 at rate {rate:.4g}; "
                 f"use substeps >= {int(rate // _RK4_REAL_LIMIT) + 1}"
             )
-        return out[0], out[1], out[2]
 
 
 @dataclass(frozen=True)
@@ -168,14 +161,14 @@ def decode_candidate(x: np.ndarray, n: int, horizon: int) -> WeightSchedule:
 def _advance_unit(
     p: np.ndarray,
     wb: np.ndarray,
-    gamma: np.ndarray,
+    gamma: float,
     substeps: int,
     record: list[np.ndarray] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """RK4 over one unit interval with a fixed weight matrix, in the kernel's order.
 
     ``p`` is (n, B), one column per candidate, and ``wb`` is (n, n, B) with
-    w[i, j] * beta[j] at [j, i], as in ``_rk4.c``. numpy adds the outer axis
+    w[i, j] * beta at [j, i], as in ``_rk4.c``. numpy adds the outer axis
     of (n, n, B) one whole row after another, so the mat-vec sums over j in
     order from 0.0. A lone axis, as (n, 1) is at B = 1, it sums pairwise, so
     the sqrt sum is a cumsum over nodes (+ 0.0 makes it start from 0.0).
@@ -184,7 +177,6 @@ def _advance_unit(
     and this interval's trapezoid term of the integral of sum_i sqrt(p_i).
     """
     h = 1.0 / substeps
-    gamma = gamma[:, None]
     prod = np.empty(wb.shape)
 
     def rhs(v: np.ndarray) -> np.ndarray:
@@ -222,13 +214,13 @@ def integrate(net: Network, params: EpidemicParams, sched: WeightSchedule) -> Tr
         raise ValueError(
             f"schedule horizon {sched.horizon} != params horizon {params.horizon}"
         )
-    beta, gamma, p0 = params.node_vectors(net.n)
+    params.check_step(net.n)
     k = params.substeps
-    p = p0[:, None].copy()
-    states = [p0]
+    p = np.full((net.n, 1), params.p0)
+    states = [p[:, 0].copy()]
     for t in range(params.horizon):
         w = net.w0 if t == 0 else sched.blocks[t - 1]
-        p, _ = _advance_unit(p, (w * beta).T[:, :, None], gamma, k, record=states)
+        p, _ = _advance_unit(p, (w * params.beta).T[:, :, None], params.gamma, k, record=states)
     times = np.arange(params.horizon * k + 1) / k
     return Trajectory(times=times, p=np.vstack(states))
 
@@ -293,15 +285,16 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
     calling thread.
     """
     n, horizon, k = net.n, params.horizon, params.substeps
-    beta, gamma, p0 = params.node_vectors(n)
+    beta, gamma = params.beta, params.gamma
+    params.check_step(n)
     rows, cols = _offdiag_indices(n)
     dim = decision_dimension(n, horizon)
     x0 = np.tile(net.w0[rows, cols], horizon - 1)
-    beta_off, gamma = beta[cols], np.ascontiguousarray(gamma)
-    p_unit, obj_unit = _advance_unit(p0[:, None].copy(), (net.w0 * beta).T[:, :, None], gamma, k)
+    p_unit, obj_unit = _advance_unit(np.full((n, 1), params.p0), (net.w0 * beta).T[:, :, None],
+                                     gamma, k)
     kernel = _native.kernel()
     pos, m = (cols * n + rows).astype(np.int64), n * (n - 1)
-    shared = (x0, pos, beta_off, gamma, np.ascontiguousarray(p_unit[:, 0]), obj_unit[0])
+    shared = (x0, pos, beta, gamma, np.ascontiguousarray(p_unit[:, 0]), obj_unit[0])
 
     def evaluate(x: np.ndarray | ContextBatch) -> tuple[np.ndarray, np.ndarray]:
         bound = x.bound if isinstance(x, ContextBatch) else None
@@ -339,7 +332,7 @@ def make_batch_evaluator(net: Network, params: EpidemicParams, budget: float) ->
         obj = np.full(b, np.inf)
         obj[kept] = obj_unit[0]
         for t in range(horizon - 1):
-            wb[pos] = (x[kept, t * m:(t + 1) * m] * beta_off).T
+            wb[pos] = (x[kept, t * m:(t + 1) * m] * beta).T
             p, contrib = _advance_unit(p, wb.reshape(n, n, kept.size), gamma, k)
             obj[kept] += contrib
         return obj, violation

@@ -150,7 +150,7 @@ class ExperimentConfig:
             if not ok:
                 raise ConfigError(message)
         try:
-            self.epidemic_params().node_vectors(self.n)
+            self.epidemic_params().check_step(self.n)
             self.de_config()
             c3 = self.c3_config()
             if self.algorithm in ("nsde", "nsde_c3"):

@@ -85,7 +85,7 @@ class AlgorithmSummary:
 def summarize(
     ofvs: Mapping[str, Sequence[float]],
     reference: str,
-    violations: Mapping[str, Sequence[float]] | None = None,
+    violations: Mapping[str, Sequence[float]],
 ) -> list[AlgorithmSummary]:
     """Mean +/- std per algorithm and rank-sum p-values against the reference.
 
@@ -105,7 +105,7 @@ def summarize(
     order = [reference] + [name for name in ofvs if name != reference]
     for name in order:
         values = list(ofvs[name])
-        viol = list(violations[name]) if violations is not None else [0.0] * len(values)
+        viol = list(violations[name])
         p_value = None
         if name != reference:
             _, p_value = wilcoxon_rank_sum(values, ref_values)

@@ -47,14 +47,14 @@ def kernel_objective(x: np.ndarray, net: Network, params: EpidemicParams) -> flo
     """f of one candidate as the compiled kernel defines it, one rounding per operation.
 
     Every interval runs in Python floats, the shared [0, 1) one on w0 included:
-    the mat-vec adds w[i, j] * beta[j] * v[j] over j in order from 0.0, zero
+    the mat-vec adds w[i, j] * beta * v[j] over j in order from 0.0, zero
     diagonal included; the stages combine as ((k1 + 2 k2) + 2 k3) + k4; the
     clamp to [0, 1] keeps NaN; the sqrt sum runs in node order; the trapezoid
     runs 0.5 s_0, + s_1 ... + s_k, - 0.5 s_k; and f adds each interval's h * acc
     in turn from 0.0.
     """
     n, k = net.n, params.substeps
-    beta, gamma, p0 = (v.tolist() for v in params.node_vectors(n))
+    beta, gamma = params.beta, params.gamma
     rows, cols = _offdiag_indices(n)
     m = n * (n - 1)
     genes, w0 = np.asarray(x, dtype=float).tolist(), net.w0.tolist()
@@ -67,7 +67,7 @@ def kernel_objective(x: np.ndarray, net: Network, params: EpidemicParams) -> flo
             q = 0.0
             for j in range(n):
                 q += w[i][j] * v[j]
-            out.append((1.0 - v[i]) * q - gamma[i] * v[i])
+            out.append((1.0 - v[i]) * q - gamma * v[i])
         return out
 
     def sqrt_sum(v: list[float]) -> float:
@@ -79,14 +79,14 @@ def kernel_objective(x: np.ndarray, net: Network, params: EpidemicParams) -> flo
     def clamp01(v: float) -> float:
         return 0.0 if v < 0.0 else (1.0 if v > 1.0 else v)
 
-    p, total = p0, 0.0
+    p, total = [params.p0] * n, 0.0
     for t in range(params.horizon):
         if t == 0:
-            w = [[w0[i][j] * beta[j] for j in range(n)] for i in range(n)]
+            w = [[w0[i][j] * beta for j in range(n)] for i in range(n)]
         else:
             w = [[0.0] * n for _ in range(n)]
             for e, (i, j) in enumerate(zip(rows.tolist(), cols.tolist())):
-                w[i][j] = genes[(t - 1) * m + e] * beta[j]
+                w[i][j] = genes[(t - 1) * m + e] * beta
         s = sqrt_sum(p)
         acc = 0.5 * s
         for _ in range(k):

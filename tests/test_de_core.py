@@ -125,7 +125,7 @@ class TestMutation:
         genes = np.array([[0.2], [0.4], [0.2], [0.9]])
         best = np.array([0.6])
         trials = build_trials(genes, best, DEConfig(np_size=4, cr=1.0),
-                              np.random.default_rng(5))
+                              np.random.default_rng(5), out=np.empty_like(genes))
         expected = np.clip(expected_mutants(genes, best, 0.5, 5), 0.0, 1.0)
         np.testing.assert_allclose(trials, expected, rtol=0.0, atol=1e-15)
 
@@ -133,13 +133,13 @@ class TestMutation:
         monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.0))
         genes = np.random.default_rng(1).random((6, 4))
         trials = build_trials(genes, genes[0], DEConfig(np_size=6, cr=1.0),
-                              np.random.default_rng(0))
+                              np.random.default_rng(0), out=np.empty_like(genes))
         np.testing.assert_array_equal(trials, genes)
 
     def test_identical_population_is_fixed_point(self):
         genes = np.tile([0.3, 0.7], (5, 1))
         trials = build_trials(genes, genes[0], DEConfig(np_size=5),
-                              np.random.default_rng(0))
+                              np.random.default_rng(0), out=np.empty_like(genes))
         np.testing.assert_allclose(trials, genes)
 
     def test_collisions_shift_past_i_and_r1(self):
@@ -169,7 +169,7 @@ class TestMutation:
             donor_indices(3, np.random.default_rng(0))
         with pytest.raises(ValueError):
             build_trials(np.zeros((3, 2)), np.zeros(2), DEConfig(np_size=4),
-                         np.random.default_rng(0))
+                         np.random.default_rng(0), out=np.empty((3, 2)))
 
 
 class TestCrossover:
@@ -177,7 +177,7 @@ class TestCrossover:
         monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(0.3))
         genes = np.random.default_rng(1).random((20, 50))
         trials = build_trials(genes, genes[3], DEConfig(np_size=20, cr=1.0),
-                              np.random.default_rng(0))
+                              np.random.default_rng(0), out=np.empty_like(genes))
         expected = np.clip(expected_mutants(genes, genes[3], 0.3, 0), 0.0, 1.0)
         np.testing.assert_allclose(trials, expected, rtol=0.0, atol=1e-15)
 
@@ -185,7 +185,7 @@ class TestCrossover:
         monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(1.0))
         genes = np.zeros((20, 50))
         trials = build_trials(genes, np.ones(50), DEConfig(np_size=20, cr=0.0),
-                              np.random.default_rng(1))
+                              np.random.default_rng(1), out=np.empty_like(genes))
         np.testing.assert_array_equal((trials != genes).sum(axis=1), 1)
 
     def test_inherited_fraction(self, monkeypatch):
@@ -194,13 +194,13 @@ class TestCrossover:
         monkeypatch.setattr(de_core, "sample_scale_factors", fixed_f(1.0))
         genes = np.zeros((100, 1000))
         trials = build_trials(genes, np.ones(1000), DEConfig(np_size=100, cr=0.9),
-                              np.random.default_rng(2))
+                              np.random.default_rng(2), out=np.empty_like(genes))
         assert abs(trials.mean() - 0.9) < 0.01
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
             build_trials(np.zeros((4, 3)), np.zeros(4), DEConfig(np_size=4),
-                         np.random.default_rng(0))
+                         np.random.default_rng(0), out=np.empty((4, 3)))
 
     @pytest.mark.parametrize("genes,best,out", [
         (np.zeros((4, 3), np.float32), np.zeros(3), None),
@@ -212,6 +212,8 @@ class TestCrossover:
         (np.zeros((4, 3)), np.zeros(3), np.zeros((3, 4)).T),
     ])
     def test_malformed_arrays_rejected_before_any_draw(self, genes, best, out):
+        # None stands for a well-formed out: then genes or best is malformed.
+        out = np.zeros((4, 3)) if out is None else out
         rng = np.random.default_rng(0)
         state = rng.bit_generator.state
         with pytest.raises(ValueError):
@@ -262,7 +264,7 @@ def trials_on(build, genes, best, cfg, seed):
     """Trials from one kernel build; None forces the numpy passes, as when no build loads."""
     with pytest.MonkeyPatch.context() as m:
         m.setattr(native, "kernel", lambda: build)
-        return build_trials(genes, best, cfg, np.random.default_rng(seed))
+        return build_trials(genes, best, cfg, np.random.default_rng(seed), out=np.empty_like(genes))
 
 
 def toy_constrained(x):
@@ -383,7 +385,8 @@ def assert_trials_match_numpy(level_builds, genes, seed, buffered):
                 with pytest.MonkeyPatch.context() as m, native.threads(threads):
                     m.setattr(native, "kernel", lambda: uniforms_from)
                     m.setattr(native, "SPLIT_GENES", 1)
-                    runs.append(build_trials(genes, genes[3], cfg, gen).tobytes())
+                    out = np.empty_like(genes)
+                    runs.append(build_trials(genes, genes[3], cfg, gen, out=out).tobytes())
             assert runs[0] == runs[1], (level, threads)
             assert rng.bit_generator.state == twin.bit_generator.state, (level, threads)
 
@@ -444,7 +447,7 @@ class TestUniformFill:
             with pytest.MonkeyPatch.context() as m:
                 m.setattr(native, "kernel", lambda: build)
                 pop = init_population(cfg, 40, rng)
-                trials = build_trials(genes, genes[0], cfg, rng)
+                trials = build_trials(genes, genes[0], cfg, rng, out=np.empty_like(genes))
             after = rng.integers(1 << 40, size=3)
             runs.append([a.tobytes() for a in (pop, trials, after)])
         assert runs[0] == runs[1]
@@ -505,7 +508,7 @@ def assert_edit_is_refused(monkeypatch, old, new):
     assert "de_trials' uniforms differ" in str(caught[0].message)
     genes = np.random.default_rng(2).random((9, 30))
     cfg = DEConfig(np_size=9)
-    trials = build_trials(genes, genes[1], cfg, np.random.default_rng(4))
+    trials = build_trials(genes, genes[1], cfg, np.random.default_rng(4), out=np.empty_like(genes))
     assert trials.tobytes() == trials_on(None, genes, genes[1], cfg, 4).tobytes()
 
 
@@ -524,7 +527,8 @@ class TestTrialPassSplit:
         monkeypatch.setattr(kernel, "de_trials", lambda *a: seen.append(a) or de_trials(*a))
         genes = np.random.default_rng(4).random(shape)
         with native.threads(2):
-            build_trials(genes, genes[0], DEConfig(np_size=shape[0]), np.random.default_rng(5))
+            build_trials(genes, genes[0], DEConfig(np_size=shape[0]), np.random.default_rng(5),
+                         out=np.empty_like(genes))
         assert len(seen) == calls
         assert all(args[0] == shape[0] and args[-1] is seen[0][-1] for args in seen)
         assert seen[0][-1][0] >= shape[0]
@@ -577,7 +581,9 @@ class TestTrialPassSplit:
 
         def run():
             with native.threads(2):
-                return build_trials(genes, genes[0], cfg, np.random.default_rng(9)).tobytes()
+                out = np.empty_like(genes)
+                build_trials(genes, genes[0], cfg, np.random.default_rng(9), out=out)
+                return out.tobytes()
 
         expected = run()
         ctx = multiprocessing.get_context("fork")

@@ -108,25 +108,29 @@ class TestWilcoxon:
 
 class TestSummarize:
     def test_single_deterministic_record(self):
-        rows = summarize({"none": [160.5], "ref": [100.0, 101.0]}, reference="ref")
+        rows = summarize({"none": [160.5], "ref": [100.0, 101.0]}, reference="ref",
+                         violations={"none": [0.0], "ref": [0.0, 0.0]})
         by_name = {row.algorithm: row for row in rows}
         assert by_name["none"].std == 0.0
         assert by_name["ref"].p_value is None
 
     def test_reference_row_first_and_unflagged_p(self):
-        rows = summarize({"b": [2.0, 3.0], "a": [1.0, 2.0]}, reference="a")
+        rows = summarize({"b": [2.0, 3.0], "a": [1.0, 2.0]}, reference="a",
+                         violations={"b": [0.0, 0.0], "a": [0.0, 0.0]})
         assert rows[0].algorithm == "a"
         assert rows[0].p_value is None
         assert rows[1].p_value is not None
 
     def test_identical_algorithms_p_one(self):
-        rows = summarize({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]}, reference="a")
+        rows = summarize({"a": [1.0, 2.0, 3.0], "b": [1.0, 2.0, 3.0]}, reference="a",
+                         violations={"a": [0.0] * 3, "b": [0.0] * 3})
         assert rows[1].p_value == pytest.approx(1.0)
 
     def test_best_mean_flagged(self):
         rows = summarize(
             {"ref": [10.0, 11.0], "good": [1.0, 2.0], "bad": [20.0, 21.0]},
             reference="ref",
+            violations={"ref": [0.0, 0.0], "good": [0.0, 0.0], "bad": [0.0, 0.0]},
         )
         flags = {row.algorithm: row.is_best for row in rows}
         assert flags == {"ref": False, "good": True, "bad": False}
@@ -143,8 +147,8 @@ class TestSummarize:
 
     def test_missing_reference_rejected(self):
         with pytest.raises(ValueError):
-            summarize({"a": [1.0]}, reference="zzz")
+            summarize({"a": [1.0]}, reference="zzz", violations={"a": [0.0]})
 
     def test_empty_records_rejected(self):
         with pytest.raises(ValueError):
-            summarize({"a": [], "ref": [1.0]}, reference="ref")
+            summarize({"a": [], "ref": [1.0]}, reference="ref", violations={"a": [], "ref": [0.0]})
